@@ -99,13 +99,15 @@ def _snapshot_indices(n_states: int, stride: int) -> List[int]:
     return idx
 
 
-def _simulate(cfg: RunConfig):
-    table = cfg.transform_table()
-    column = cfg.build_column()
+def _problem(cfg: RunConfig):
+    table, column = cfg.transform_table(), cfg.build_column()
     stepping = cfg.build_stepping(beta=table.beta_bound())
-    u0 = cfg.initial_state(column)
-    traj = march(u0, stepping, table, source=None)
-    return table, column, stepping, u0, traj
+    return table, column, stepping, cfg.initial_state(column)
+
+
+def _simulate(cfg: RunConfig):
+    table, column, stepping, u0 = _problem(cfg)
+    return table, column, stepping, u0, march(u0, stepping, table, source=None)
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +120,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     stride = _stride(cfg, args)
     table, column, stepping, u0, traj = _simulate(cfg)
-    z = column.nodes()
-    rows = []
-    for k in _snapshot_indices(len(traj.states), stride):
-        t = float(traj.times[k])
-        for zi, ui in zip(z, traj.states[k].values):
-            rows.append((t, float(zi), float(ui)))
+    z = column.nodes().tolist()
+    snapshots = _snapshot_indices(len(traj.states), stride)
+    rows = [
+        (float(traj.times[k]), zi, ui)
+        for k in snapshots
+        for zi, ui in zip(z, traj.states[k].values.tolist())
+    ]
     path = os.path.join(out, "states.csv")
-    _write_csv(
-        path,
-        ("t", "z", "u"),
-        rows,
-        {"config_sha256": cfg.config_hash(), "stride": stride},
-    )
-    print(f"wrote {path}: {len(_snapshot_indices(len(traj.states), stride))} "
-          f"snapshots of {column.n_cells} nodes")
+    meta = {"config_sha256": cfg.config_hash(), "stride": stride}
+    _write_csv(path, ("t", "z", "u"), rows, meta)
+    print(f"wrote {path}: {len(snapshots)} snapshots of {column.n_cells} nodes")
     return 0
 
 
@@ -141,22 +139,14 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     table, column, stepping, u0, traj = _simulate(cfg)
     report = energy_report(traj, stepping, table)
-    rows = [
-        (
-            float(report.times[k]),
-            float(report.b_integral[k]),
-            float(report.grad_sq[k]),
-            float(report.lap_sq[k]),
-            float(report.cum_dissipation[k]),
-            float(report.gronwall_bound),
-        )
-        for k in range(report.times.shape[0])
-    ]
+    bound = np.full(report.times.shape, report.gronwall_bound)
+    ledger = (report.times, report.b_integral, report.grad_sq, report.lap_sq,
+              report.cum_dissipation, bound)
     path = os.path.join(out, "energy.csv")
     _write_csv(
         path,
         ("t", "B_int", "grad_sq", "lap_sq", "cum_dissipation", "gronwall_bound"),
-        rows,
+        zip(*(series.tolist() for series in ledger)),
         {"config_sha256": cfg.config_hash()},
     )
     print(f"wrote {path}")
@@ -191,19 +181,15 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     stride = _stride(cfg, args)
     table, column, stepping, u0, traj = _simulate(cfg)
-    z = column.nodes()
+    z = column.nodes().tolist()
     rows = []
     for k in _snapshot_indices(len(traj.states), stride):
         state = traj.states[k]
-        t = float(traj.times[k])
         p = pressure_field(state, table).values
         s = saturation_field(state, table).values
         v = darcy_velocity(state, stepping.gamma, table).values
-        for i in range(column.n_cells):
-            rows.append(
-                (t, float(z[i]), float(state.values[i]),
-                 float(p[i]), float(s[i]), float(v[i]))
-            )
+        t = [float(traj.times[k])] * column.n_cells
+        rows += zip(t, z, state.values.tolist(), p.tolist(), s.tolist(), v.tolist())
     path = os.path.join(out, "fields.csv")
     _write_csv(
         path,
@@ -217,13 +203,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _study_rows(rows) -> List[Tuple[Any, ...]]:
     return [
-        (
-            r.level,
-            float(r.dz),
-            float(r.h),
-            float(r.l2_error),
-            "" if r.observed_order is None else float(r.observed_order),
-        )
+        (r.level, float(r.dz), float(r.h), float(r.l2_error),
+         "" if r.observed_order is None else float(r.observed_order))
         for r in rows
     ]
 
@@ -239,17 +220,9 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         rows = convergence_study(mode, table, gamma=gamma)
         fitted = fitted_order(rows)
         path = os.path.join(out, f"mms_{mode}.csv")
-        _write_csv(
-            path,
-            schema,
-            _study_rows(rows),
-            {
-                "config_sha256": cfg.config_hash(),
-                "mode": mode,
-                "gamma": float(gamma),
-                "fitted_order": float(fitted),
-            },
-        )
+        meta = {"config_sha256": cfg.config_hash(), "mode": mode,
+                "gamma": float(gamma), "fitted_order": float(fitted)}
+        _write_csv(path, schema, _study_rows(rows), meta)
         passed = fitted >= threshold
         ok = ok and passed
         print(f"# mode: {mode}  fitted_order: {fitted:.4f} "
@@ -263,10 +236,7 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 def _cmd_probe_uniqueness(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
-    table = cfg.transform_table()
-    column = cfg.build_column()
-    stepping = cfg.build_stepping(beta=table.beta_bound())
-    u0 = cfg.initial_state(column)
+    table, _, stepping, u0 = _problem(cfg)
     gap = uniqueness_probe(u0, stepping, table, seed=args.seed)
     bound = 10.0 * stepping.newton_tol
     passed = gap <= bound
@@ -277,10 +247,7 @@ def _cmd_probe_uniqueness(args: argparse.Namespace) -> int:
         [(args.seed, float(gap), float(bound))],
         {"config_sha256": cfg.config_hash()},
     )
-    print(
-        f"max discrepancy {gap:.6e} <= {bound:.6e}: "
-        f"{'PASS' if passed else 'FAIL'}"
-    )
+    print(f"max discrepancy {gap:.6e} <= {bound:.6e}: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
@@ -288,9 +255,7 @@ def _cmd_demo_overshoot(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
     table = cfg.transform_table()
-    column = Column(
-        length=1.0, n_cells=_OVERSHOOT["n_cells"], gravity_sign=-1.0
-    )
+    column = Column(length=1.0, n_cells=_OVERSHOOT["n_cells"], gravity_sign=-1.0)
     z = column.nodes()
     lens = -_OVERSHOOT["depth"] * np.exp(
         -(((z - _OVERSHOOT["center"]) / _OVERSHOOT["width"]) ** 2)
@@ -299,11 +264,8 @@ def _cmd_demo_overshoot(args: argparse.Namespace) -> int:
     amplitudes = {}
     for gamma in (_OVERSHOOT["gamma"], 0.0):
         stepping = StepConfig(
-            h=_OVERSHOOT["h"],
-            gamma=gamma,
-            t_end=_OVERSHOOT["t_end"],
-            newton_tol=_OVERSHOOT["newton_tol"],
-            beta=table.beta_bound(),
+            h=_OVERSHOOT["h"], gamma=gamma, t_end=_OVERSHOOT["t_end"],
+            newton_tol=_OVERSHOOT["newton_tol"], beta=table.beta_bound(),
         )
         traj = march(u0, stepping, table)
         amplitudes[gamma] = max_principle_check(traj)
@@ -313,10 +275,7 @@ def _cmd_demo_overshoot(args: argparse.Namespace) -> int:
     _write_csv(
         path,
         ("gamma", "overshoot_amplitude"),
-        [
-            (float(_OVERSHOOT["gamma"]), float(amp_fourth)),
-            (0.0, float(amp_classic)),
-        ],
+        [(float(_OVERSHOOT["gamma"]), float(amp_fourth)), (0.0, float(amp_classic))],
         {"config_sha256": cfg.config_hash(), **_OVERSHOOT},
     )
     fourth_ok = amp_fourth > 0.0

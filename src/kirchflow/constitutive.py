@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator, PPoly
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 __all__ = [
     "ConstitutiveError",
@@ -37,7 +37,6 @@ __all__ = [
     "ConstitutiveModel",
     "KirchhoffTable",
     "build_table",
-    "legendre_transform",
 ]
 
 
@@ -47,6 +46,11 @@ class ConstitutiveError(ValueError):
 
 class OutOfRangeError(ConstitutiveError):
     """Transformed variable below the invertible range of the table."""
+
+
+def _unwrap(x, out: np.ndarray):
+    """``out`` as a float when the input ``x`` was a scalar."""
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -169,9 +173,7 @@ class ConstitutiveModel:
         -------
         float or ndarray in ``(s_res, 1]``, exactly 1 for ``p >= 0``.
         """
-        p_arr = np.asarray(p, dtype=float)
-        scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr)
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.ones_like(p_arr)
         mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
         dry = p_arr < self.p_reg
@@ -181,13 +183,11 @@ class ConstitutiveModel:
             out[dry] = self.s_res + self._tail_amp * np.exp(
                 self._tail_rate * (p_arr[dry] - self.p_reg)
             )
-        return float(out[0]) if scalar else out
+        return _unwrap(p, out)
 
     def sat_slope_raw(self, p):
         """Pointwise derivative of :meth:`saturation` (no floor)."""
-        p_arr = np.asarray(p, dtype=float)
-        scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr)
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.zeros_like(p_arr)
         mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
         dry = p_arr < self.p_reg
@@ -199,7 +199,7 @@ class ConstitutiveModel:
                 * self._tail_rate
                 * np.exp(self._tail_rate * (p_arr[dry] - self.p_reg))
             )
-        return float(out[0]) if scalar else out
+        return _unwrap(p, out)
 
     def sat_slope(self, p):
         """Regularized saturation slope: ``max(dS/dp, a_min)``.
@@ -234,9 +234,7 @@ class ConstitutiveModel:
         ConstitutiveError
             If ``s`` lies outside ``[s_res, 1]`` by more than 1e-12.
         """
-        s_arr = np.asarray(s, dtype=float)
-        scalar = s_arr.ndim == 0
-        s_arr = np.atleast_1d(s_arr)
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr < self.s_res - 1.0e-12) or np.any(s_arr > 1.0 + 1.0e-12):
             bad = s_arr[(s_arr < self.s_res - 1.0e-12) | (s_arr > 1.0 + 1.0e-12)]
             raise ConstitutiveError(
@@ -244,7 +242,7 @@ class ConstitutiveModel:
             )
         se = np.clip(self.effective_saturation(s_arr), 0.0, 1.0)
         out = self.k_floor + (1.0 - self.k_floor) * self._mualem_kr(se)
-        return float(out[0]) if scalar else out
+        return _unwrap(s, out)
 
     def conductivity_slope(self, s):
         """dK_f/ds; diverges at full saturation when ``m_vg < 1``.
@@ -268,7 +266,7 @@ class ConstitutiveModel:
             dkr = wet * wet / (2.0 * root) + 2.0 * wet * x * edge / root
         out[pos] = dkr
         out = (1.0 - self.k_floor) / (1.0 - self.s_res) * out
-        return float(out[0]) if np.asarray(s).ndim == 0 else out
+        return _unwrap(s, out)
 
     def conductivity_vs_pressure(self, p):
         """Composition K_f(S(p)); smooth in p and used as the map integrand."""
@@ -281,9 +279,7 @@ class ConstitutiveModel:
         blowup of dK_f/ds cancels against S' analytically instead of in
         floating point; 0 on p >= 0 (plateau, one-sided).
         """
-        p_arr = np.asarray(p, dtype=float)
-        scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr).astype(float)
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.zeros_like(p_arr)
         m, n = self.m_vg, self.n_vg
         mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
@@ -304,7 +300,7 @@ class ConstitutiveModel:
             pd = p_arr[dry]
             s = self.saturation(pd)
             out[dry] = self.conductivity_slope(s) * self.sat_slope_raw(pd)
-        return float(out[0]) if scalar else out
+        return _unwrap(p, out)
 
     def _conductivity_pressure_slope_limit(self) -> float:
         """One-sided limit of the composition slope as p -> 0-.
@@ -442,7 +438,11 @@ class KirchhoffTable:
     Built once per model by :func:`build_table`.  Holds the pressure grid,
     the transformed values ``u = psi(p)``, and monotone cubic interpolants
     for the map, its inverse support, the transformed saturation ``b(u)``
-    and the conductivity composition ``K_f(b(u))``.
+    and the conductivity composition ``K_f(b(u))``.  The ``b`` and ``K_f``
+    fits share their knots, so they are stored as one two-channel
+    piecewise polynomial (and their derivatives as another): one interval
+    search serves both, and each channel reads exactly what a separate
+    fit would.
 
     Attributes
     ----------
@@ -456,8 +456,6 @@ class KirchhoffTable:
         refused at or below ``u_lower + margin``.
     margin : float
         Exclusion band above ``u_lower`` (1e-9 relative).
-    interp_order : int
-        Polynomial order of the interpolant (3: monotone cubic).
     tol_q : float
         Quadrature tolerance the tabulated values honor.
     """
@@ -467,15 +465,13 @@ class KirchhoffTable:
     u_samples: np.ndarray
     u_lower: float
     margin: float
-    interp_order: int
     tol_q: float
     _psi: PPoly = field(repr=False)
     _psi_d: PPoly = field(repr=False)
-    _b: PPoly = field(repr=False)
-    _b_d: PPoly = field(repr=False)
+    _bk: PPoly = field(repr=False)  # channels (b, K_f) along u
+    _bk_d: PPoly = field(repr=False)  # their derivatives (db/du, dK_f/du)
     _b_anti: PPoly = field(repr=False)
-    _k: PPoly = field(repr=False)
-    _k_d: PPoly = field(repr=False)
+    _b_anti0: float = field(repr=False)  # _b_anti(0.0)
 
     # -- forward map ---------------------------------------------------------
 
@@ -486,9 +482,7 @@ class KirchhoffTable:
         linearly with slope ``k_floor`` (the integrand is constant there
         to machine precision).
         """
-        p_arr = np.asarray(p, dtype=float)
-        scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr).astype(float)
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.where(p_arr >= 0.0, p_arr, 0.0)
         neg = p_arr < 0.0
         if np.any(neg):
@@ -502,23 +496,20 @@ class KirchhoffTable:
                 u_bot = self.u_samples[0]
                 vals[below] = u_bot + self.model.k_floor * (pn[below] - p_bot)
             out[neg] = vals
-        return float(out[0]) if scalar else out
+        return _unwrap(p, out)
 
     def kirchhoff_derivative(self, p):
         """d psi/dp from the table; equals K_f(S(p)) to quadrature accuracy."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.ones_like(p_arr)
-        neg = p_arr < 0.0
-        if np.any(neg):
-            out[neg] = self._psi_d(np.maximum(p_arr[neg], self.p_samples[0]))
-        return float(out[0]) if np.asarray(p).ndim == 0 else out
+        d = self._channels(p, self._psi_d, 1.0, check=False, bottom=self.p_samples[0])
+        return _unwrap(p, d)
 
     # -- inverse map -----------------------------------------------------------
 
     def _check_invertible(self, u_arr: np.ndarray) -> None:
         floor = self.u_lower + self.margin
-        if np.any(u_arr <= floor):
-            idx = int(np.argmax(u_arr <= floor))
+        below = u_arr <= floor
+        if below.any():
+            idx = int(np.argmax(below))
             raise OutOfRangeError(
                 f"u={u_arr[idx]!r} at or below invertible range "
                 f"(u_lower + margin = {floor!r}): pressure diverges"
@@ -537,15 +528,13 @@ class KirchhoffTable:
         OutOfRangeError
             If any entry is at or below ``u_lower + margin``.
         """
-        u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr).astype(float)
+        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_invertible(u_arr)
         out = np.where(u_arr >= 0.0, u_arr, 0.0)
         neg = u_arr < 0.0
         if np.any(neg):
             out[neg] = self._invert_negative(u_arr[neg])
-        return float(out[0]) if scalar else out
+        return _unwrap(u, out)
 
     def _invert_negative(self, u: np.ndarray) -> np.ndarray:
         us = self.u_samples
@@ -580,19 +569,46 @@ class KirchhoffTable:
             p = np.where(done, p, p_new)
         return p
 
+    # -- channels along the transformed variable ---------------------------------
+
+    def _channels(self, u, fit: PPoly, plateau, check=True, bottom=None) -> np.ndarray:
+        """Values of a (multi-channel) fit at ``u``, one row per entry of ``u``.
+
+        The one place that range-checks ``u`` (unless ``check`` is off),
+        clamps it into the tabulated branch ``[bottom, 0]`` (by default the
+        bottom of the u-table) and masks ``u < 0``: there the fit is read,
+        on the saturated branch each channel takes its ``plateau`` constant.
+        """
+        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+        if check:
+            self._check_invertible(u_arr)
+        bottom = self.u_samples[0] if bottom is None else bottom
+        vals = fit(np.minimum(np.maximum(u_arr, bottom), 0.0))
+        neg = (u_arr < 0.0).reshape(u_arr.shape + (1,) * (vals.ndim - u_arr.ndim))
+        return np.where(neg, vals, plateau)
+
+    def residual_channels(self, u: np.ndarray):
+        """``(b(u), K_f(b(u)))`` as arrays, from one range check and lookup.
+
+        What the backward-difference residual reads at every trial state.
+        """
+        bk = self._channels(u, self._bk, (1.0, 1.0))
+        return bk[..., 0], bk[..., 1]
+
+    def jacobian_channels(self, u: np.ndarray):
+        """``(b'(u), dK_f/du)`` as arrays, from one range check and lookup.
+
+        What the Newton matrix reads; ``b'`` carries the ``a_min`` floor.
+        """
+        a_min = self.model.a_min
+        d = self._channels(u, self._bk_d, (a_min, 0.0))
+        return np.maximum(d[..., 0], a_min), d[..., 1]
+
     # -- transformed saturation and potential ------------------------------------
 
     def b_of_u(self, u):
         """Transformed saturation b(u) = S(psi^-1(u)); 1 on ``u >= 0``."""
-        u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr).astype(float)
-        self._check_invertible(u_arr)
-        out = np.ones_like(u_arr)
-        neg = u_arr < 0.0
-        if np.any(neg):
-            out[neg] = self._b(np.maximum(u_arr[neg], self.u_samples[0]))
-        return float(out[0]) if scalar else out
+        return _unwrap(u, self.residual_channels(u)[0])
 
     def b_prime(self, u):
         """Capacity db/du with the regularization floor ``a_min``.
@@ -603,16 +619,7 @@ class KirchhoffTable:
         ``b_prime`` linearizes the residual's ``b_of_u`` term exactly
         wherever the floor is inactive.
         """
-        u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr).astype(float)
-        self._check_invertible(u_arr)
-        out = np.full_like(u_arr, self.model.a_min)
-        neg = u_arr < 0.0
-        if np.any(neg):
-            slope = self._b_d(np.maximum(u_arr[neg], self.u_samples[0]))
-            out[neg] = np.maximum(slope, self.model.a_min)
-        return float(out[0]) if scalar else out
+        return _unwrap(u, self.jacobian_channels(u)[0])
 
     def legendre_B(self, z):
         """Convex potential ``B(z) = b(z) z - integral_0^z b``.
@@ -621,17 +628,12 @@ class KirchhoffTable:
         exact antiderivative of the same monotone cubic that represents
         ``b``, so the pairing inequalities hold to rounding.
         """
-        z_arr = np.asarray(z, dtype=float)
-        scalar = z_arr.ndim == 0
-        z_arr = np.atleast_1d(z_arr).astype(float)
-        self._check_invertible(z_arr)
-        out = np.zeros_like(z_arr)
-        neg = z_arr < 0.0
-        if np.any(neg):
-            zn = np.maximum(z_arr[neg], self.u_samples[0])
-            phi = self._b_anti(zn) - self._b_anti(0.0)
-            out[neg] = np.maximum(self._b(zn) * zn - phi, 0.0)
-        return float(out[0]) if scalar else out
+        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+        b = self.residual_channels(z_arr)[0]
+        anti = self._channels(z_arr, self._b_anti, self._b_anti0, check=False)
+        phi = anti - self._b_anti0
+        zc = np.maximum(z_arr, self.u_samples[0])
+        return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * zc - phi, 0.0), 0.0))
 
     # -- conductivity along the transformed variable ----------------------------
 
@@ -642,15 +644,7 @@ class KirchhoffTable:
         :meth:`dconductivity_du` is its exact derivative — residual and
         Jacobian assembly then share one conductivity channel.
         """
-        u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr).astype(float)
-        self._check_invertible(u_arr)
-        out = np.ones_like(u_arr)
-        neg = u_arr < 0.0
-        if np.any(neg):
-            out[neg] = self._k(np.maximum(u_arr[neg], self.u_samples[0]))
-        return float(out[0]) if scalar else out
+        return _unwrap(u, self.residual_channels(u)[1])
 
     def dconductivity_du(self, u):
         """d/du of the tabulated conductivity composition.
@@ -659,14 +653,8 @@ class KirchhoffTable:
         saturation); the exact derivative of :meth:`conductivity_of_u`,
         intended for Jacobian assembly.
         """
-        u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr).astype(float)
-        out = np.zeros_like(u_arr)
-        neg = u_arr < 0.0
-        if np.any(neg):
-            out[neg] = self._k_d(np.maximum(u_arr[neg], self.u_samples[0]))
-        return float(out[0]) if scalar else out
+        d = self._channels(u, self._bk_d, (self.model.a_min, 0.0), check=False)
+        return _unwrap(u, d[..., 1])
 
     def beta_bound(self) -> float:
         """Growth constant for the stored model (see model docstring)."""
@@ -716,7 +704,11 @@ def build_table(
         dk_du = model.conductivity_pressure_slope(neg_grid) / k_neg
     dk_du[-1] = model._conductivity_pressure_slope_limit()
     k_interp = _monotone_hermite(u_neg, k_neg, dk_du)
-    k_d = k_interp.derivative()
+    # one interval search per lookup for both channels; each reads what
+    # its own fit would, since the two share every knot
+    bk = PPoly(np.stack([b_interp.c, k_interp.c], axis=-1), u_neg, extrapolate=True)
+    bk_d = PPoly(np.stack([b_d.c, k_interp.derivative().c], axis=-1), u_neg,
+                 extrapolate=True)
 
     p_plus = np.array([2.5, 5.0, 7.5, 10.0])
     p_samples = np.concatenate([neg_grid, p_plus])
@@ -732,27 +724,11 @@ def build_table(
         u_samples=u_samples,
         u_lower=u_lower,
         margin=margin,
-        interp_order=3,
         tol_q=tol_q,
         _psi=psi,
         _psi_d=psi_d,
-        _b=b_interp,
-        _b_d=b_d,
+        _bk=bk,
+        _bk_d=bk_d,
         _b_anti=b_anti,
-        _k=k_interp,
-        _k_d=k_d,
+        _b_anti0=float(b_anti(0.0)),
     )
-
-
-def legendre_transform(b, z: float, tol: float = 1.0e-12) -> float:
-    """Potential ``B(z) = integral_0^z (b(z) - b(s)) ds`` for a callable b.
-
-    Adaptive-quadrature reference used to cross-check the tabulated
-    :meth:`KirchhoffTable.legendre_B` and to exercise the construction
-    with injected monotone functions in tests.
-    """
-    from scipy.integrate import quad
-
-    bz = float(b(z))
-    val, err = quad(lambda s: bz - float(b(s)), 0.0, z, epsabs=tol, epsrel=tol, limit=200)
-    return val

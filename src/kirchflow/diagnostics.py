@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import KirchhoffTable
-from .grid import Field, h1_seminorm, integrate, l2_norm, laplacian_clamped
+from .grid import (
+    Field, h1_seminorm_array, integrate_array, l2_norm, laplacian_array, libm_square,
+)
 from .stepper import StepConfig, Trajectory, project_initial, run, step
 
 __all__ = [
@@ -33,6 +35,12 @@ __all__ = [
     "max_principle_check",
     "initial_condition_check",
 ]
+
+# States per stacked block in energy_report and regularity_monitor.  128
+# rows amortize the per-call overhead of numpy and the table lookup as well
+# as 512 do, without raising the peak memory of a certified march (512 rows
+# added 3 MB); the whole trajectory (45 MB at 28,001 states) is never stacked.
+BLOCK_STATES = 128
 
 
 class DiagnosticsError(ValueError):
@@ -103,21 +111,26 @@ class EnergyReport:
         )
 
 
+def _blocks(traj: Trajectory, overlap: int = 0):
+    """States stacked ``BLOCK_STATES`` rows at a time; each block after the
+    first starts with the last ``overlap`` states of the one before."""
+    states = traj.states
+    for i in range(0, len(states), BLOCK_STATES):
+        yield np.stack([s.values for s in states[max(i - overlap, 0):i + BLOCK_STATES]])
+
+
 def energy_report(
     traj: Trajectory, cfg: StepConfig, table: KirchhoffTable
 ) -> EnergyReport:
     """Energy ledger of a trajectory produced under ``cfg``."""
     col = traj.states[0].column
-    n = traj.times.size
-    b_int = np.empty(n)
-    grad_sq = np.empty(n)
-    lap_sq = np.empty(n)
-    for i, state in enumerate(traj.states):
-        b_int[i] = integrate(Field(table.legendre_B(state.values), col))
-        grad_sq[i] = h1_seminorm(state) ** 2
-        lap = laplacian_clamped(state)
-        lap_sq[i] = cfg.gamma * integrate(Field(lap.values**2, col))
-    cum = np.zeros(n)
+    dz, b_int, grad_sq, lap_sq = col.dz, [], [], []
+    for block in _blocks(traj):
+        b_int.append(integrate_array(table.legendre_B(block), dz))
+        grad_sq.append(libm_square(h1_seminorm_array(block, dz)))
+        lap_sq.append(cfg.gamma * integrate_array(laplacian_array(block, dz) ** 2, dz))
+    b_int, grad_sq, lap_sq = (np.concatenate(a) for a in (b_int, grad_sq, lap_sq))
+    cum = np.zeros(traj.times.size)
     cum[1:] = np.cumsum(cfg.h * (0.5 * grad_sq[1:] + lap_sq[1:]))
     t_final = float(traj.times[-1])
     bound = (b_int[0] + cfg.beta * col.length * t_final) * np.exp(cfg.beta * t_final)
@@ -157,7 +170,7 @@ def time_quotient_check(traj: Trajectory, delta: float, table: KirchhoffTable) -
     the discrete compactness quantity.
     """
     k = _lag_steps(traj, delta)
-    col = traj.states[0].column
+    dz = traj.states[0].column.dz
     h = float(traj.times[1] - traj.times[0])
     total = 0.0
     for n in range(k, traj.times.size):
@@ -165,7 +178,7 @@ def time_quotient_check(traj: Trajectory, delta: float, table: KirchhoffTable) -
         db = table.b_of_u(traj.states[n].values) - table.b_of_u(
             traj.states[n - k].values
         )
-        total += h * integrate(Field(db * du, col))
+        total += h * float(integrate_array(db * du, dz))
     return total / delta
 
 
@@ -177,12 +190,13 @@ def regularity_monitor(traj: Trajectory) -> float:
     """
     if traj.times.size < 2:
         return 0.0
-    col = traj.states[0].column
+    dz = traj.states[0].column.dz
     h = float(traj.times[1] - traj.times[0])
     total = 0.0
-    for n in range(1, traj.times.size):
-        quot = (traj.states[n].values - traj.states[n - 1].values) / h
-        total += h * integrate(Field(quot**2, col))
+    for block in _blocks(traj, overlap=1):
+        quot = (block[1:] - block[:-1]) / h
+        for term in (h * integrate_array(quot**2, dz)).tolist():
+            total += term  # summed in step order
     return total
 
 

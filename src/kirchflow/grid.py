@@ -24,12 +24,19 @@ the operators).  That choice makes the face-mean inequality
 ``sum(dz * K_face**2) <= integrate(K**2)`` exact term by term, which the
 dissipation bookkeeping in the diagnostics relies on.
 
-Operators are pure functions on value-semantic ``Field`` snapshots and
-safe to call concurrently.
+Each stencil lives once, as an array kernel (``*_array``, package
+internal) taking nodal values along the last axis and the spacing
+``dz``: the stepper's Newton iteration runs on plain arrays, and the
+diagnostics pass stacked blocks of states, one per row.  ``Field`` is
+the API type at the boundary; its operators (``laplacian_clamped``,
+``integrate``, ...) wrap the kernels and give the same numbers bit for
+bit.  Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,59 +130,114 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# difference operators
+# array kernels; they index the transposed view (node index first), which
+# keeps a single state on numpy's fast scalar path
 # ---------------------------------------------------------------------------
 
 
-def laplacian_clamped(f: Field) -> Field:
+def laplacian_array(u: np.ndarray, dz: float) -> np.ndarray:
     """Second difference with zero wall values.
 
     Exact on quadratics away from the walls; the wall rows use u = 0 at
     the boundary, which is exact for clamped data.
     """
-    u = f.values
-    dz2 = f.column.dz ** 2
     out = np.empty_like(u)
-    out[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    out[0] = -2.0 * u[0] + u[1]
-    out[-1] = u[-2] - 2.0 * u[-1]
-    return Field(out / dz2, f.column)
+    o, v = out.T, u.T
+    o[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    o[0] = -2.0 * v[0] + v[1]
+    o[-1] = v[-2] - 2.0 * v[-1]
+    return out / dz ** 2
 
 
-def biharmonic_clamped(f: Field) -> Field:
+def biharmonic_array(u: np.ndarray, dz: float) -> np.ndarray:
     """Fourth difference with the clamped (wall value + mirror) closure.
 
     Interior stencil (1, -4, 6, -4, 1)/dz^4, exact on quartics away from
     the walls.  Rows 1 and n fold in the ghost u(-dz) = u(dz), giving the
     corner entry 7/dz^4.
     """
-    u = f.values
-    n = u.shape[0]
-    dz4 = f.column.dz ** 4
     out = np.empty_like(u)
-    out[2:-2] = u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:]
-    out[0] = 7.0 * u[0] - 4.0 * u[1] + u[2]
-    out[1] = -4.0 * u[0] + 6.0 * u[1] - 4.0 * u[2] + u[3]
-    out[n - 2] = u[n - 4] - 4.0 * u[n - 3] + 6.0 * u[n - 2] - 4.0 * u[n - 1]
-    out[n - 1] = u[n - 3] - 4.0 * u[n - 2] + 7.0 * u[n - 1]
-    return Field(out / dz4, f.column)
+    o, v = out.T, u.T
+    o[2:-2] = v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:]
+    o[0] = 7.0 * v[0] - 4.0 * v[1] + v[2]
+    o[1] = -4.0 * v[0] + 6.0 * v[1] - 4.0 * v[2] + v[3]
+    o[-2] = v[-4] - 4.0 * v[-3] + 6.0 * v[-2] - 4.0 * v[-1]
+    o[-1] = v[-3] - 4.0 * v[-2] + 7.0 * v[-1]
+    return out / dz ** 4
+
+
+def face_values(k: np.ndarray) -> np.ndarray:
+    """Node means on the n_cells+1 faces; wall faces take the adjacent node."""
+    return np.concatenate(([k[0]], 0.5 * (k[:-1] + k[1:]), [k[-1]]))
+
+
+def gravity_divergence_array(k: np.ndarray, dz: float, sign: float) -> np.ndarray:
+    """Divergence of the flux ``k * sign`` from nodal conductivities ``k``."""
+    flux = sign * face_values(k)
+    return (flux[1:] - flux[:-1]) / dz
+
+
+def gravity_jacobian_array(dk: np.ndarray, dz: float, sign: float) -> np.ndarray:
+    """Jacobian of gravity_divergence_array for nodal slopes ``dk``, (1,1)-banded.
+
+    Interior diagonal entries vanish (the two face contributions cancel);
+    only the wall rows keep one.
+    """
+    g = sign / (2.0 * dz)
+    ab = np.zeros((3, dk.shape[0]))
+    ab[0, 1:] = g * dk[1:]      # superdiagonal: +K'(u_{i+1})/(2 dz)
+    ab[2, :-1] = -g * dk[:-1]   # subdiagonal:   -K'(u_{i-1})/(2 dz)
+    ab[1, 0] = -g * dk[0]       # wall rows: mirror face follows the node
+    ab[1, -1] = g * dk[-1]
+    return ab
+
+
+def integrate_array(u: np.ndarray, dz: float) -> np.ndarray:
+    """Composite quadrature over [0, L] of each row; exact for constants."""
+    return dz * (u.sum(axis=-1) + 0.5 * (u.T[0] + u.T[-1]))
+
+
+def libm_square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` by the C library's ``pow``, as scalar ``**`` computes it.
+
+    Array ``**`` multiplies instead, which rounds differently in about
+    0.1% of cases; the per-state definitions square scalars.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))
+    return np.fromiter(flat, float, x.size).reshape(x.shape)
+
+
+def h1_seminorm_array(u: np.ndarray, dz: float) -> np.ndarray:
+    """Face-based gradient norm of each row with one-sided wall differences.
+
+    Satisfies dz * sum(u * (-laplacian(u))) == h1_seminorm(u)**2 exactly
+    (discrete integration by parts on the clamped space).
+    """
+    inner = np.sum((u[..., 1:] - u[..., :-1]) ** 2, axis=-1)
+    return np.sqrt((inner + (libm_square(u.T[0]) + libm_square(u.T[-1]))) / dz)
+
+
+# ---------------------------------------------------------------------------
+# Field operators
+# ---------------------------------------------------------------------------
+
+
+def laplacian_clamped(f: Field) -> Field:
+    """Clamped second difference of a field (see laplacian_array)."""
+    return Field(laplacian_array(f.values, f.column.dz), f.column)
+
+
+def biharmonic_clamped(f: Field) -> Field:
+    """Clamped fourth difference of a field (see biharmonic_array)."""
+    return Field(biharmonic_array(f.values, f.column.dz), f.column)
 
 
 def face_conductivities(
     f: Field, conductivity: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Conductivity at the n_cells+1 faces by arithmetic node means.
-
-    Wall faces carry the adjacent node's value (mirror rule); interior
-    face i+1/2 carries (K_i + K_{i+1})/2.  ``conductivity`` maps nodal
-    transformed values to conductivities (normally a table channel).
-    """
-    k = np.asarray(conductivity(f.values), dtype=float)
-    faces = np.empty(k.shape[0] + 1)
-    faces[1:-1] = 0.5 * (k[:-1] + k[1:])
-    faces[0] = k[0]
-    faces[-1] = k[-1]
-    return faces
+    """Face conductivities (face_values) of ``conductivity``, a table channel."""
+    return face_values(np.asarray(conductivity(f.values), dtype=float))
 
 
 def gravity_divergence(
@@ -187,8 +249,8 @@ def gravity_divergence(
     telescopes to the difference of the two wall-face fluxes exactly.
     Raises whatever ``conductivity`` raises on out-of-range values.
     """
-    flux = f.column.gravity_sign * face_conductivities(f, conductivity)
-    return Field((flux[1:] - flux[:-1]) / f.column.dz, f.column)
+    k, col = np.asarray(conductivity(f.values), dtype=float), f.column
+    return Field(gravity_divergence_array(k, col.dz, col.gravity_sign), col)
 
 
 def gravity_divergence_jacobian_banded(
@@ -196,48 +258,25 @@ def gravity_divergence_jacobian_banded(
 ) -> np.ndarray:
     """Tridiagonal Jacobian of gravity_divergence in solve_banded layout.
 
-    ``conductivity_slope`` must be the exact derivative of the
-    conductivity channel used in gravity_divergence, so Newton models
-    the assembled flux term exactly.  Interior diagonal entries vanish
-    (the two face contributions cancel); only the wall rows keep one.
+    ``conductivity_slope`` must be the exact derivative of the channel
+    used in gravity_divergence, so Newton models the flux term exactly.
     """
     dk = np.asarray(conductivity_slope(f.values), dtype=float)
-    n = dk.shape[0]
-    g = f.column.gravity_sign / (2.0 * f.column.dz)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = g * dk[1:]      # superdiagonal: +K'(u_{i+1})/(2 dz)
-    ab[2, :-1] = -g * dk[:-1]   # subdiagonal:   -K'(u_{i-1})/(2 dz)
-    ab[1, 0] = -g * dk[0]       # wall rows: mirror face follows the node
-    ab[1, -1] = g * dk[-1]
-    return ab
-
-
-# ---------------------------------------------------------------------------
-# quadrature and norms
-# ---------------------------------------------------------------------------
+    return gravity_jacobian_array(dk, f.column.dz, f.column.gravity_sign)
 
 
 def integrate(f: Field) -> float:
     """Composite quadrature over [0, L]; exact for constants."""
-    u = f.values
-    dz = f.column.dz
-    return float(dz * (u.sum() + 0.5 * (u[0] + u[-1])))
+    return float(integrate_array(f.values, f.column.dz))
 
 
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(integrate(Field(f.values ** 2, f.column))))
+    return float(np.sqrt(integrate_array(f.values ** 2, f.column.dz)))
 
 
 def h1_seminorm(f: Field) -> float:
-    """Face-based gradient norm with one-sided wall differences.
-
-    Satisfies dz * sum(u * (-laplacian(u))) == h1_seminorm(u)**2 exactly
-    (discrete integration by parts on the clamped space).
-    """
-    u = f.values
-    dz = f.column.dz
-    total = float(np.sum((u[1:] - u[:-1]) ** 2)) + float(u[0] ** 2 + u[-1] ** 2)
-    return float(np.sqrt(total / dz))
+    """Face-based gradient norm (see h1_seminorm_array)."""
+    return float(h1_seminorm_array(f.values, f.column.dz))
 
 
 # ---------------------------------------------------------------------------

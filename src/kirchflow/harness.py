@@ -174,28 +174,20 @@ def convergence_study(
     """
     if levels < 3:
         raise HarnessError("need at least 3 levels for an order estimate")
+    if mode not in ("spatial", "temporal"):
+        raise HarnessError(f"unknown study mode {mode!r}")
     rows: List[StudyRow] = []
     errs: List[float] = []
-    if mode == "spatial":
-        sizes = [25 * 2**k + (2**k - 1) for k in range(levels)]
-        for k, n in enumerate(sizes):
-            cfg = StepConfig(
-                h=1.0e-4, gamma=gamma, t_end=0.02, newton_tol=3.0e-7
-            )
-            errs.append(_mms_error(n, cfg, table, {}))
-            order = None if k == 0 else float(np.log2(errs[k - 1] / errs[k]))
-            rows.append(StudyRow(k, 1.0 / (n + 1), cfg.h, errs[k], order))
-    elif mode == "temporal":
-        n = 400
-        for k in range(levels):
-            cfg = StepConfig(
-                h=0.02 / 2**k, gamma=gamma, t_end=0.4, newton_tol=3.0e-6
-            )
-            errs.append(_mms_error(n, cfg, table, {}))
-            order = None if k == 0 else float(np.log2(errs[k - 1] / errs[k]))
-            rows.append(StudyRow(k, 1.0 / (n + 1), cfg.h, errs[k], order))
-    else:
-        raise HarnessError(f"unknown study mode {mode!r}")
+    for k in range(levels):
+        if mode == "spatial":
+            n = 25 * 2**k + (2**k - 1)
+            cfg = StepConfig(h=1.0e-4, gamma=gamma, t_end=0.02, newton_tol=3.0e-7)
+        else:
+            n = 400
+            cfg = StepConfig(h=0.02 / 2**k, gamma=gamma, t_end=0.4, newton_tol=3.0e-6)
+        errs.append(_mms_error(n, cfg, table, {}))
+        order = None if k == 0 else float(np.log2(errs[k - 1] / errs[k]))
+        rows.append(StudyRow(k, 1.0 / (n + 1), cfg.h, errs[k], order))
     return rows
 
 

@@ -28,6 +28,13 @@ The gravity block is fully linearized by default (the conductivity
 channel and its exact tabulated derivative), giving quadratic local
 convergence; ``lag_gravity`` drops that block from the Jacobian — the
 iteration degrades to linear convergence but the root is unchanged.
+
+Newton runs on plain arrays: the banded ``-lap + gamma * bih`` parts are
+built once per run, a residual reads ``b`` and ``K`` through one table
+lookup (a Jacobian ``b'`` and ``K'`` through another), ``b(u_old)`` is
+carried over from the previous accepted iterate, and only accepted states
+become ``Field``s.  ``residual`` and ``jacobian`` are the ``Field`` entry
+points to the same arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,13 +48,8 @@ from scipy.linalg import solve_banded
 
 from .constitutive import KirchhoffTable
 from .grid import (
-    Field,
-    biharmonic_banded,
-    biharmonic_clamped,
-    gravity_divergence,
-    gravity_divergence_jacobian_banded,
-    laplacian_banded,
-    laplacian_clamped,
+    Column, Field, biharmonic_array, biharmonic_banded, gravity_divergence_array,
+    gravity_jacobian_array, laplacian_array, laplacian_banded,
 )
 
 __all__ = [
@@ -172,6 +174,44 @@ def project_initial(u0: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 
+class _System:
+    """One march's Newton system on plain arrays, with its run constants."""
+
+    def __init__(self, col: Column, cfg: StepConfig, table: KirchhoffTable):
+        self.cfg, self.table, self.dz, self.sign = cfg, table, col.dz, col.gravity_sign
+        self.lap_ab = laplacian_banded(col)
+        self.bih_ab = cfg.gamma * biharmonic_banded(col) if cfg.gamma != 0.0 else None
+        self.floor = table.u_lower + 2.0 * table.margin  # strictly invertible band
+
+    def residual(
+        self, v: np.ndarray, b_old: np.ndarray, source: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Residual at the trial values ``v``, and ``b(v)`` for reuse."""
+        cfg = self.cfg
+        b, k = self.table.residual_channels(v)
+        out = (b - b_old) / cfg.h
+        out = out + gravity_divergence_array(k, self.dz, self.sign)
+        out = out - laplacian_array(v, self.dz)
+        if cfg.gamma != 0.0:
+            out = out + cfg.gamma * biharmonic_array(v, self.dz)
+        if source is not None:
+            out = out - source
+        return out, b
+
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        b_prime, dk = self.table.jacobian_channels(v)
+        # the run constants are added term by term as they always were:
+        # summing them ahead of time would round differently
+        ab = np.zeros((5, v.shape[0]))
+        ab[2] += b_prime / self.cfg.h
+        ab[1:4] -= self.lap_ab
+        if self.bih_ab is not None:
+            ab += self.bih_ab
+        if not self.cfg.lag_gravity:
+            ab[1:4] += gravity_jacobian_array(dk, self.dz, self.sign)
+        return ab
+
+
 def residual(
     u_new: Field,
     u_old: Field,
@@ -184,15 +224,10 @@ def residual(
     Zero residual characterizes an accepted step.  Raises the table's
     OutOfRangeError when a value is outside the transform domain.
     """
-    col = u_new.column
-    out = (table.b_of_u(u_new.values) - table.b_of_u(u_old.values)) / cfg.h
-    out = out + gravity_divergence(u_new, table.conductivity_of_u).values
-    out = out - laplacian_clamped(u_new).values
-    if cfg.gamma != 0.0:
-        out = out + cfg.gamma * biharmonic_clamped(u_new).values
-    if source is not None:
-        out = out - np.asarray(source, dtype=float)
-    return Field(out, col)
+    src = None if source is None else np.asarray(source, dtype=float)
+    system = _System(u_new.column, cfg, table)
+    out, _ = system.residual(u_new.values, table.b_of_u(u_old.values), src)
+    return Field(out, u_new.column)
 
 
 def jacobian(u_new: Field, cfg: StepConfig, table: KirchhoffTable) -> np.ndarray:
@@ -203,16 +238,7 @@ def jacobian(u_new: Field, cfg: StepConfig, table: KirchhoffTable) -> np.ndarray
     directional derivative of ``residual`` matches it wherever the
     capacity floor is inactive.
     """
-    col = u_new.column
-    n = col.n_cells
-    ab = np.zeros((5, n))
-    ab[2] += table.b_prime(u_new.values) / cfg.h
-    ab[1:4] -= laplacian_banded(col)
-    if cfg.gamma != 0.0:
-        ab += cfg.gamma * biharmonic_banded(col)
-    if not cfg.lag_gravity:
-        ab[1:4] += gravity_divergence_jacobian_banded(u_new, table.dconductivity_du)
-    return ab
+    return _System(u_new.column, cfg, table).jacobian(u_new.values)
 
 
 # ---------------------------------------------------------------------------
@@ -220,57 +246,46 @@ def jacobian(u_new: Field, cfg: StepConfig, table: KirchhoffTable) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _newton(
-    u_old: Field,
-    cfg: StepConfig,
-    table: KirchhoffTable,
-    initial_guess: Optional[Field],
-    source: Optional[np.ndarray],
-    step_index: Optional[int],
-) -> Tuple[Field, int, float]:
-    col = u_old.column
-    floor = table.u_lower + 2.0 * table.margin  # strictly invertible band
-    guess = u_old if initial_guess is None else initial_guess
-    v = np.maximum(guess.values, floor)
-
-    r = residual(Field(v, col), u_old, cfg, table, source).values
+def _newton(system: _System, b_old: np.ndarray, guess: np.ndarray,
+            source: Optional[np.ndarray], step_index: Optional[int]
+            ) -> Tuple[np.ndarray, np.ndarray, int, float]:
+    """Accepted values, their ``b``, the iteration count and the residual norm."""
+    cfg = system.cfg
+    where = "" if step_index is None else f" (step {step_index})"
+    v = np.maximum(guess, system.floor)
+    r, b = system.residual(v, b_old, source)
     rnorm = float(np.max(np.abs(r)))
     best = rnorm
     for it in range(cfg.newton_max_iter):
         if rnorm <= cfg.newton_tol:
-            return Field(v, col), it, rnorm
-        ab = jacobian(Field(v, col), cfg, table)
+            return v, b, it, rnorm
         try:
-            delta = solve_banded((2, 2), ab, -r)
+            delta = solve_banded((2, 2), system.jacobian(v), -r)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NonconvergenceError(
                 f"banded factorization failed: {exc}", step_index, rnorm
             ) from exc
         lam = 1.0
         for _ in range(_BACKTRACK_LIMIT):
-            cand = np.maximum(v + lam * delta, floor)
-            cand_r = residual(Field(cand, col), u_old, cfg, table, source).values
+            cand = np.maximum(v + lam * delta, system.floor)
+            cand_r, cand_b = system.residual(cand, b_old, source)
             cand_norm = float(np.max(np.abs(cand_r)))
             if np.isfinite(cand_norm) and cand_norm <= max(
                 _GROWTH_CAP * best, cfg.newton_tol
             ):
-                v, r, rnorm = cand, cand_r, cand_norm
+                v, r, rnorm, b = cand, cand_r, cand_norm, cand_b
                 best = min(best, cand_norm)
                 break
             lam *= cfg.damping
         else:
             raise NonconvergenceError(
-                f"line search stalled at residual {rnorm:.3e}"
-                + ("" if step_index is None else f" (step {step_index})"),
-                step_index,
-                rnorm,
+                f"line search stalled at residual {rnorm:.3e}{where}", step_index, rnorm
             )
     if rnorm <= cfg.newton_tol:
-        return Field(v, col), cfg.newton_max_iter, rnorm
+        return v, b, cfg.newton_max_iter, rnorm
     raise NonconvergenceError(
         f"no convergence in {cfg.newton_max_iter} Newton iterations: "
-        f"residual {rnorm:.3e} > tol {cfg.newton_tol:.3e}"
-        + ("" if step_index is None else f" (step {step_index})"),
+        f"residual {rnorm:.3e} > tol {cfg.newton_tol:.3e}{where}",
         step_index,
         rnorm,
     )
@@ -284,8 +299,11 @@ def step(
     source: Optional[np.ndarray] = None,
 ) -> Field:
     """One accepted backward-difference step (sup-norm residual <= tol)."""
-    u_new, _, _ = _newton(u_old, cfg, table, initial_guess, source, None)
-    return u_new
+    guess = u_old if initial_guess is None else initial_guess
+    src = None if source is None else np.asarray(source, dtype=float)
+    system = _System(u_old.column, cfg, table)
+    v, _, _, _ = _newton(system, table.b_of_u(u_old.values), guess.values, src, None)
+    return Field(v, u_old.column)
 
 
 def run(
@@ -302,16 +320,16 @@ def run(
     """
     col = u0.column
     state = project_initial(u0)
-    n_steps = cfg.n_steps
-    times = cfg.h * np.arange(n_steps + 1)
-    states = [state]
-    iters = []
-    norms = []
+    system = _System(col, cfg, table)
+    times = cfg.h * np.arange(cfg.n_steps + 1)
+    states, iters, norms = [state], [], []
     z = col.nodes()
-    for k in range(1, n_steps + 1):
+    v = state.values
+    b = table.b_of_u(v)  # b(u_old), carried over from each accepted iterate
+    for k in range(1, cfg.n_steps + 1):
         src = None if source is None else np.asarray(source(times[k], z), dtype=float)
-        state, n_it, rnorm = _newton(state, cfg, table, None, src, k)
-        states.append(state)
+        v, b, n_it, rnorm = _newton(system, b, v, src, k)
+        states.append(Field(v, col))
         iters.append(n_it)
         norms.append(rnorm)
     return Trajectory(

@@ -14,8 +14,8 @@ from kirchflow.constitutive import (
     KirchhoffTable,
     OutOfRangeError,
     build_table,
-    legendre_transform,
 )
+from oracles.legendre import legendre_transform
 
 # oracle: tests/oracles/constitutive_golden.py
 GOLD_S_M1 = 0.47485291572496004232

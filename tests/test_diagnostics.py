@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kirchflow.diagnostics import (
+    BLOCK_STATES,
     DiagnosticsError,
     energy_report,
     initial_condition_check,
@@ -12,7 +13,14 @@ from kirchflow.diagnostics import (
     time_quotient_check,
     uniqueness_probe,
 )
-from kirchflow.grid import Column, Field, l2_norm
+from kirchflow.grid import (
+    Column,
+    Field,
+    h1_seminorm,
+    integrate,
+    l2_norm,
+    laplacian_clamped,
+)
 from kirchflow.stepper import StepConfig, Trajectory, project_initial, run
 
 
@@ -109,6 +117,47 @@ def test_energy_report_benchmark_bounds(table):
     slack = 10.0 * cfg.newton_tol * np.arange(1, rep.times.size)
     assert np.all(rep.inequality_defect() <= slack)
     assert rep.energy_inequality_ok()
+
+
+def _multi_block_trajectory(h):
+    # 32 full blocks and a partial 33rd, with wet (u >= 0) and dry nodes;
+    # enough states that squaring by multiplication instead of the scalar
+    # `pow` would move some entries of the ledger by one rounding
+    col = Column(length=1.0, n_cells=23, gravity_sign=-1.0)
+    rng = np.random.default_rng(11)
+    base = _lens(col, depth=0.15).values
+    states = [
+        Field(base * (1.0 + 0.3 * rng.random()) + 0.01 * rng.standard_normal(23), col)
+        for _ in range(32 * BLOCK_STATES + 77)
+    ]
+    return col, states, _manual_trajectory(states, h)
+
+
+def test_blocked_energy_report_equals_per_state_definitions(table):
+    h = 1.0e-3
+    col, states, traj = _multi_block_trajectory(h)
+    cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
+    rep = energy_report(traj, cfg, table)
+    b_int = [integrate(Field(table.legendre_B(s.values), col)) for s in states]
+    grad_sq = [h1_seminorm(s) ** 2 for s in states]
+    lap_sq = [
+        cfg.gamma * integrate(Field(laplacian_clamped(s).values ** 2, col))
+        for s in states
+    ]
+    # bitwise, not approximately: blocking must not move a single rounding
+    assert np.array_equal(rep.b_integral, b_int)
+    assert np.array_equal(rep.grad_sq, grad_sq)
+    assert np.array_equal(rep.lap_sq, lap_sq)
+
+
+def test_blocked_regularity_monitor_equals_per_state_definition(table):
+    h = 1.0e-3
+    col, states, traj = _multi_block_trajectory(h)
+    total = 0.0
+    for n in range(1, len(states)):
+        quot = (states[n].values - states[n - 1].values) / h
+        total += h * integrate(Field(quot**2, col))
+    assert regularity_monitor(traj) == total
 
 
 # ---------------------------------------------------------------------------

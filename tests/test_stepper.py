@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kirchflow.config import load_config
 from kirchflow.constitutive import OutOfRangeError
 from kirchflow.grid import Column, Field, dense_from_banded
 from kirchflow.stepper import (
@@ -269,6 +270,26 @@ def test_run_newton_iteration_regression(table):
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.1, newton_tol=1e-7)
     traj = run(project_initial(_wet_lens(col)), cfg, table)
     assert max(traj.newton_iters) <= 8
+
+
+def test_reference_run_newton_work_count(table):
+    # the reference problem of the command line (200 cells, h = 0.01,
+    # 100 steps): the solver's total work is an exact, deterministic count
+    cfg = load_config(None)
+    col = cfg.build_column()
+    stepping = cfg.build_stepping(beta=table.beta_bound())
+    traj = run(cfg.initial_state(col), stepping, table)
+    assert traj.n_steps == 100
+    assert sum(traj.newton_iters) == 21
+
+
+@pytest.mark.parametrize("h, iters", [(2.5e-4, 255), (1.25e-4, 486), (6.25e-5, 945)])
+def test_fine_step_newton_work_count(table, h, iters):
+    # the three levels of acceptance criterion 10
+    col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
+    cfg = StepConfig(h=h, gamma=0.1, t_end=1.0, newton_tol=1e-7)
+    traj = run(project_initial(_wet_lens(col)), cfg, table)
+    assert sum(traj.newton_iters) == iters
 
 
 def test_run_gamma_zero_keeps_maximum_principle(table):
