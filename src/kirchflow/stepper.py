@@ -35,6 +35,10 @@ lookup (a Jacobian ``b'`` and ``K'`` through another), ``b(u_old)`` is
 carried over from the previous accepted iterate, and only accepted states
 become ``Field``s.  ``residual`` and ``jacobian`` are the ``Field`` entry
 points to the same arithmetic, bit for bit.
+
+A sourceless step is a pure function of its input values and ``b``: once one
+returns its input byte for byte, so would every later step, so ``run`` stops
+there and the tail of ``Trajectory.states`` is one shared, read-only ``Field``.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted states u^0..u^N with per-step solver bookkeeping."""
+    """Accepted states u^0..u^N with per-step solver bookkeeping; after a
+    fixed point (see ``run``) consecutive states are one shared object."""
 
     times: np.ndarray
     states: Tuple[Field, ...]
@@ -316,7 +321,9 @@ def run(
 
     ``source(t, z)`` — when given — is evaluated at each step's target
     time (fully implicit right side, used by the manufactured-solution
-    studies).  Solver failures carry the failing step index.
+    studies).  Solver failures carry the failing step index.  A sourceless
+    step that returns its input values and ``b`` byte for byte is a fixed
+    point: later steps repeat its ``Field``, iteration count and norm.
     """
     col = u0.column
     state = project_initial(u0)
@@ -328,7 +335,14 @@ def run(
     b = table.b_of_u(v)  # b(u_old), carried over from each accepted iterate
     for k in range(1, cfg.n_steps + 1):
         src = None if source is None else np.asarray(source(times[k], z), dtype=float)
+        key = v.tobytes() + b.tobytes()
         v, b, n_it, rnorm = _newton(system, b, v, src, k)
+        if source is None and v.tobytes() + b.tobytes() == key:
+            tail = cfg.n_steps + 1 - k
+            states += [states[-1]] * tail
+            iters += [n_it] * tail
+            norms += [rnorm] * tail
+            break
         states.append(Field(v, col))
         iters.append(n_it)
         norms.append(rnorm)

@@ -1,10 +1,15 @@
 """End-to-end CLI contract: artifacts, pass/fail wiring, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kirchflow
 from kirchflow.cli import main
 
 # small, fast problem reused by most invocations
@@ -187,3 +192,13 @@ def test_bad_stride_flag_exits_2(tmp_path, small_config, capsys):
         ["run", "--config", small_config, "--out", str(tmp_path), "--stride", "0"]
     ) == 2
     assert "--stride" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(kirchflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "kirchflow", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "probe-uniqueness" in done.stdout

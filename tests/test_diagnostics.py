@@ -119,7 +119,7 @@ def test_energy_report_benchmark_bounds(table):
     assert rep.energy_inequality_ok()
 
 
-def _multi_block_trajectory(h):
+def _multi_block_trajectory(h, repeats=False):
     # 32 full blocks and a partial 33rd, with wet (u >= 0) and dry nodes;
     # enough states that squaring by multiplication instead of the scalar
     # `pow` would move some entries of the ledger by one rounding
@@ -130,34 +130,44 @@ def _multi_block_trajectory(h):
         Field(base * (1.0 + 0.3 * rng.random()) + 0.01 * rng.standard_normal(23), col)
         for _ in range(32 * BLOCK_STATES + 77)
     ]
+    if repeats:
+        # shared objects, as a march past its fixed point stores them: a run
+        # across a block boundary and a final run; the equal-valued pair of
+        # distinct objects at 300/301 is not a repeat
+        states[BLOCK_STATES - 9:BLOCK_STATES + 20] = [states[BLOCK_STATES - 9]] * 29
+        states[-150:] = [states[-150]] * 150
+        states[301] = Field(states[300].values, col)
     return col, states, _manual_trajectory(states, h)
 
 
 def test_blocked_energy_report_equals_per_state_definitions(table):
     h = 1.0e-3
-    col, states, traj = _multi_block_trajectory(h)
-    cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
-    rep = energy_report(traj, cfg, table)
-    b_int = [integrate(Field(table.legendre_B(s.values), col)) for s in states]
-    grad_sq = [h1_seminorm(s) ** 2 for s in states]
-    lap_sq = [
-        cfg.gamma * integrate(Field(laplacian_clamped(s).values ** 2, col))
-        for s in states
-    ]
-    # bitwise, not approximately: blocking must not move a single rounding
-    assert np.array_equal(rep.b_integral, b_int)
-    assert np.array_equal(rep.grad_sq, grad_sq)
-    assert np.array_equal(rep.lap_sq, lap_sq)
+    for repeats in (False, True):
+        col, states, traj = _multi_block_trajectory(h, repeats)
+        cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
+        rep = energy_report(traj, cfg, table)
+        b_int = [integrate(Field(table.legendre_B(s.values), col)) for s in states]
+        grad_sq = [h1_seminorm(s) ** 2 for s in states]
+        lap_sq = [
+            cfg.gamma * integrate(Field(laplacian_clamped(s).values ** 2, col))
+            for s in states
+        ]
+        # bitwise, not approximately: blocking and evaluating a repeated
+        # state once must not move a single rounding
+        assert np.array_equal(rep.b_integral, b_int)
+        assert np.array_equal(rep.grad_sq, grad_sq)
+        assert np.array_equal(rep.lap_sq, lap_sq)
 
 
 def test_blocked_regularity_monitor_equals_per_state_definition(table):
     h = 1.0e-3
-    col, states, traj = _multi_block_trajectory(h)
-    total = 0.0
-    for n in range(1, len(states)):
-        quot = (states[n].values - states[n - 1].values) / h
-        total += h * integrate(Field(quot**2, col))
-    assert regularity_monitor(traj) == total
+    for repeats in (False, True):
+        col, states, traj = _multi_block_trajectory(h, repeats)
+        total = 0.0
+        for n in range(1, len(states)):
+            quot = (states[n].values - states[n - 1].values) / h
+            total += h * integrate(Field(quot**2, col))
+        assert regularity_monitor(traj) == total
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,25 @@ def test_fine_step_newton_work_count(table, h, iters):
     assert sum(traj.newton_iters) == iters
 
 
+def test_run_fixed_point_tail_equals_full_march(table):
+    # from step 82 on, the sourceless march returns its input bit for bit
+    # and repeats it; a zero source (x - 0.0 == x) turns that off, so the
+    # second run solves every step
+    col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
+    cfg = StepConfig(h=2.5e-4, gamma=0.1, t_end=0.05, newton_tol=1e-7)
+    u0 = project_initial(_wet_lens(col))
+    tail = run(u0, cfg, table)
+    full = run(u0, cfg, table, source=lambda t, z: np.zeros_like(z))
+    assert len(tail.states) == len(full.states) == 201
+    for a, b in zip(tail.states, full.states):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert tail.newton_iters == full.newton_iters
+    assert tail.residual_norms == full.residual_norms
+    assert all(s is tail.states[81] for s in tail.states[82:])
+    assert len({id(s) for s in tail.states}) == 82
+    assert len({id(s) for s in full.states}) == 201
+
+
 def test_run_gamma_zero_keeps_maximum_principle(table):
     col = Column(length=1.0, n_cells=63)
     rng = np.random.default_rng(17)
