@@ -20,7 +20,7 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .constitutive import OutOfRangeError
+from .constitutive import ConstitutiveError
 from .diagnostics import (
     energy_report,
     initial_condition_check,
@@ -382,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, NonconvergenceError, OutOfRangeError, HarnessError) as exc:
+    except (ConfigError, NonconvergenceError, ConstitutiveError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

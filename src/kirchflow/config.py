@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from .constitutive import ConstitutiveModel, KirchhoffTable, build_table
+from .constitutive import P_MIN, ConstitutiveModel, KirchhoffTable, build_table
 from .grid import Column, Field
 from .stepper import StepConfig
 
@@ -186,8 +186,9 @@ def parse_config(text: str) -> RunConfig:
         _fail("constitutive.n_vg", "exponent must exceed 1", con["n_vg"])
     if not 0.0 < _number(con, "constitutive", "s_res") < 1.0:
         _fail("constitutive.s_res", "must lie strictly inside (0, 1)", con["s_res"])
-    if not _number(con, "constitutive", "p_reg") < 0.0:
-        _fail("constitutive.p_reg", "must be negative", con["p_reg"])
+    if not P_MIN < _number(con, "constitutive", "p_reg") < 0.0:
+        _fail("constitutive.p_reg", f"must lie strictly inside ({P_MIN:g}, 0)",
+              con["p_reg"])
     if not 0.0 < _number(con, "constitutive", "a_min") < 1.0:
         _fail("constitutive.a_min", "must lie strictly inside (0, 1)", con["a_min"])
 

@@ -7,15 +7,15 @@ bounded away from degeneracy:
 * saturation approaches the residual value ``s_res`` exponentially below
   the regularization pressure ``p_reg`` (C1 joint) instead of flattening
   out at an infinite dry limit;
-* the derivative channel (``sat_slope``, ``b_prime``) carries a floor
-  ``a_min`` so implicit steps and uniqueness arguments see a strictly
-  positive capacity everywhere, including the saturated plateau;
+* the transformed capacity ``b_prime`` carries a floor ``a_min`` so
+  implicit steps and uniqueness arguments see a strictly positive
+  capacity everywhere, including the saturated plateau;
 * relative conductivity gets an affine floor ``k_floor = a_min`` so the
   transform is bi-Lipschitz and invertible to working precision.
 
 The Kirchhoff map ``u = psi(p)`` integrates conductivity over pressure.
-It is tabulated once on a graded pressure grid and interpolated with a
-monotone cubic; the transformed saturation ``b(u)``, its derivative, and
+It is fitted once, with a monotone cubic on a graded pressure grid down
+to ``P_MIN``; the transformed saturation ``b(u)``, its derivative, and
 the convex potential ``B`` are all read from the same table so that the
 discrete inequalities relating them hold to rounding.
 
@@ -38,6 +38,9 @@ __all__ = [
     "KirchhoffTable",
     "build_table",
 ]
+
+P_MIN = -1.0e6  # bottom of the table; below it the integrand is k_floor
+TOL_Q = 1.0e-12  # accuracy of the tabulated integral values
 
 
 class ConstitutiveError(ValueError):
@@ -86,17 +89,17 @@ class ConstitutiveModel:
         C1 exponential approach to ``s_res``.
     a_min : float
         Regularization floor in (0, 1): lower bound enforced on the
-        derivative channel of saturation, and reused as the relative
-        conductivity floor ``k_floor``.
+        transformed capacity ``b'`` (:meth:`KirchhoffTable.b_prime`), and
+        reused as the relative conductivity floor ``k_floor``.
 
     Notes
     -----
     ``saturation`` equals the closed-form retention curve on
     ``[p_reg, 0)``, is exactly 1 for ``p >= 0``, and decays to ``s_res``
     below ``p_reg`` with value and slope continuous at the joint.  The
-    floor ``a_min`` applies to ``sat_slope`` (and through it to the
-    transformed capacity ``b_prime``), not to the saturation values, so
-    the range invariant ``s_res <= S <= 1`` is kept exactly.
+    floor ``a_min`` applies to the transformed capacity ``b_prime``, not
+    to the saturation values or ``sat_slope_raw``, so the range invariant
+    ``s_res <= S <= 1`` is kept exactly.
     """
 
     alpha_vg: float = 2.0
@@ -200,15 +203,6 @@ class ConstitutiveModel:
                 * np.exp(self._tail_rate * (p_arr[dry] - self.p_reg))
             )
         return _unwrap(p, out)
-
-    def sat_slope(self, p):
-        """Regularized saturation slope: ``max(dS/dp, a_min)``.
-
-        This is the derivative channel used by capacities and Jacobians;
-        it never falls below ``a_min`` even where the saturation value
-        curve is flat (saturated plateau, deep dry tail).
-        """
-        return np.maximum(self.sat_slope_raw(p), self.a_min)
 
     # -- conductivity ----------------------------------------------------------
 
@@ -343,8 +337,8 @@ def _gauss_panels(edges: np.ndarray, f, order: int = 12) -> np.ndarray:
     return half * (vals @ wi)
 
 
-def _pressure_grid(model: ConstitutiveModel, p_min: float) -> np.ndarray:
-    """Starting grid on [p_min, 0]: log-refined toward 0 where the integrand
+def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
+    """Starting grid on [P_MIN, 0]: log-refined toward 0 where the integrand
     curvature blows up, uniform over the retention branch, geometrically
     stretched through the exponential tail.  Refined further adaptively."""
     n_mid = int(min(max(round(-model.p_reg * 4000.0), 1000), 60000))
@@ -356,8 +350,8 @@ def _pressure_grid(model: ConstitutiveModel, p_min: float) -> np.ndarray:
     step = 1.0e-2
     p = model.p_reg
     tail = []
-    while p > p_min:
-        p = max(p - step, p_min)
+    while p > P_MIN:
+        p = max(p - step, P_MIN)
         tail.append(p)
         step *= 1.005
     pts.append(np.array(tail[::-1]))
@@ -380,20 +374,23 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     extended precision (absolute accuracy near the working range stays at
     rounding level); knot derivatives are the integrand itself, exactly
     evaluated, so the Hermite fit is O(h^4) in value and O(h^3) in slope
-    with no divided-difference noise.
+    with no divided-difference noise.  Returns the knot saturations and
+    conductivities (the integrand), ``u`` and the fit.
     """
     panels = _gauss_panels(grid, model.conductivity_vs_pressure)
     suffix = np.cumsum(panels[::-1].astype(np.longdouble))[::-1]
     u = np.concatenate([-suffix, [np.longdouble(0.0)]]).astype(float)
     u[-1] = 0.0
-    deriv = model.conductivity_vs_pressure(grid)
+    # after the panels, so these arrays do not sit under their peak memory
+    s = np.clip(model.saturation(grid), model.s_res, 1.0)
+    deriv = model.conductivity(s)
     delta = np.diff(u) / np.diff(grid)
     # cubic with positive endpoint slopes is monotone when both stay within
     # 3x the secant slope; the graded grid keeps the ratio near 1
     ratio = np.maximum(deriv[:-1], deriv[1:]) / np.maximum(delta, 1.0e-300)
     if np.any(delta <= 0.0) or float(ratio.max()) > 3.0:
         raise ConstitutiveError("pressure grid too coarse for a monotone map fit")
-    return u, CubicHermiteSpline(grid, u, deriv, extrapolate=True)
+    return s, deriv, u, CubicHermiteSpline(grid, u, deriv, extrapolate=True)
 
 
 def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CubicHermiteSpline:
@@ -414,11 +411,16 @@ def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CubicHermi
     return CubicHermiteSpline(x, y, np.clip(d, 0.0, cap), extrapolate=True)
 
 
-def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float) -> np.ndarray:
+def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
     """Split intervals until the fitted map's derivative error against the
-    exactly evaluable integrand drops below ``dtol`` everywhere."""
-    for _ in range(8):
-        psi_d = _fit_map(model, grid)[1].derivative()
+    exactly evaluable integrand drops below ``dtol`` everywhere, refining at
+    most 8 times.  Returns the last pass: the grid, its knot saturations and
+    conductivities, and the map ``u, psi, psi_d`` fitted on it."""
+    for refinements in range(9):
+        s, k, u, psi = _fit_map(model, grid)
+        psi_d = psi.derivative()
+        if refinements == 8:
+            break
         bad = np.zeros(len(grid) - 1, dtype=bool)
         for frac in (0.25, 0.5, 0.75):
             probe = grid[:-1] + frac * np.diff(grid)
@@ -428,7 +430,7 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float) -> np.
             break
         mids = 0.5 * (grid[:-1] + grid[1:])[bad]
         grid = np.unique(np.concatenate([grid, mids]))
-    return grid
+    return grid, s, k, u, psi, psi_d
 
 
 @dataclass(frozen=True)
@@ -457,7 +459,7 @@ class KirchhoffTable:
     margin : float
         Exclusion band above ``u_lower`` (1e-9 relative).
     tol_q : float
-        Quadrature tolerance the tabulated values honor.
+        Quadrature tolerance the tabulated values honor (``TOL_Q``).
     """
 
     model: ConstitutiveModel
@@ -497,11 +499,6 @@ class KirchhoffTable:
                 vals[below] = u_bot + self.model.k_floor * (pn[below] - p_bot)
             out[neg] = vals
         return _unwrap(p, out)
-
-    def kirchhoff_derivative(self, p):
-        """d psi/dp from the table; equals K_f(S(p)) to quadrature accuracy."""
-        d = self._channels(p, self._psi_d, 1.0, check=False, bottom=self.p_samples[0])
-        return _unwrap(p, d)
 
     # -- inverse map -----------------------------------------------------------
 
@@ -571,19 +568,18 @@ class KirchhoffTable:
 
     # -- channels along the transformed variable ---------------------------------
 
-    def _channels(self, u, fit: PPoly, plateau, check=True, bottom=None) -> np.ndarray:
-        """Values of a (multi-channel) fit at ``u``, one row per entry of ``u``.
+    def _channels(self, u, fit: PPoly, plateau, check=True) -> np.ndarray:
+        """Values of a (multi-channel) fit along ``u``, one row per entry of ``u``.
 
         The one place that range-checks ``u`` (unless ``check`` is off),
-        clamps it into the tabulated branch ``[bottom, 0]`` (by default the
-        bottom of the u-table) and masks ``u < 0``: there the fit is read,
-        on the saturated branch each channel takes its ``plateau`` constant.
+        clamps it into the tabulated branch ``[u_samples[0], 0]`` and masks
+        ``u < 0``: there the fit is read, on the saturated branch each
+        channel takes its ``plateau`` constant.
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if check:
             self._check_invertible(u_arr)
-        bottom = self.u_samples[0] if bottom is None else bottom
-        vals = fit(np.minimum(np.maximum(u_arr, bottom), 0.0))
+        vals = fit(np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
         neg = (u_arr < 0.0).reshape(u_arr.shape + (1,) * (vals.ndim - u_arr.ndim))
         return np.where(neg, vals, plateau)
 
@@ -661,43 +657,30 @@ class KirchhoffTable:
         return self.model.beta_bound()
 
 
-def build_table(
-    model: ConstitutiveModel,
-    p_min: float = -1.0e6,
-    tol_q: float = 1.0e-12,
-) -> KirchhoffTable:
+def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     """Tabulate the Kirchhoff map for ``model`` and wire up interpolants.
 
-    Parameters
-    ----------
-    model : ConstitutiveModel
-    p_min : float
-        Most negative tabulated pressure; the map continues analytically
-        (constant integrand ``k_floor``) below it.
-    tol_q : float
-        Accuracy of the tabulated integral values.
+    The refinement pass that meets the slope tolerance on ``[P_MIN, 0]`` is
+    the map, and its knot saturations and conductivities back ``b`` and ``K_f``.
 
-    Returns
-    -------
-    KirchhoffTable
+    Raises
+    ------
+    ConstitutiveError
+        If ``model.p_reg`` does not lie above ``P_MIN``, or the pressure
+        grid is too coarse for a monotone fit of the map.
     """
-    if p_min >= model.p_reg:
-        raise ConstitutiveError("p_min must lie below p_reg")
-    neg_grid = _pressure_grid(model, p_min)
-    neg_grid = _refine_grid(model, neg_grid, dtol=1.0e-8)
-    u_neg, psi = _fit_map(model, neg_grid)
-    psi_d = psi.derivative()
-
-    s_neg = np.clip(model.saturation(neg_grid), model.s_res, 1.0)
+    if P_MIN >= model.p_reg:
+        raise ConstitutiveError(f"p_reg must lie above P_MIN = {P_MIN:g}")
+    neg_grid, s_neg, k_neg, u_neg, psi, psi_d = _refine_grid(
+        model, _pressure_grid(model), dtol=1.0e-8)
     # db/du = S'(p) / K_f(S(p)) at the knots, exact by the inverse-function
     # rule; interpolating b against u from values alone would amplify table
     # rounding by 1/K^2
-    db_du = model.sat_slope_raw(neg_grid) / model.conductivity_vs_pressure(neg_grid)
+    db_du = model.sat_slope_raw(neg_grid) / k_neg
     b_interp = _monotone_hermite(u_neg, s_neg, db_du)
     b_d = b_interp.derivative()
     b_anti = b_interp.antiderivative()
 
-    k_neg = model.conductivity(s_neg)
     # dK/du = (dK/dp) / (du/dp) with du/dp = K; top knot takes the p -> 0-
     # limit (capped by the fit when the exponent family makes it infinite)
     with np.errstate(over="ignore"):
@@ -724,7 +707,7 @@ def build_table(
         u_samples=u_samples,
         u_lower=u_lower,
         margin=margin,
-        tol_q=tol_q,
+        tol_q=TOL_Q,
         _psi=psi,
         _psi_d=psi_d,
         _bk=bk,

@@ -179,18 +179,22 @@ def time_quotient_check(traj: Trajectory, delta: float, table: KirchhoffTable) -
     Computes (1/delta) * sum_n h * integral of
     (b(u^n) - b(u^{n-k})) * (u^n - u^{n-k}); nonnegative because the
     storage coefficient is monotone, and bounded independently of h —
-    the discrete compactness quantity.
+    the discrete compactness quantity.  ``b`` is evaluated once per
+    distinct state, and a pair inside one run of a repeated state, whose
+    term is exactly 0.0, is skipped.
     """
     k = _lag_steps(traj, delta)
     dz = traj.states[0].column.dz
     h = float(traj.times[1] - traj.times[0])
+    states, counts = _distinct(traj)
+    b = [table.b_of_u(s.values) for s in states]
+    run_of = np.repeat(np.arange(len(states)), counts).tolist()
     total = 0.0
     for n in range(k, traj.times.size):
-        du = traj.states[n].values - traj.states[n - k].values
-        db = table.b_of_u(traj.states[n].values) - table.b_of_u(
-            traj.states[n - k].values
-        )
-        total += h * float(integrate_array(db * du, dz))
+        i, j = run_of[n], run_of[n - k]
+        if i != j:
+            du = states[i].values - states[j].values
+            total += h * float(integrate_array((b[i] - b[j]) * du, dz))
     return total / delta
 
 

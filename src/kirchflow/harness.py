@@ -122,8 +122,9 @@ class ManufacturedSolution:
             amp = self.envelope(t)
             u = amp * shape
             rate = self.envelope_rate(t) * shape
-            out = table.b_prime(u) * rate
-            out += g * table.dconductivity_du(u) * (amp * d1)
+            b_prime, dk_du = table.jacobian_channels(u)
+            out = b_prime * rate
+            out += g * dk_du * (amp * d1)
             out -= amp * d2
             if cfg.gamma != 0.0:
                 out += cfg.gamma * amp * d4

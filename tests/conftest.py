@@ -1,6 +1,6 @@
 """Shared fixtures: the default constitutive model and its transform table.
 
-Building the table (43,167 knots) costs ~190 ms but is pure and
+Building the table (43,167 knots) costs ~95 ms but is pure and
 immutable, so one instance is shared across the whole session.
 """
 

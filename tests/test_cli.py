@@ -178,6 +178,14 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "h <= 1/beta" in capsys.readouterr().err
 
 
+def test_table_build_failure_exits_2(tmp_path, capsys):
+    # accepted by the validator, but the map fit refuses the grid
+    config = tmp_path / "steep.json"
+    config.write_text('{"constitutive": {"n_vg": 1.01}}')
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     config = tmp_path / "stall.json"
     config.write_text(

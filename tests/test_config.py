@@ -82,6 +82,7 @@ def test_unknown_block_and_key_carry_paths():
         ('{"constitutive": {"alpha_vg": 0.0}}', "constitutive.alpha_vg"),
         ('{"constitutive": {"s_res": 0.0}}', "constitutive.s_res"),
         ('{"constitutive": {"p_reg": 1.0}}', "constitutive.p_reg"),
+        ('{"constitutive": {"p_reg": -2000000.0}}', "constitutive.p_reg"),
         ('{"constitutive": {"a_min": 1.5}}', "constitutive.a_min"),
         ('{"grid": {"length": -1.0}}', "grid.length"),
         ('{"grid": {"n_cells": 4}}', "grid.n_cells"),

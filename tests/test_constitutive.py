@@ -8,7 +8,9 @@ default model is alpha_vg=2, n_vg=2, s_res=0.05, p_reg=-10, a_min=1e-3.
 import numpy as np
 import pytest
 
+from kirchflow import constitutive
 from kirchflow.constitutive import (
+    P_MIN,
     ConstitutiveError,
     ConstitutiveModel,
     KirchhoffTable,
@@ -52,9 +54,9 @@ def test_invalid_parameters_rejected(kwargs):
         ConstitutiveModel(**kwargs)
 
 
-def test_build_rejects_p_min_above_p_reg(model):
-    with pytest.raises(ConstitutiveError):
-        build_table(model, p_min=-5.0)
+def test_build_rejects_p_min_above_p_reg():
+    with pytest.raises(ConstitutiveError, match="P_MIN"):
+        build_table(ConstitutiveModel(p_reg=2.0 * P_MIN))
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +90,6 @@ def test_saturation_c1_at_regularization_joint(model):
     slope_below = model.sat_slope_raw(model.p_reg - eps)
     slope_above = model.sat_slope_raw(model.p_reg + eps)
     assert slope_below == pytest.approx(slope_above, rel=1e-5)
-
-
-def test_sat_slope_floor(model):
-    p = np.array([-5000.0, -100.0, -1.0, 0.0, 3.0])
-    assert np.all(model.sat_slope(p) >= model.a_min)
-    # plateau and deep tail sit exactly at the floor
-    assert model.sat_slope(4.0) == model.a_min
-    assert model.sat_slope(-1e5) == model.a_min
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +154,6 @@ def test_chain_rule_central_difference(table, model):
     assert np.max(np.abs(cd - model.conductivity_vs_pressure(p))) <= 1e-6
 
 
-def test_kirchhoff_derivative_matches_integrand(table, model):
-    p = -np.geomspace(1e-3, 200.0, 4000)
-    d = table.kirchhoff_derivative(p)
-    assert np.max(np.abs(d - model.conductivity_vs_pressure(p))) <= 1e-6
-    assert table.kirchhoff_derivative(2.0) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # inverse
 # ---------------------------------------------------------------------------
@@ -204,6 +191,27 @@ def test_table_sample_invariants(table):
     pos = table.p_samples >= 0.0
     assert np.array_equal(table.u_samples[pos], table.p_samples[pos])
     assert table.u_lower < table.u_samples[0] < 0.0
+
+
+def test_default_table_knot_count(table):
+    # work count of the default build: the graded grid needs no refinement
+    assert np.count_nonzero(table.p_samples <= 0.0) == 43167
+    assert table.p_samples.size == 43171
+    assert table.p_samples[0] == P_MIN
+
+
+def test_default_table_fits_map_once(monkeypatch):
+    # the refinement pass that meets the slope tolerance is the table
+    calls = []
+    panels = constitutive._gauss_panels
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return panels(*args, **kwargs)
+
+    monkeypatch.setattr(constitutive, "_gauss_panels", counting)
+    build_table(ConstitutiveModel())
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,21 @@ def test_time_quotient_constant_trajectory_is_zero(table):
     assert time_quotient_check(traj, 0.3, table) == 0.0
 
 
+def test_time_quotient_check_equals_per_step_definition(table):
+    for repeats in (False, True):
+        col, states, traj = _multi_block_trajectory(1.0e-3, repeats)
+        h = float(traj.times[1] - traj.times[0])
+        for k in (1, 40):
+            total = 0.0
+            for n in range(k, len(states)):
+                du = states[n].values - states[n - k].values
+                db = table.b_of_u(states[n].values) - table.b_of_u(states[n - k].values)
+                total += h * integrate(Field(db * du, col))
+            # bitwise: one b per distinct state and the skipped zero terms
+            # inside a repeated run must not move a single rounding
+            assert time_quotient_check(traj, k * h, table) == total / (k * h)
+
+
 def test_time_quotient_rejects_bad_lag(table):
     col = _bench_column(30)
     f = _lens(col, depth=0.1)
