@@ -1,11 +1,15 @@
 """Run configuration: one JSON document mapped onto the solver objects.
 
 The document is a key tree with five blocks — constitutive, grid,
-stepping, ic, output — all optional, all keys defaulted, every numeric
-constraint of the underlying types re-checked here so a bad value is
-reported with its key path instead of surfacing later as a constructor
-error deep in a run.  Validation is first-error: parsing stops at the
-first offending key.
+stepping, ic, output — all optional, all keys defaulted.  Parsing checks
+each value as JSON (type, finiteness, no unknown keys) and then builds
+the ``ConstitutiveModel``, ``Column`` and ``StepConfig``: their
+constructors are the only place the numeric constraints of those three
+blocks live, and a violation is reported with its key path instead of
+surfacing later deep in a run.  The ``ic`` and ``output`` blocks belong
+to no solver type and are checked here.  Validation is first-error:
+parsing stops at the first offending key, and within a block the JSON
+checks come before the type's constraints.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from .constitutive import P_MIN, ConstitutiveModel, KirchhoffTable, build_table
-from .grid import Column, Field
-from .stepper import StepConfig
+from .constitutive import (
+    ConstitutiveError, ConstitutiveModel, KirchhoffTable, build_table,
+)
+from .grid import Column, Field, GridError
+from .stepper import StepConfig, StepConfigError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
@@ -45,9 +51,6 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
         "gamma": 0.1,
         "t_end": 1.0,
         "newton_tol": 1.0e-7,
-        "newton_max_iter": 30,
-        "damping": 0.5,
-        "lag_gravity": False,
     },
     "ic": {"profile": "gaussian_lens", "center": 0.5, "width": 0.15, "depth": 0.2},
     "output": {"directory": "out", "stride": 10},
@@ -79,6 +82,14 @@ def _integer(block: Dict[str, Any], path: str, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{path}.{key}", "must be an integer", value)
     return int(value)
+
+
+def _build(name: str, cls: Callable[..., Any], **kwargs: Any) -> Any:
+    """``cls(**kwargs)``, a violated constraint reported under block ``name``."""
+    try:
+        return cls(**kwargs)
+    except (ConstitutiveError, GridError, StepConfigError) as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def _merge_block(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
@@ -180,46 +191,20 @@ def parse_config(text: str) -> RunConfig:
             _fail(key, "unknown block", key)
 
     con = _merge_block(doc, "constitutive")
-    if not _number(con, "constitutive", "alpha_vg") > 0.0:
-        _fail("constitutive.alpha_vg", "must be positive", con["alpha_vg"])
-    if not _number(con, "constitutive", "n_vg") > 1.0:
-        _fail("constitutive.n_vg", "exponent must exceed 1", con["n_vg"])
-    if not 0.0 < _number(con, "constitutive", "s_res") < 1.0:
-        _fail("constitutive.s_res", "must lie strictly inside (0, 1)", con["s_res"])
-    if not P_MIN < _number(con, "constitutive", "p_reg") < 0.0:
-        _fail("constitutive.p_reg", f"must lie strictly inside ({P_MIN:g}, 0)",
-              con["p_reg"])
-    if not 0.0 < _number(con, "constitutive", "a_min") < 1.0:
-        _fail("constitutive.a_min", "must lie strictly inside (0, 1)", con["a_min"])
+    for key in con:
+        _number(con, "constitutive", key)
+    model = _build("constitutive", ConstitutiveModel, **con)
 
     grid = _merge_block(doc, "grid")
     length = _number(grid, "grid", "length")
-    if not length > 0.0:
-        _fail("grid.length", "must be positive", grid["length"])
-    if _integer(grid, "grid", "n_cells") < 5:
-        _fail("grid.n_cells", "needs at least 5 nodes for the stencils", grid["n_cells"])
-    if _number(grid, "grid", "gravity_sign") not in (-1.0, 1.0):
-        _fail("grid.gravity_sign", "must be +1 or -1", grid["gravity_sign"])
+    _integer(grid, "grid", "n_cells")
+    _number(grid, "grid", "gravity_sign")
+    _build("grid", Column, **grid)
 
     step = _merge_block(doc, "stepping")
-    beta = ConstitutiveModel(**con).beta_bound()
-    h = _number(step, "stepping", "h")
-    if not h > 0.0:
-        _fail("stepping.h", "must be positive", step["h"])
-    if h > 1.0 / beta:
-        _fail("stepping.h", f"violates h <= 1/beta (beta = {beta})", step["h"])
-    if not _number(step, "stepping", "gamma") >= 0.0:
-        _fail("stepping.gamma", "must be >= 0", step["gamma"])
-    if not _number(step, "stepping", "t_end") > 0.0:
-        _fail("stepping.t_end", "must be positive", step["t_end"])
-    if not _number(step, "stepping", "newton_tol") > 0.0:
-        _fail("stepping.newton_tol", "must be positive", step["newton_tol"])
-    if _integer(step, "stepping", "newton_max_iter") < 1:
-        _fail("stepping.newton_max_iter", "must be >= 1", step["newton_max_iter"])
-    if not 0.0 < _number(step, "stepping", "damping") < 1.0:
-        _fail("stepping.damping", "must lie strictly inside (0, 1)", step["damping"])
-    if not isinstance(step["lag_gravity"], bool):
-        _fail("stepping.lag_gravity", "must be a boolean", step["lag_gravity"])
+    for key in step:
+        _number(step, "stepping", key)
+    _build("stepping", StepConfig, beta=model.beta_bound(), **step)
 
     ic = _merge_block(doc, "ic")
     profile = ic.get("profile")

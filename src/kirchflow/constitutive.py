@@ -85,8 +85,9 @@ class ConstitutiveModel:
         Residual saturation, the lower limit of the saturation range,
         strictly inside (0, 1).
     p_reg : float
-        Pressure (< 0) below which the retention curve is replaced by a
-        C1 exponential approach to ``s_res``.
+        Pressure in ``(P_MIN, 0)`` below which the retention curve is
+        replaced by a C1 exponential approach to ``s_res``; the curve must
+        still lie above ``s_res`` there.
     a_min : float
         Regularization floor in (0, 1): lower bound enforced on the
         transformed capacity ``b'`` (:meth:`KirchhoffTable.b_prime`), and
@@ -100,6 +101,9 @@ class ConstitutiveModel:
     floor ``a_min`` applies to the transformed capacity ``b_prime``, not
     to the saturation values or ``sat_slope_raw``, so the range invariant
     ``s_res <= S <= 1`` is kept exactly.
+
+    A violated constraint raises ``ConstitutiveError("<field>: <constraint>
+    (got <value>)")``; the run configuration reports it under ``constitutive.``.
     """
 
     alpha_vg: float = 2.0
@@ -114,21 +118,30 @@ class ConstitutiveModel:
 
     def __post_init__(self) -> None:
         if not (self.alpha_vg > 0.0):
-            raise ConstitutiveError(f"alpha_vg must be > 0, got {self.alpha_vg}")
+            raise ConstitutiveError(
+                f"alpha_vg: must be positive (got {self.alpha_vg!r})"
+            )
         if not (self.n_vg > 1.0):
-            raise ConstitutiveError(f"n_vg must be > 1, got {self.n_vg}")
+            raise ConstitutiveError(f"n_vg: exponent must exceed 1 (got {self.n_vg!r})")
         if not (0.0 < self.s_res < 1.0):
-            raise ConstitutiveError(f"s_res must be in (0, 1), got {self.s_res}")
-        if not (self.p_reg < 0.0):
-            raise ConstitutiveError(f"p_reg must be < 0, got {self.p_reg}")
+            raise ConstitutiveError(
+                f"s_res: must lie strictly inside (0, 1) (got {self.s_res!r})"
+            )
+        if not (P_MIN < self.p_reg < 0.0):
+            raise ConstitutiveError(
+                f"p_reg: must lie strictly inside (P_MIN, 0) = ({P_MIN:g}, 0) "
+                f"(got {self.p_reg!r})"
+            )
         if not (0.0 < self.a_min < 1.0):
-            raise ConstitutiveError(f"a_min must be in (0, 1), got {self.a_min}")
+            raise ConstitutiveError(
+                f"a_min: must lie strictly inside (0, 1) (got {self.a_min!r})"
+            )
         s_j = float(self._vg_saturation(np.asarray(self.p_reg)))
         slope_j = float(self._vg_slope(np.asarray(self.p_reg)))
         amp = s_j - self.s_res
         if amp <= 0.0:
             raise ConstitutiveError(
-                f"retention curve already at s_res at p_reg={self.p_reg}"
+                f"p_reg: retention curve already at s_res there (got {self.p_reg!r})"
             )
         object.__setattr__(self, "_tail_amp", amp)
         object.__setattr__(self, "_tail_rate", slope_j / amp)
@@ -568,17 +581,16 @@ class KirchhoffTable:
 
     # -- channels along the transformed variable ---------------------------------
 
-    def _channels(self, u, fit: PPoly, plateau, check=True) -> np.ndarray:
+    def _channels(self, u, fit: PPoly, plateau) -> np.ndarray:
         """Values of a (multi-channel) fit along ``u``, one row per entry of ``u``.
 
-        The one place that range-checks ``u`` (unless ``check`` is off),
-        clamps it into the tabulated branch ``[u_samples[0], 0]`` and masks
-        ``u < 0``: there the fit is read, on the saturated branch each
-        channel takes its ``plateau`` constant.
+        The one place that range-checks ``u``, clamps it into the tabulated
+        branch ``[u_samples[0], 0]`` and masks ``u < 0``: there the fit is
+        read, on the saturated branch each channel takes its ``plateau``
+        constant.
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if check:
-            self._check_invertible(u_arr)
+        self._check_invertible(u_arr)
         vals = fit(np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
         neg = (u_arr < 0.0).reshape(u_arr.shape + (1,) * (vals.ndim - u_arr.ndim))
         return np.where(neg, vals, plateau)
@@ -626,7 +638,7 @@ class KirchhoffTable:
         """
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
         b = self.residual_channels(z_arr)[0]
-        anti = self._channels(z_arr, self._b_anti, self._b_anti0, check=False)
+        anti = self._channels(z_arr, self._b_anti, self._b_anti0)
         phi = anti - self._b_anti0
         zc = np.maximum(z_arr, self.u_samples[0])
         return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * zc - phi, 0.0), 0.0))
@@ -647,10 +659,9 @@ class KirchhoffTable:
 
         Bounded everywhere (unlike ``conductivity_slope`` at full
         saturation); the exact derivative of :meth:`conductivity_of_u`,
-        intended for Jacobian assembly.
+        intended for Jacobian assembly.  Range-checked like every u-channel.
         """
-        d = self._channels(u, self._bk_d, (self.model.a_min, 0.0), check=False)
-        return _unwrap(u, d[..., 1])
+        return _unwrap(u, self.jacobian_channels(u)[1])
 
     def beta_bound(self) -> float:
         """Growth constant for the stored model (see model docstring)."""
@@ -666,11 +677,8 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     Raises
     ------
     ConstitutiveError
-        If ``model.p_reg`` does not lie above ``P_MIN``, or the pressure
-        grid is too coarse for a monotone fit of the map.
+        If the pressure grid is too coarse for a monotone fit of the map.
     """
-    if P_MIN >= model.p_reg:
-        raise ConstitutiveError(f"p_reg must lie above P_MIN = {P_MIN:g}")
     neg_grid, s_neg, k_neg, u_neg, psi, psi_d = _refine_grid(
         model, _pressure_grid(model), dtol=1.0e-8)
     # db/du = S'(p) / K_f(S(p)) at the knots, exact by the inverse-function

@@ -78,6 +78,9 @@ class Column:
         Orientation of the vertical unit vector along the column axis,
         +1 or -1.  The sign convention is a modelling choice, so it is
         part of the run configuration rather than hard-coded.
+
+    A violated constraint raises ``GridError("<field>: <constraint> (got
+    <value>)")``; the run configuration reports it under ``grid.``.
     """
 
     length: float
@@ -86,11 +89,16 @@ class Column:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.length) and self.length > 0.0):
-            raise GridError(f"length must be positive, got {self.length}")
+            raise GridError(f"length: must be positive (got {self.length!r})")
         if int(self.n_cells) != self.n_cells or self.n_cells < 5:
-            raise GridError(f"n_cells must be an integer >= 5, got {self.n_cells}")
-        if self.gravity_sign not in (1.0, -1.0, 1, -1):
-            raise GridError(f"gravity_sign must be +1 or -1, got {self.gravity_sign}")
+            raise GridError(
+                f"n_cells: needs an integer >= 5 for the stencils "
+                f"(got {self.n_cells!r})"
+            )
+        if self.gravity_sign not in (1.0, -1.0):
+            raise GridError(
+                f"gravity_sign: must be +1 or -1 (got {self.gravity_sign!r})"
+            )
 
     @property
     def dz(self) -> float:

@@ -265,21 +265,20 @@ def dense_reference_step(
     v = np.maximum(u_old.values.copy(), floor)
     r = dense_residual(v)
     best = float(np.max(np.abs(r)))
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(30):
         if np.max(np.abs(r)) <= cfg.newton_tol:
             return Field(v, col)
         jac = sys_mat + np.diag(table.b_prime(v) / cfg.h)
-        if not cfg.lag_gravity:
-            # d(grav)/du: interior diagonals cancel between the two faces;
-            # the wall rows keep one because the mirror face tracks the node
-            dk = table.dconductivity_du(v)
-            half = g / (2.0 * dz)
-            for i in range(1, n):
-                jac[i, i - 1] -= half * dk[i - 1]
-            for i in range(n - 1):
-                jac[i, i + 1] += half * dk[i + 1]
-            jac[0, 0] -= half * dk[0]
-            jac[n - 1, n - 1] += half * dk[n - 1]
+        # d(grav)/du: interior diagonals cancel between the two faces;
+        # the wall rows keep one because the mirror face tracks the node
+        dk = table.dconductivity_du(v)
+        half = g / (2.0 * dz)
+        for i in range(1, n):
+            jac[i, i - 1] -= half * dk[i - 1]
+        for i in range(n - 1):
+            jac[i, i + 1] += half * dk[i + 1]
+        jac[0, 0] -= half * dk[0]
+        jac[n - 1, n - 1] += half * dk[n - 1]
         delta = np.linalg.solve(jac, -r)
         lam = 1.0
         for _ in range(50):
@@ -292,7 +291,7 @@ def dense_reference_step(
                 v, r = cand, cand_r
                 best = min(best, cand_norm)
                 break
-            lam *= cfg.damping
+            lam *= 0.5
         else:
             raise HarnessError("dense reference line search stalled")
     if np.max(np.abs(r)) <= cfg.newton_tol:

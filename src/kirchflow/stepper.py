@@ -24,10 +24,10 @@ growth constant ``beta`` of the constitutive package; the energy
 estimates are unconditional only under that restriction, so a config
 violating it is refused rather than warned about.
 
-The gravity block is fully linearized by default (the conductivity
-channel and its exact tabulated derivative), giving quadratic local
-convergence; ``lag_gravity`` drops that block from the Jacobian — the
-iteration degrades to linear convergence but the root is unchanged.
+The gravity block is linearized exactly (the conductivity channel and its
+tabulated derivative), giving quadratic local convergence.  The iteration
+cap, the line-search factor and the growth cap are module constants: they
+choose how the root is found, not which root, so they are not settings.
 
 Newton runs on plain arrays: the banded ``-lap + gamma * bih`` parts are
 built once per run, a residual reads ``b`` and ``K`` through one table
@@ -69,6 +69,8 @@ __all__ = [
     "run",
 ]
 
+_MAX_ITER = 30
+_DAMPING = 0.5  # line-search step shrink factor
 _BACKTRACK_LIMIT = 50
 # iterate-to-iterate residual growth allowed before the line search calls
 # the step divergent; joint crossings measure ~10x, blowups grow without
@@ -97,42 +99,36 @@ def check_timestep(h: float, beta: float) -> bool:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Time-stepping and Newton parameters.
+    """Step, fourth-order weight, horizon and Newton tolerance of a march.
 
     ``beta`` is the growth constant of the constitutive package
-    (``table.beta_bound()``); construction refuses ``h > 1/beta``.
+    (``table.beta_bound()``); construction refuses ``h > 1/beta``.  This is
+    the one place these constraints are checked; a violation is reported as
+    ``"<field>: <constraint> (got <value>)"``.
     """
 
     h: float
     gamma: float = 0.1
     t_end: float = 1.0
     newton_tol: float = 1.0e-10
-    newton_max_iter: int = 30
-    damping: float = 0.5
     beta: float = 1.0
-    lag_gravity: bool = False
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.h) and self.h > 0.0):
-            raise StepConfigError(f"h must be positive, got {self.h}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise StepConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
-            raise StepConfigError(f"t_end must be positive, got {self.t_end}")
-        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
-            raise StepConfigError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise StepConfigError(
-                f"newton_max_iter must be >= 1, got {self.newton_max_iter}"
-            )
-        if not (0.0 < self.damping < 1.0):
-            raise StepConfigError(f"damping must lie in (0, 1), got {self.damping}")
+            raise StepConfigError(f"h: must be positive (got {self.h!r})")
         if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise StepConfigError(f"beta must be positive, got {self.beta}")
+            raise StepConfigError(f"beta: must be positive (got {self.beta!r})")
         if not check_timestep(self.h, self.beta):
             raise StepConfigError(
-                f"h={self.h} rejected: stability requires h <= 1/beta "
-                f"= {1.0 / self.beta}"
+                f"h: violates h <= 1/beta (beta = {self.beta}) (got {self.h!r})"
+            )
+        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise StepConfigError(f"gamma: must be >= 0 (got {self.gamma!r})")
+        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
+            raise StepConfigError(f"t_end: must be positive (got {self.t_end!r})")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise StepConfigError(
+                f"newton_tol: must be positive (got {self.newton_tol!r})"
             )
 
     @property
@@ -212,8 +208,7 @@ class _System:
         ab[1:4] -= self.lap_ab
         if self.bih_ab is not None:
             ab += self.bih_ab
-        if not self.cfg.lag_gravity:
-            ab[1:4] += gravity_jacobian_array(dk, self.dz, self.sign)
+        ab[1:4] += gravity_jacobian_array(dk, self.dz, self.sign)
         return ab
 
 
@@ -261,7 +256,7 @@ def _newton(system: _System, b_old: np.ndarray, guess: np.ndarray,
     r, b = system.residual(v, b_old, source)
     rnorm = float(np.max(np.abs(r)))
     best = rnorm
-    for it in range(cfg.newton_max_iter):
+    for it in range(_MAX_ITER):
         if rnorm <= cfg.newton_tol:
             return v, b, it, rnorm
         try:
@@ -281,15 +276,15 @@ def _newton(system: _System, b_old: np.ndarray, guess: np.ndarray,
                 v, r, rnorm, b = cand, cand_r, cand_norm, cand_b
                 best = min(best, cand_norm)
                 break
-            lam *= cfg.damping
+            lam *= _DAMPING
         else:
             raise NonconvergenceError(
                 f"line search stalled at residual {rnorm:.3e}{where}", step_index, rnorm
             )
     if rnorm <= cfg.newton_tol:
-        return v, b, cfg.newton_max_iter, rnorm
+        return v, b, _MAX_ITER, rnorm
     raise NonconvergenceError(
-        f"no convergence in {cfg.newton_max_iter} Newton iterations: "
+        f"no convergence in {_MAX_ITER} Newton iterations: "
         f"residual {rnorm:.3e} > tol {cfg.newton_tol:.3e}{where}",
         step_index,
         rnorm,

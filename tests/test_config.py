@@ -1,5 +1,8 @@
 """Configuration parsing: defaults, validation paths, object building."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,11 @@ def test_unknown_block_and_key_carry_paths():
         parse_config('{"steppin": {}}')
     with pytest.raises(ConfigError, match=r"grid\.n_cellz.*unknown key"):
         parse_config('{"grid": {"n_cellz": 10}}')
+    # Newton's iteration cap, line-search factor and gravity lagging are
+    # solver constants, not settings
+    for key in ("newton_max_iter", "damping", "lag_gravity"):
+        with pytest.raises(ConfigError, match=rf"stepping\.{key}: unknown key"):
+            parse_config(json.dumps({"stepping": {key: 1}}))
 
 
 @pytest.mark.parametrize(
@@ -107,6 +115,23 @@ def test_unknown_block_and_key_carry_paths():
 def test_constraint_violations_name_the_key(doc, path):
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         parse_config(doc)
+
+
+def test_model_constraint_beyond_the_ranges_names_the_key():
+    # every parameter is in range, but the retention curve has already
+    # reached s_res at p_reg: the model's own check, reported with its path
+    doc = '{"constitutive": {"alpha_vg": 1000.0, "n_vg": 10.0, "p_reg": -100000.0}}'
+    with pytest.raises(ConfigError, match=r"^constitutive\.p_reg: .*s_res"):
+        parse_config(doc)
+
+
+def test_readme_config_document_is_the_default():
+    path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = path.read_text(encoding="utf-8")
+    section = readme[readme.index("### Config document"):]
+    start = section.index("```json\n") + len("```json\n")
+    block = section[start:section.index("```", start)]
+    assert json.loads(block) == json.loads(parse_config("{}").canonical_json())
 
 
 def test_lens_center_bound_follows_column_length():

@@ -185,6 +185,14 @@ def test_inverse_out_of_range(table):
         table.kirchhoff_inverse(table.u_lower + 0.5 * table.margin)
 
 
+def test_every_u_channel_refuses_values_below_the_table(table):
+    u = table.u_lower - 1.0
+    for channel in (table.b_of_u, table.b_prime, table.legendre_B,
+                    table.conductivity_of_u, table.dconductivity_du):
+        with pytest.raises(OutOfRangeError):
+            channel(u)
+
+
 def test_table_sample_invariants(table):
     assert np.all(np.diff(table.p_samples) > 0.0)
     assert np.all(np.diff(table.u_samples) > 0.0)
@@ -198,6 +206,16 @@ def test_default_table_knot_count(table):
     assert np.count_nonzero(table.p_samples <= 0.0) == 43167
     assert table.p_samples.size == 43171
     assert table.p_samples[0] == P_MIN
+
+
+def test_default_table_meets_slope_tolerance(table):
+    # refinement gives up silently after 8 passes; the default map must not
+    # need that: its slope meets dtol = 1e-8 at the refinement probes
+    grid = table.p_samples[table.p_samples <= 0.0]
+    for frac in (0.25, 0.5, 0.75):
+        probe = grid[:-1] + frac * np.diff(grid)
+        exact = table.model.conductivity_vs_pressure(probe)
+        assert np.max(np.abs(table._psi_d(probe) - exact)) <= 1.0e-8
 
 
 def test_default_table_fits_map_once(monkeypatch):

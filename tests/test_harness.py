@@ -221,18 +221,6 @@ def test_dense_result_satisfies_banded_residual(table):
     assert np.max(np.abs(r)) <= cfg.newton_tol
 
 
-def test_dense_matches_banded_with_lagged_gravity(table):
-    rng = np.random.default_rng(11)
-    col = Column(length=1.0, n_cells=80, gravity_sign=-1.0)
-    u0 = _smooth_state(col, rng)
-    cfg = StepConfig(
-        h=0.02, gamma=0.1, t_end=0.02, newton_tol=1e-8, lag_gravity=True
-    )
-    banded = step(u0, cfg, table)
-    dense = dense_reference_step(u0, cfg, table)
-    assert np.max(np.abs(banded.values - dense.values)) <= 100.0 * cfg.newton_tol
-
-
 def test_dense_rejects_oversized_grid(table):
     col = Column(length=1.0, n_cells=401, gravity_sign=-1.0)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01)

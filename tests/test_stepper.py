@@ -44,9 +44,6 @@ def test_check_timestep_inclusive_boundary():
         {"h": 0.01, "gamma": -1.0},
         {"h": 0.01, "t_end": 0.0},
         {"h": 0.01, "newton_tol": 0.0},
-        {"h": 0.01, "newton_max_iter": 0},
-        {"h": 0.01, "damping": 0.0},
-        {"h": 0.01, "damping": 1.0},
         {"h": 0.01, "beta": 0.0},
     ],
 )
@@ -165,16 +162,6 @@ def test_jacobian_saturated_plateau_is_heat_limit(table, model):
     assert np.allclose(np.diag(J), expected_diag, rtol=1e-12)
 
 
-def test_jacobian_lag_gravity_drops_flux_block(table):
-    col = Column(length=1.0, n_cells=15, gravity_sign=-1.0)
-    f = _wet_lens(col)
-    full = jacobian(f, StepConfig(h=0.01, gamma=0.1), table)
-    lagged = jacobian(f, StepConfig(h=0.01, gamma=0.1, lag_gravity=True), table)
-    assert not np.allclose(full, lagged)
-    # outer bands are the pure biharmonic, identical either way
-    assert np.all(full[0] == lagged[0]) and np.all(full[4] == lagged[4])
-
-
 # ---------------------------------------------------------------------------
 # Newton step
 # ---------------------------------------------------------------------------
@@ -189,8 +176,8 @@ def test_step_zero_fixed_point(table):
 
 def test_step_nonconvergence_reports_residual(table):
     col = Column(length=1.0, n_cells=50)
-    cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1e-13, newton_max_iter=2)
-    with pytest.raises(NonconvergenceError) as exc:
+    cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1e-13)
+    with pytest.raises(NonconvergenceError, match="no convergence in 30 Newton") as exc:
         step(_wet_lens(col), cfg, table)
     assert exc.value.residual_norm is not None
     assert exc.value.residual_norm > 1e-13
@@ -212,20 +199,6 @@ def test_step_unique_root_from_distinct_guesses(table):
     u2 = step(u_old, cfg, table,
               initial_guess=Field(0.9 * u_old.values, col))
     assert np.max(np.abs(u1.values - u2.values)) <= 10 * cfg.newton_tol
-
-
-def test_lag_gravity_converges_to_same_root(table):
-    col = Column(length=1.0, n_cells=100, gravity_sign=-1.0)
-    u_old = project_initial(_wet_lens(col))
-    tol = 1e-9
-    u_full = step(u_old, StepConfig(h=0.01, gamma=0.0, newton_tol=tol), table)
-    u_lag = step(
-        u_old,
-        StepConfig(h=0.01, gamma=0.0, newton_tol=tol, lag_gravity=True,
-                   newton_max_iter=60),
-        table,
-    )
-    assert np.max(np.abs(u_full.values - u_lag.values)) <= 10 * tol
 
 
 # ---------------------------------------------------------------------------
