@@ -44,6 +44,9 @@ def test_check_timestep_inclusive_boundary():
         {"h": 0.01, "gamma": -1.0},
         {"h": 0.01, "t_end": 0.0},
         {"h": 0.01, "newton_tol": 0.0},
+        {"h": float("nan")},
+        {"h": 0.01, "gamma": float("inf")},
+        {"h": 0.01, "t_end": float("nan")},
         {"h": 0.01, "beta": 0.0},
     ],
 )
