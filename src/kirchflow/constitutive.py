@@ -17,7 +17,9 @@ The Kirchhoff map ``u = psi(p)`` integrates conductivity over pressure.
 It is fitted once, with a monotone cubic on a graded pressure grid down
 to ``P_MIN``; the transformed saturation ``b(u)``, its derivative, and
 the convex potential ``B`` are all read from the same table so that the
-discrete inequalities relating them hold to rounding.
+discrete inequalities relating them hold to rounding.  The fits are plain
+coefficient arrays whose kernels repeat scipy's ``CubicHermiteSpline`` and
+``PPoly`` arithmetic in scipy's order, so they match it bit for bit.
 
 All public array operations accept scalars or ndarrays and are pure; a
 built table never mutates, so instances are safe to share across threads.
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PPoly
 
 __all__ = [
     "ConstitutiveError",
@@ -334,6 +335,64 @@ class ConstitutiveModel:
 
 
 # ---------------------------------------------------------------------------
+# piecewise cubics as plain arrays (layout: see KirchhoffTable)
+# ---------------------------------------------------------------------------
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Coefficients of the cubic Hermite fit of values ``y`` and slopes ``d``;
+    refuses non-finite data and knots ``x`` that do not strictly increase."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(d).all()):
+        raise ConstitutiveError("cubic fit data must be finite")
+    dx = np.diff(x)
+    if np.any(dx <= 0.0):
+        raise ConstitutiveError("cubic fit knots must be strictly increasing")
+    slope = np.diff(y) / dx
+    t = (d[:-1] + d[1:] - 2.0 * slope) / dx
+    return np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]))
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the piecewise derivative of a one-channel fit."""
+    return c[:-1] * np.arange(len(c) - 1, 0, -1.0)[:, None]
+
+
+def _antiderivative(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Coefficients of the antiderivative of a one-channel fit, 0 at ``x[0]``.
+
+    Each piece's constant is the previous piece's value at their shared
+    knot, summed term by term in scipy's order: one sequential
+    ``add.accumulate`` over ``[0, c3 h, c2 h^2, c1 h^3, c0 h^4, ...]``,
+    read at the end of every piece.
+    """
+    scaled = c / np.arange(len(c), 0, -1.0)[:, None]
+    h = np.diff(x)[:-1]
+    powers = np.cumprod(np.broadcast_to(h, (len(c), h.size)), axis=0)  # h, h^2, ...
+    terms = (scaled[::-1, :-1] * powers).T.ravel()
+    const = np.add.accumulate(np.concatenate([[0.0], terms]))
+    return np.vstack([scaled, const[::len(c)]])
+
+
+def _evaluate(x: np.ndarray, c: np.ndarray, u) -> np.ndarray:
+    """Values at ``u`` of the fit ``(x, c)``, of shape ``u.shape + channels``.
+
+    Pieces are half-open ``[x[i], x[i+1])``, the last one closed, and the
+    end pieces extrapolate.  The sum runs over ascending powers, as in
+    scipy's PPoly.
+    """
+    u = np.asarray(u, dtype=float)
+    i = x[1:-1].searchsorted(u, "right")
+    s = (u - x[i]).reshape(u.shape + (1,) * (c.ndim - 2))
+    rows = c.take(i, axis=1)
+    r = 0.0 + rows[-1] + rows[-2] * s  # scipy's sum starts at 0.0: -0.0 reads +0.0
+    z = s
+    for row in rows[-3::-1]:
+        z = z * s
+        r = r + row * z
+    return r
+
+
+# ---------------------------------------------------------------------------
 # tabulated Kirchhoff map
 # ---------------------------------------------------------------------------
 
@@ -388,7 +447,7 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     rounding level); knot derivatives are the integrand itself, exactly
     evaluated, so the Hermite fit is O(h^4) in value and O(h^3) in slope
     with no divided-difference noise.  Returns the knot saturations and
-    conductivities (the integrand), ``u`` and the fit.
+    conductivities (the integrand), ``u`` and the fit's coefficients.
     """
     panels = _gauss_panels(grid, model.conductivity_vs_pressure)
     suffix = np.cumsum(panels[::-1].astype(np.longdouble))[::-1]
@@ -403,11 +462,11 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     ratio = np.maximum(deriv[:-1], deriv[1:]) / np.maximum(delta, 1.0e-300)
     if np.any(delta <= 0.0) or float(ratio.max()) > 3.0:
         raise ConstitutiveError("pressure grid too coarse for a monotone map fit")
-    return s, deriv, u, CubicHermiteSpline(grid, u, deriv, extrapolate=True)
+    return s, deriv, u, _hermite(grid, u, deriv)
 
 
-def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CubicHermiteSpline:
-    """Cubic Hermite fit of nondecreasing data with supplied slopes.
+def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cubic Hermite coefficients of nondecreasing data with supplied slopes.
 
     Slopes are capped at three times the neighboring secants (the classic
     sufficient condition), which only bites where the data has gone flat
@@ -421,23 +480,24 @@ def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CubicHermi
     cap[0] = 3.0 * delta[0]
     cap[-1] = 3.0 * delta[-1]
     cap[1:-1] = 3.0 * np.minimum(delta[:-1], delta[1:])
-    return CubicHermiteSpline(x, y, np.clip(d, 0.0, cap), extrapolate=True)
+    return _hermite(x, y, np.clip(d, 0.0, cap))
 
 
 def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
     """Split intervals until the fitted map's derivative error against the
     exactly evaluable integrand drops below ``dtol`` everywhere, refining at
     most 8 times.  Returns the last pass: the grid, its knot saturations and
-    conductivities, and the map ``u, psi, psi_d`` fitted on it."""
+    conductivities, ``u``, and the coefficients of the map and its slope."""
     for refinements in range(9):
         s, k, u, psi = _fit_map(model, grid)
-        psi_d = psi.derivative()
+        psi_d = _derivative(psi)
         if refinements == 8:
             break
         bad = np.zeros(len(grid) - 1, dtype=bool)
         for frac in (0.25, 0.5, 0.75):
             probe = grid[:-1] + frac * np.diff(grid)
-            err = np.abs(psi_d(probe) - model.conductivity_vs_pressure(probe))
+            exact = model.conductivity_vs_pressure(probe)
+            err = np.abs(_evaluate(grid, psi_d, probe) - exact)
             bad |= err > dtol
         if not np.any(bad):
             break
@@ -458,6 +518,14 @@ class KirchhoffTable:
     piecewise polynomial (and their derivatives as another): one interval
     search serves both, and each channel reads exactly what a separate
     fit would.
+
+    Each fit is a plain coefficient array of shape ``(degree + 1, pieces)``,
+    or ``(degree + 1, pieces, 2)`` for the two-channel ones, highest power
+    first, over the pressure knots (``_psi``, ``_psi_d``) or their images in
+    ``u`` (the rest).  Every read goes through ``_evaluate`` in one fixed
+    order (interval search, then the power sum from the constant term up),
+    so a value depends only on the table and its argument, never on which
+    channel or how many points were asked for together.
 
     Attributes
     ----------
@@ -481,12 +549,14 @@ class KirchhoffTable:
     u_lower: float
     margin: float
     tol_q: float
-    _psi: PPoly = field(repr=False)
-    _psi_d: PPoly = field(repr=False)
-    _bk: PPoly = field(repr=False)  # channels (b, K_f) along u
-    _bk_d: PPoly = field(repr=False)  # their derivatives (db/du, dK_f/du)
-    _b_anti: PPoly = field(repr=False)
-    _b_anti0: float = field(repr=False)  # _b_anti(0.0)
+    _p_knots: np.ndarray = field(repr=False)  # p_samples on p <= 0
+    _u_knots: np.ndarray = field(repr=False)  # u_samples on u <= 0
+    _psi: np.ndarray = field(repr=False)  # u along p
+    _psi_d: np.ndarray = field(repr=False)  # du/dp along p
+    _bk: np.ndarray = field(repr=False)  # channels (b, K_f) along u
+    _bk_d: np.ndarray = field(repr=False)  # their derivatives (db/du, dK_f/du)
+    _b_anti: np.ndarray = field(repr=False)  # integral of b along u
+    _b_anti0: float = field(repr=False)  # that integral at u = 0
 
     # -- forward map ---------------------------------------------------------
 
@@ -505,7 +575,7 @@ class KirchhoffTable:
             p_bot = self.p_samples[0]
             inside = pn >= p_bot
             vals = np.empty_like(pn)
-            vals[inside] = self._psi(pn[inside])
+            vals[inside] = _evaluate(self._p_knots, self._psi, pn[inside])
             below = ~inside
             if np.any(below):
                 u_bot = self.u_samples[0]
@@ -565,13 +635,14 @@ class KirchhoffTable:
         # evaluation noise scales with it.
         tol = np.maximum(3.0e-15, 4.0e-15 * np.abs(u))
         for _ in range(80):
-            f = self._psi(p) - u
+            f = _evaluate(self._p_knots, self._psi, p) - u
             done = np.abs(f) <= tol
             if np.all(done):
                 break
             hi = np.where(f > 0.0, p, hi)
             lo = np.where(f <= 0.0, p, lo)
-            d = np.maximum(self._psi_d(p), self.model.k_floor * 1.0e-3)
+            d = np.maximum(_evaluate(self._p_knots, self._psi_d, p),
+                           self.model.k_floor * 1.0e-3)
             step = f / d
             p_new = p - step
             bad = (p_new <= lo) | (p_new >= hi)
@@ -581,7 +652,7 @@ class KirchhoffTable:
 
     # -- channels along the transformed variable ---------------------------------
 
-    def _channels(self, u, fit: PPoly, plateau) -> np.ndarray:
+    def _channels(self, u, fit: np.ndarray, plateau) -> np.ndarray:
         """Values of a (multi-channel) fit along ``u``, one row per entry of ``u``.
 
         The one place that range-checks ``u``, clamps it into the tabulated
@@ -591,7 +662,8 @@ class KirchhoffTable:
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_invertible(u_arr)
-        vals = fit(np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
+        vals = _evaluate(self._u_knots, fit,
+                         np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
         neg = (u_arr < 0.0).reshape(u_arr.shape + (1,) * (vals.ndim - u_arr.ndim))
         return np.where(neg, vals, plateau)
 
@@ -685,25 +757,24 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     # rule; interpolating b against u from values alone would amplify table
     # rounding by 1/K^2
     db_du = model.sat_slope_raw(neg_grid) / k_neg
-    b_interp = _monotone_hermite(u_neg, s_neg, db_du)
-    b_d = b_interp.derivative()
-    b_anti = b_interp.antiderivative()
+    b_fit = _monotone_hermite(u_neg, s_neg, db_du)
+    b_anti = _antiderivative(u_neg, b_fit)
 
     # dK/du = (dK/dp) / (du/dp) with du/dp = K; top knot takes the p -> 0-
     # limit (capped by the fit when the exponent family makes it infinite)
     with np.errstate(over="ignore"):
         dk_du = model.conductivity_pressure_slope(neg_grid) / k_neg
     dk_du[-1] = model._conductivity_pressure_slope_limit()
-    k_interp = _monotone_hermite(u_neg, k_neg, dk_du)
+    k_fit = _monotone_hermite(u_neg, k_neg, dk_du)
     # one interval search per lookup for both channels; each reads what
     # its own fit would, since the two share every knot
-    bk = PPoly(np.stack([b_interp.c, k_interp.c], axis=-1), u_neg, extrapolate=True)
-    bk_d = PPoly(np.stack([b_d.c, k_interp.derivative().c], axis=-1), u_neg,
-                 extrapolate=True)
+    bk = np.stack([b_fit, k_fit], axis=-1)
+    bk_d = np.stack([_derivative(b_fit), _derivative(k_fit)], axis=-1)
 
     p_plus = np.array([2.5, 5.0, 7.5, 10.0])
     p_samples = np.concatenate([neg_grid, p_plus])
     u_samples = np.concatenate([u_neg, p_plus])
+    n_neg = neg_grid.size
 
     u_bot = float(u_neg[0])
     u_lower = u_bot * (1.0 + 2.0e-9)
@@ -716,10 +787,12 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
         u_lower=u_lower,
         margin=margin,
         tol_q=TOL_Q,
+        _p_knots=p_samples[:n_neg],
+        _u_knots=u_samples[:n_neg],
         _psi=psi,
         _psi_d=psi_d,
         _bk=bk,
         _bk_d=bk_d,
         _b_anti=b_anti,
-        _b_anti0=float(b_anti(0.0)),
+        _b_anti0=float(_evaluate(u_neg, b_anti, 0.0)),
     )

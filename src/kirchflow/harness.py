@@ -1,10 +1,8 @@
 """Independent verification oracles for the solver stack.
 
 Nothing in here is needed to *run* the solver; everything in here
-exists to catch it lying.  Four instruments:
+exists to catch it lying.  Three instruments:
 
-* an adaptive quadrature wrapper with a certified error estimate, for
-  cross-checking the tabulated transform against direct integration;
 * a manufactured space-time solution with closed-form derivatives, so
   observed convergence orders can be measured against exact errors;
 * convergence studies (spatial and temporal) over the manufactured
@@ -16,12 +14,10 @@ exists to catch it lying.  Four instruments:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Literal, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .constitutive import KirchhoffTable
 from .grid import Column, Field, l2_norm
@@ -29,7 +25,6 @@ from .stepper import StepConfig, project_initial, run
 
 __all__ = [
     "HarnessError",
-    "quadrature_oracle",
     "ManufacturedSolution",
     "StudyRow",
     "convergence_study",
@@ -40,34 +35,6 @@ __all__ = [
 
 class HarnessError(RuntimeError):
     """Oracle could not certify its result."""
-
-
-def quadrature_oracle(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1.0e-12
-) -> float:
-    """Adaptive integral of ``f`` over [a, b], certified to ``tol``.
-
-    Raises HarnessError when the adaptive scheme cannot push its own
-    error estimate below ``tol`` — a noisy or discontinuous integrand,
-    not a reason to return a number anyway.
-    """
-    if tol < 1.0e-14:
-        raise HarnessError(f"tolerance {tol!r} below certifiable precision")
-    with warnings.catch_warnings():
-        # a convergence warning undermines the error estimate itself, so
-        # it counts as a certification failure, not console noise
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, estimate = quad(
-                f, a, b, epsabs=0.1 * tol, epsrel=0.0, limit=200
-            )
-        except IntegrationWarning as exc:
-            raise HarnessError(f"quadrature did not converge: {exc}") from exc
-    if estimate > tol:
-        raise HarnessError(
-            f"quadrature error estimate {estimate:.3e} exceeds tol {tol:.3e}"
-        )
-    return value
 
 
 @dataclass(frozen=True)

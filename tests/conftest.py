@@ -1,7 +1,7 @@
 """Shared fixtures: the default constitutive model and its transform table.
 
-Building the table (43,167 knots) costs ~95 ms but is pure and
-immutable, so one instance is shared across the whole session.
+Building the table (43,167 knots) costs ~100 ms in a fresh process but is
+pure and immutable, so one instance is shared across the whole session.
 """
 
 import pytest

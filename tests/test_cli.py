@@ -210,3 +210,23 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert "probe-uniqueness" in done.stdout
+
+
+def test_solver_imports_no_unused_scipy_subpackage():
+    # the table kernels are numpy and the quadrature oracle lives with the
+    # tests: running the solver needs scipy.linalg (solve_banded) only
+    src = str(Path(kirchflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys\n"
+        "import kirchflow.cli, kirchflow.harness\n"
+        "from kirchflow.constitutive import ConstitutiveModel, build_table\n"
+        "build_table(ConstitutiveModel())\n"
+        "print(*sorted(name for name in ('scipy.interpolate', 'scipy.integrate',\n"
+        "    'scipy.special', 'scipy.optimize') if name in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

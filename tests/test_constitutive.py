@@ -7,6 +7,7 @@ default model is alpha_vg=2, n_vg=2, s_res=0.05, p_reg=-10, a_min=1e-3.
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from kirchflow import constitutive
 from kirchflow.constitutive import (
@@ -215,7 +216,8 @@ def test_default_table_meets_slope_tolerance(table):
     for frac in (0.25, 0.5, 0.75):
         probe = grid[:-1] + frac * np.diff(grid)
         exact = table.model.conductivity_vs_pressure(probe)
-        assert np.max(np.abs(table._psi_d(probe) - exact)) <= 1.0e-8
+        slope = constitutive._evaluate(table._p_knots, table._psi_d, probe)
+        assert np.max(np.abs(slope - exact)) <= 1.0e-8
 
 
 def test_default_table_fits_map_once(monkeypatch):
@@ -230,6 +232,96 @@ def test_default_table_fits_map_once(monkeypatch):
     monkeypatch.setattr(constitutive, "_gauss_panels", counting)
     build_table(ConstitutiveModel())
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# piecewise-cubic kernels, with scipy.interpolate as the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[{}, {"n_vg": 1.6, "a_min": 1.0e-2}],
+                ids=["default", "refined"])
+def recorded_build(request):
+    """A table (the default one, and one that refines to 43,212 knots) and
+    ``(x, y, d, coefficients)`` of every Hermite fit its build made."""
+    fits = []
+    hermite = constitutive._hermite
+
+    def recording(x, y, d):
+        fits.append((x, y, d, hermite(x, y, d)))
+        return fits[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constitutive, "_hermite", recording)
+        return build_table(ConstitutiveModel(**request.param)), fits
+
+
+def _same_bits(ours, theirs):
+    theirs = np.asarray(theirs)
+    return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def test_table_fits_equal_scipy_fits(recorded_build):
+    table, fits = recorded_build
+    # every fit the build made, refinement passes included
+    for x, y, d, coef in fits:
+        assert _same_bits(coef, CubicHermiteSpline(x, y, d).c)
+    # the last three are the map, b and K_f, on the table's knots
+    psi, b, k = (CubicHermiteSpline(*fit[:3]) for fit in fits[-3:])
+    assert _same_bits(table._p_knots, psi.x) and _same_bits(table._u_knots, b.x)
+    assert _same_bits(table._u_knots, k.x)
+    assert _same_bits(table._psi, psi.c)
+    assert _same_bits(table._psi_d, psi.derivative().c)
+    bk = PPoly(np.stack([b.c, k.c], axis=-1), b.x)
+    bk_d = PPoly(np.stack([b.derivative().c, k.derivative().c], axis=-1), b.x)
+    assert _same_bits(table._bk, bk.c)
+    assert _same_bits(table._bk_d, bk_d.c)
+    b_anti = b.antiderivative()
+    assert _same_bits(table._b_anti, b_anti.c)
+    assert table._b_anti0 == float(b_anti(0.0))
+
+
+def test_evaluate_equals_ppoly_call(recorded_build):
+    table = recorded_build[0]
+    rng = np.random.default_rng(6)
+    for knots, coef in [
+        (table._p_knots, table._psi),
+        (table._p_knots, table._psi_d),
+        (table._u_knots, table._bk),
+        (table._u_knots, table._bk_d),
+        (table._u_knots, table._b_anti),
+    ]:
+        lo, hi = knots[0], knots[-1]
+        width = hi - lo
+        probes = [
+            rng.uniform(lo, hi, 6000),
+            knots,
+            0.5 * (knots[:-1] + knots[1:]),
+            np.array([lo - width, lo - 1.0e-3 * width, np.nextafter(lo, -np.inf),
+                      np.nextafter(hi, np.inf), hi + 1.0e-3 * width, hi + width]),
+            rng.uniform(lo, hi, (128, 201)),
+        ]
+        fit = PPoly(coef, knots)
+        for u in probes:
+            assert _same_bits(constitutive._evaluate(knots, coef, u), fit(u))
+
+
+def test_evaluate_starts_its_sum_at_zero_like_ppoly():
+    # scipy's power sum starts from +0.0, so an all-(-0.0) sum reads +0.0
+    knots = np.array([0.0, 1.0])
+    coef = constitutive._hermite(knots, np.array([-0.0, -1.0]), np.array([-0.0, -2.5]))
+    u = np.zeros(1)
+    ours = constitutive._evaluate(knots, coef, u)
+    assert _same_bits(ours, PPoly(coef, knots)(u)) and not np.signbit(ours[0])
+
+
+def test_cubic_fits_refuse_bad_data_as_constitutive_errors():
+    x = np.array([0.0, 1.0, 2.0])
+    y = np.array([0.0, 1.0, 3.0])
+    with pytest.raises(ConstitutiveError, match="finite"):
+        constitutive._monotone_hermite(x, y, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ConstitutiveError, match="strictly increasing"):
+        constitutive._hermite(np.array([0.0, 1.0, 1.0]), y, np.ones(3))
 
 
 # ---------------------------------------------------------------------------

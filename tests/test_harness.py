@@ -11,9 +11,9 @@ from kirchflow.harness import (
     convergence_study,
     dense_reference_step,
     fitted_order,
-    quadrature_oracle,
 )
 from kirchflow.stepper import StepConfig, residual, step
+from oracles.quadrature import quadrature_oracle
 
 
 # ---------------------------------------------------------------------------
