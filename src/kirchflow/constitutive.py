@@ -374,7 +374,7 @@ def _antiderivative(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(x: np.ndarray, c: np.ndarray, u) -> np.ndarray:
-    """Values at ``u`` of the fit ``(x, c)``, of shape ``u.shape + channels``.
+    """Values at ``u`` of the fit ``(x, c)``, of shape ``channels + u.shape``.
 
     Pieces are half-open ``[x[i], x[i+1])``, the last one closed, and the
     end pieces extrapolate.  The sum runs over ascending powers, as in
@@ -382,8 +382,8 @@ def _evaluate(x: np.ndarray, c: np.ndarray, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     i = x[1:-1].searchsorted(u, "right")
-    s = (u - x[i]).reshape(u.shape + (1,) * (c.ndim - 2))
-    rows = c.take(i, axis=1)
+    s = u - x[i]
+    rows = c.take(i, axis=-1)
     r = 0.0 + rows[-1] + rows[-2] * s  # scipy's sum starts at 0.0: -0.0 reads +0.0
     z = s
     for row in rows[-3::-1]:
@@ -514,18 +514,21 @@ class KirchhoffTable:
     the transformed values ``u = psi(p)``, and monotone cubic interpolants
     for the map, its inverse support, the transformed saturation ``b(u)``
     and the conductivity composition ``K_f(b(u))``.  The ``b`` and ``K_f``
-    fits share their knots, so they are stored as one two-channel
-    piecewise polynomial (and their derivatives as another): one interval
-    search serves both, and each channel reads exactly what a separate
-    fit would.
+    fits and their derivatives share their knots, so they are stored as one
+    four-channel piecewise polynomial: one interval search serves all four,
+    and each channel reads exactly what a separate fit would.
 
     Each fit is a plain coefficient array of shape ``(degree + 1, pieces)``,
-    or ``(degree + 1, pieces, 2)`` for the two-channel ones, highest power
-    first, over the pressure knots (``_psi``, ``_psi_d``) or their images in
-    ``u`` (the rest).  Every read goes through ``_evaluate`` in one fixed
-    order (interval search, then the power sum from the constant term up),
-    so a value depends only on the table and its argument, never on which
-    channel or how many points were asked for together.
+    highest power first, over the pressure knots (``_psi``, ``_psi_d``) or
+    their images in ``u`` (the rest).  The four-channel ``_bk`` has shape
+    ``(4, 4, pieces)``: coefficient, channel ``(b, K_f, b', K_f')``, piece.
+    The two quadratic derivative channels carry a zero cubic row; the power
+    sum never holds -0.0 and its argument is finite, so adding ``0 * s**3``
+    leaves every value bitwise equal to the quadratic's.  Every read goes
+    through ``_evaluate`` in one fixed order (interval search, then the power
+    sum from the constant term up), so a value depends only on the table and
+    its argument, never on which channel or how many points were asked for
+    together.
 
     Attributes
     ----------
@@ -553,8 +556,7 @@ class KirchhoffTable:
     _u_knots: np.ndarray = field(repr=False)  # u_samples on u <= 0
     _psi: np.ndarray = field(repr=False)  # u along p
     _psi_d: np.ndarray = field(repr=False)  # du/dp along p
-    _bk: np.ndarray = field(repr=False)  # channels (b, K_f) along u
-    _bk_d: np.ndarray = field(repr=False)  # their derivatives (db/du, dK_f/du)
+    _bk: np.ndarray = field(repr=False)  # channels (b, K_f, db/du, dK_f/du) along u
     _b_anti: np.ndarray = field(repr=False)  # integral of b along u
     _b_anti0: float = field(repr=False)  # that integral at u = 0
 
@@ -653,7 +655,7 @@ class KirchhoffTable:
     # -- channels along the transformed variable ---------------------------------
 
     def _channels(self, u, fit: np.ndarray, plateau) -> np.ndarray:
-        """Values of a (multi-channel) fit along ``u``, one row per entry of ``u``.
+        """Values of a (multi-channel) fit along ``u``, channel first.
 
         The one place that range-checks ``u``, clamps it into the tabulated
         branch ``[u_samples[0], 0]`` and masks ``u < 0``: there the fit is
@@ -664,25 +666,24 @@ class KirchhoffTable:
         self._check_invertible(u_arr)
         vals = _evaluate(self._u_knots, fit,
                          np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
-        neg = (u_arr < 0.0).reshape(u_arr.shape + (1,) * (vals.ndim - u_arr.ndim))
-        return np.where(neg, vals, plateau)
+        plateau = np.reshape(plateau, np.shape(plateau) + (1,) * u_arr.ndim)
+        return np.where(u_arr < 0.0, vals, plateau)
 
-    def residual_channels(self, u: np.ndarray):
-        """``(b(u), K_f(b(u)))`` as arrays, from one range check and lookup.
-
-        What the backward-difference residual reads at every trial state.
-        """
-        bk = self._channels(u, self._bk, (1.0, 1.0))
-        return bk[..., 0], bk[..., 1]
-
-    def jacobian_channels(self, u: np.ndarray):
-        """``(b'(u), dK_f/du)`` as arrays, from one range check and lookup.
-
-        What the Newton matrix reads; ``b'`` carries the ``a_min`` floor.
-        """
+    def all_channels(self, u) -> np.ndarray:
+        """``(b, K_f, max(b', a_min), dK_f/du)`` at ``u``, channel first, from
+        one range check and one interval lookup: what a Newton iterate reads."""
         a_min = self.model.a_min
-        d = self._channels(u, self._bk_d, (a_min, 0.0))
-        return np.maximum(d[..., 0], a_min), d[..., 1]
+        out = self._channels(u, self._bk, (1.0, 1.0, a_min, 0.0))
+        np.maximum(out[2], a_min, out=out[2])
+        return out
+
+    def residual_channels(self, u) -> np.ndarray:
+        """``(b(u), K_f(b(u)))``: the first two of :meth:`all_channels`."""
+        return self.all_channels(u)[:2]
+
+    def jacobian_channels(self, u) -> np.ndarray:
+        """``(max(b', a_min), dK_f/du)``: the last two of :meth:`all_channels`."""
+        return self.all_channels(u)[2:]
 
     # -- transformed saturation and potential ------------------------------------
 
@@ -757,19 +758,20 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     # rule; interpolating b against u from values alone would amplify table
     # rounding by 1/K^2
     db_du = model.sat_slope_raw(neg_grid) / k_neg
-    b_fit = _monotone_hermite(u_neg, s_neg, db_du)
-    b_anti = _antiderivative(u_neg, b_fit)
+    # coefficient x channel (b, K_f, b', K_f') x piece; the derivative
+    # channels keep a zero cubic row (see KirchhoffTable)
+    bk = np.zeros((4, 4, u_neg.size - 1))
+    bk[:, 0] = _monotone_hermite(u_neg, s_neg, db_du)
+    b_anti = _antiderivative(u_neg, bk[:, 0])
 
     # dK/du = (dK/dp) / (du/dp) with du/dp = K; top knot takes the p -> 0-
     # limit (capped by the fit when the exponent family makes it infinite)
     with np.errstate(over="ignore"):
         dk_du = model.conductivity_pressure_slope(neg_grid) / k_neg
     dk_du[-1] = model._conductivity_pressure_slope_limit()
-    k_fit = _monotone_hermite(u_neg, k_neg, dk_du)
-    # one interval search per lookup for both channels; each reads what
-    # its own fit would, since the two share every knot
-    bk = np.stack([b_fit, k_fit], axis=-1)
-    bk_d = np.stack([_derivative(b_fit), _derivative(k_fit)], axis=-1)
+    bk[:, 1] = _monotone_hermite(u_neg, k_neg, dk_du)
+    bk[1:, 2] = _derivative(bk[:, 0])
+    bk[1:, 3] = _derivative(bk[:, 1])
 
     p_plus = np.array([2.5, 5.0, 7.5, 10.0])
     p_samples = np.concatenate([neg_grid, p_plus])
@@ -792,7 +794,6 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
         _psi=psi,
         _psi_d=psi_d,
         _bk=bk,
-        _bk_d=bk_d,
         _b_anti=b_anti,
         _b_anti0=float(_evaluate(u_neg, b_anti, 0.0)),
     )

@@ -9,10 +9,10 @@ by damped Newton iteration on the banded Jacobian
 
     diag(b'(u_new)/h) + d(gravity flux)/du - lap + gamma * bih,
 
-with pentadiagonal bandwidth, direct factorization per iterate, and a
-backtracking line search on the sup-norm of the residual.  Acceptance is
-deliberately non-monotone (bounded by a fixed growth cap over the best
-norm seen): crossing a joint of the piecewise constitutive curves often
+with pentadiagonal bandwidth, one LAPACK ``dgbsv`` factor-and-solve per
+iterate, and a backtracking line search on the sup-norm of the residual.
+Acceptance is deliberately non-monotone (bounded by a fixed growth cap over
+the best norm seen): crossing a joint of the piecewise constitutive curves often
 bumps the residual up for one iterate before quadratic collapse, and a
 strict-decrease rule stalls there.  Iterates are clamped to stay
 strictly above the invertible floor of the transform table, which
@@ -30,11 +30,14 @@ cap, the line-search factor and the growth cap are module constants: they
 choose how the root is found, not which root, so they are not settings.
 
 Newton runs on plain arrays: the banded ``-lap + gamma * bih`` parts are
-built once per run, a residual reads ``b`` and ``K`` through one table
-lookup (a Jacobian ``b'`` and ``K'`` through another), ``b(u_old)`` is
-carried over from the previous accepted iterate, and only accepted states
-become ``Field``s.  ``residual`` and ``jacobian`` are the ``Field`` entry
-points to the same arithmetic, bit for bit.
+built once per run, and an iterate costs one table lookup and one LAPACK
+call.  The residual reads ``b``, ``K``, ``b'`` and ``K'`` through one lookup
+and hands the slopes on to the Newton matrix, which is assembled straight
+into the band storage of ``dgbsv``, the routine ``scipy.linalg.solve_banded``
+calls, on the same input.  ``b(u_old)`` is carried over from the previous
+accepted iterate, and only accepted states become ``Field``s.  ``residual``
+and ``jacobian`` (in ``solve_banded`` layout) are the ``Field`` entry points
+to the same arithmetic, bit for bit.
 
 A sourceless step is a pure function of its input values and ``b``: once one
 returns its input byte for byte, so would every later step, so ``run`` stops
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .constitutive import KirchhoffTable
 from .grid import (
@@ -186,10 +189,12 @@ class _System:
 
     def residual(
         self, v: np.ndarray, b_old: np.ndarray, source: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Residual at the trial values ``v``, and ``b(v)`` for reuse."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residual at the trial values ``v``, ``b(v)`` for reuse, and the
+        slopes ``(b'(v), K'(v))`` the Newton matrix at ``v`` is built from."""
         cfg = self.cfg
-        b, k = self.table.residual_channels(v)
+        channels = self.table.all_channels(v)
+        b, k = channels[0], channels[1]
         out = (b - b_old) / cfg.h
         out = out + gravity_divergence_array(k, self.dz, self.sign)
         out = out - laplacian_array(v, self.dz)
@@ -197,19 +202,23 @@ class _System:
             out = out + cfg.gamma * biharmonic_array(v, self.dz)
         if source is not None:
             out = out - source
-        return out, b
+        return out, b, channels[2:]
 
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        b_prime, dk = self.table.jacobian_channels(v)
+    def jacobian(self, slopes) -> np.ndarray:
+        """Newton matrix from the slopes ``(b', K')`` in ``dgbsv``'s Fortran
+        ``(7, n)`` band storage: rows ``2:`` in ``solve_banded`` layout, rows
+        ``:2`` left for the factorization's fill-in."""
+        b_prime, dk = slopes
+        lu = np.zeros((dk.shape[0], 7)).T
         # the run constants are added term by term as they always were:
         # summing them ahead of time would round differently
-        ab = np.zeros((5, v.shape[0]))
+        ab = lu[2:]
         ab[2] += b_prime / self.cfg.h
         ab[1:4] -= self.lap_ab
         if self.bih_ab is not None:
             ab += self.bih_ab
         ab[1:4] += gravity_jacobian_array(dk, self.dz, self.sign)
-        return ab
+        return lu
 
 
 def residual(
@@ -226,7 +235,7 @@ def residual(
     """
     src = None if source is None else np.asarray(source, dtype=float)
     system = _System(u_new.column, cfg, table)
-    out, _ = system.residual(u_new.values, table.b_of_u(u_old.values), src)
+    out, _, _ = system.residual(u_new.values, table.b_of_u(u_old.values), src)
     return Field(out, u_new.column)
 
 
@@ -238,7 +247,8 @@ def jacobian(u_new: Field, cfg: StepConfig, table: KirchhoffTable) -> np.ndarray
     directional derivative of ``residual`` matches it wherever the
     capacity floor is inactive.
     """
-    return _System(u_new.column, cfg, table).jacobian(u_new.values)
+    slopes = table.jacobian_channels(u_new.values)
+    return _System(u_new.column, cfg, table).jacobian(slopes)[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +263,28 @@ def _newton(system: _System, b_old: np.ndarray, guess: np.ndarray,
     cfg = system.cfg
     where = "" if step_index is None else f" (step {step_index})"
     v = np.maximum(guess, system.floor)
-    r, b = system.residual(v, b_old, source)
+    r, b, slopes = system.residual(v, b_old, source)
     rnorm = float(np.max(np.abs(r)))
+    if not np.isfinite(rnorm):
+        raise NonconvergenceError(f"residual not finite{where}", step_index, rnorm)
     best = rnorm
     for it in range(_MAX_ITER):
         if rnorm <= cfg.newton_tol:
             return v, b, it, rnorm
-        try:
-            delta = solve_banded((2, 2), system.jacobian(v), -r)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NonconvergenceError(
-                f"banded factorization failed: {exc}", step_index, rnorm
-            ) from exc
+        _, _, delta, info = dgbsv(2, 2, system.jacobian(slopes), -r,
+                                  overwrite_ab=True, overwrite_b=True)
+        if info != 0:
+            raise NonconvergenceError(f"banded factorization failed (LAPACK info "
+                                      f"{info}){where}", step_index, rnorm)
         lam = 1.0
         for _ in range(_BACKTRACK_LIMIT):
             cand = np.maximum(v + lam * delta, system.floor)
-            cand_r, cand_b = system.residual(cand, b_old, source)
+            cand_r, cand_b, cand_slopes = system.residual(cand, b_old, source)
             cand_norm = float(np.max(np.abs(cand_r)))
             if np.isfinite(cand_norm) and cand_norm <= max(
                 _GROWTH_CAP * best, cfg.newton_tol
             ):
-                v, r, rnorm, b = cand, cand_r, cand_norm, cand_b
+                v, r, rnorm, b, slopes = cand, cand_r, cand_norm, cand_b, cand_slopes
                 best = min(best, cand_norm)
                 break
             lam *= _DAMPING

@@ -214,7 +214,7 @@ def test_python_dash_m_runs_the_cli():
 
 def test_solver_imports_no_unused_scipy_subpackage():
     # the table kernels are numpy and the quadrature oracle lives with the
-    # tests: running the solver needs scipy.linalg (solve_banded) only
+    # tests: running the solver needs scipy.linalg (LAPACK dgbsv) only
     src = str(Path(kirchflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

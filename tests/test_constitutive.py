@@ -272,10 +272,13 @@ def test_table_fits_equal_scipy_fits(recorded_build):
     assert _same_bits(table._u_knots, k.x)
     assert _same_bits(table._psi, psi.c)
     assert _same_bits(table._psi_d, psi.derivative().c)
-    bk = PPoly(np.stack([b.c, k.c], axis=-1), b.x)
-    bk_d = PPoly(np.stack([b.derivative().c, k.derivative().c], axis=-1), b.x)
-    assert _same_bits(table._bk, bk.c)
-    assert _same_bits(table._bk_d, bk_d.c)
+    # channel-major (b, K_f, b', K_f'); the quadratic slopes sit under a
+    # zero (+0.0) cubic row
+    assert table._bk.shape == (4, 4, b.c.shape[1])
+    assert _same_bits(table._bk[:, 0], b.c) and _same_bits(table._bk[:, 1], k.c)
+    assert _same_bits(table._bk[1:, 2], b.derivative().c)
+    assert _same_bits(table._bk[1:, 3], k.derivative().c)
+    assert _same_bits(table._bk[0, 2:], np.zeros((2, b.c.shape[1])))
     b_anti = b.antiderivative()
     assert _same_bits(table._b_anti, b_anti.c)
     assert table._b_anti0 == float(b_anti(0.0))
@@ -284,12 +287,16 @@ def test_table_fits_equal_scipy_fits(recorded_build):
 def test_evaluate_equals_ppoly_call(recorded_build):
     table = recorded_build[0]
     rng = np.random.default_rng(6)
-    for knots, coef in [
-        (table._p_knots, table._psi),
-        (table._p_knots, table._psi_d),
-        (table._u_knots, table._bk),
-        (table._u_knots, table._bk_d),
-        (table._u_knots, table._b_anti),
+    knots, bk = table._u_knots, table._bk
+    # each channel of the four-channel fit against its own PPoly, the two
+    # slopes against the derivative of the fit they belong to
+    b, k = PPoly(bk[:, 0], knots), PPoly(bk[:, 1], knots)
+    channels = (b, k, b.derivative(), k.derivative())
+    for knots, coef, fits in [
+        (table._p_knots, table._psi, None),
+        (table._p_knots, table._psi_d, None),
+        (table._u_knots, bk, channels),
+        (table._u_knots, table._b_anti, None),
     ]:
         lo, hi = knots[0], knots[-1]
         width = hi - lo
@@ -301,9 +308,14 @@ def test_evaluate_equals_ppoly_call(recorded_build):
                       np.nextafter(hi, np.inf), hi + 1.0e-3 * width, hi + width]),
             rng.uniform(lo, hi, (128, 201)),
         ]
-        fit = PPoly(coef, knots)
         for u in probes:
-            assert _same_bits(constitutive._evaluate(knots, coef, u), fit(u))
+            ours = constitutive._evaluate(knots, coef, u)
+            if fits is None:
+                assert _same_bits(ours, PPoly(coef, knots)(u))
+            else:
+                assert ours.shape == (4,) + u.shape
+                for channel, fit in zip(ours, fits):
+                    assert _same_bits(channel, fit(u))
 
 
 def test_evaluate_starts_its_sum_at_zero_like_ppoly():

@@ -1,10 +1,14 @@
 """Backward-difference stepper: residual, Jacobian, Newton, trajectories."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from kirchflow import stepper
 from kirchflow.config import load_config
-from kirchflow.constitutive import OutOfRangeError
+from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
 from kirchflow.grid import Column, Field, dense_from_banded
 from kirchflow.stepper import (
     NonconvergenceError,
@@ -184,6 +188,85 @@ def test_step_nonconvergence_reports_residual(table):
         step(_wet_lens(col), cfg, table)
     assert exc.value.residual_norm is not None
     assert exc.value.residual_norm > 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_refuses_a_non_finite_residual(table, bad):
+    col = Column(length=1.0, n_cells=20)
+    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05)
+    with pytest.raises(NonconvergenceError,
+                       match=r"residual not finite \(step 1\)") as exc:
+        run(_wet_lens(col), cfg, table, source=lambda t, z: np.full_like(z, bad))
+    assert exc.value.step_index == 1
+
+
+def _reference_run(table):
+    cfg = load_config(None)
+    stepping = cfg.build_stepping(beta=table.beta_bound())
+    return run(cfg.initial_state(cfg.build_column()), stepping, table), stepping
+
+
+def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
+    # the first increment of a step from each state the reference run solves
+    # at is LAPACK's answer on solve_banded's own input, bit for bit
+    traj, cfg = _reference_run(table)
+    calls = []
+    lapack = stepper.dgbsv
+
+    def recording(kl, ku, ab, b, **kwargs):
+        matrix, rhs = ab[2:].copy(), b.copy()
+        out = lapack(kl, ku, ab, b, **kwargs)
+        calls.append((matrix, rhs, out[2].copy()))
+        return out
+
+    monkeypatch.setattr(stepper, "dgbsv", recording)
+    floored = 0
+    for state in traj.states[:6]:
+        calls.clear()
+        step(state, cfg, table)
+        matrix, rhs, delta = calls[0]
+        ab = jacobian(state, cfg, table)
+        r = residual(state, state, cfg, table).values
+        assert matrix.tobytes() == ab.tobytes() and rhs.tobytes() == (-r).tobytes()
+        assert delta.tobytes() == solve_banded((2, 2), ab, -r).tobytes()
+        v = state.values
+        floored += bool(np.any((v < 0.0) & (table.b_prime(v) == model.a_min)))
+    assert floored == 6  # the a_min capacity floor is active in every one
+
+
+def test_reference_run_reads_the_table_once_per_residual(table, monkeypatch):
+    counts, active = Counter(), []
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            counts[f"{name} in {active[-1] if active else 'run'}"] += 1
+            active.append(name)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(KirchhoffTable, "all_channels")
+    counting(stepper._System, "residual")
+    counting(stepper._System, "jacobian")
+    counting(stepper, "_newton")
+    counting(stepper, "dgbsv")
+    traj, _ = _reference_run(table)
+    iters = sum(traj.newton_iters)
+    # seven solved steps (then the fixed-point tail), 21 iterations, no
+    # backtracks: each iterate costs one trial residual and one LAPACK call
+    assert (counts["_newton"], iters) == (7, 21)
+    assert counts["residual"] == counts["_newton"] + iters
+    assert counts["all_channels in residual"] == counts["residual"]
+    assert counts["all_channels in run"] == 1  # b(u^0)
+    assert counts["all_channels"] == counts["residual"] + 1
+    assert counts["jacobian"] == counts["dgbsv"] == iters
+    assert counts["all_channels in jacobian"] == 0
 
 
 def test_step_rejects_out_of_domain_state(table):
