@@ -409,6 +409,17 @@ def _gauss_panels(edges: np.ndarray, f, order: int = 12) -> np.ndarray:
     return half * (vals @ wi)
 
 
+def _sorted_union(parts) -> np.ndarray:
+    """Sorted distinct values of the concatenated ``parts``, as ``np.unique``
+    returns them; ``np.unique`` would import ``numpy.ma`` on its first call."""
+    grid = np.concatenate(parts)
+    grid.sort()
+    keep = np.empty(grid.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = grid[1:] != grid[:-1]
+    return grid[keep]
+
+
 def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
     """Starting grid on [P_MIN, 0]: log-refined toward 0 where the integrand
     curvature blows up, uniform over the retention branch, geometrically
@@ -427,7 +438,7 @@ def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
         tail.append(p)
         step *= 1.005
     pts.append(np.array(tail[::-1]))
-    grid = np.unique(np.concatenate(pts))
+    grid = _sorted_union(pts)
     # drop near-duplicate knots: zero-width intervals turn cumulative
     # rounding into derivative noise
     gap = np.diff(grid)
@@ -502,7 +513,7 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
         if not np.any(bad):
             break
         mids = 0.5 * (grid[:-1] + grid[1:])[bad]
-        grid = np.unique(np.concatenate([grid, mids]))
+        grid = _sorted_union([grid, mids])
     return grid, s, k, u, psi, psi_d
 
 

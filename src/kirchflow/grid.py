@@ -56,7 +56,6 @@ __all__ = [
     "h1_seminorm",
     "laplacian_banded",
     "biharmonic_banded",
-    "dense_from_banded",
 ]
 
 
@@ -316,15 +315,3 @@ def biharmonic_banded(column: Column) -> np.ndarray:
     ab[4, :-2] = 1.0
     return ab / dz4
 
-
-def dense_from_banded(ab: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """Expand a solve_banded-layout matrix to dense (for tests and probes)."""
-    n = ab.shape[1]
-    out = np.zeros((n, n))
-    for d in range(-lower, upper + 1):
-        row = upper - d
-        if d >= 0:
-            out[np.arange(n - d), np.arange(d, n)] = ab[row, d:]
-        else:
-            out[np.arange(-d, n), np.arange(n + d)] = ab[row, : n + d]
-    return out

@@ -39,6 +39,11 @@ accepted iterate, and only accepted states become ``Field``s.  ``residual``
 and ``jacobian`` (in ``solve_banded`` layout) are the ``Field`` entry points
 to the same arithmetic, bit for bit.
 
+``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
+``scipy.linalg`` package import would also load ``numpy.f2py``,
+``numpy.testing`` and ``numpy.random`` through its array-API layer, about
+0.3 s of every fresh process, for the same routine object.
+
 A sourceless step is a pure function of its input values and ``b``: once one
 returns its input byte for byte, so would every later step, so ``run`` stops
 there and the tail of ``Trajectory.states`` is one shared, read-only ``Field``.
@@ -46,12 +51,16 @@ there and the tail of ``Trajectory.states`` is one shared, read-only ``Field``.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+import scipy
 
 from .constitutive import KirchhoffTable
 from .grid import (
@@ -71,6 +80,27 @@ __all__ = [
     "step",
     "run",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from its file without running
+    ``scipy/linalg/__init__.py``."""
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
+    known = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not known:
+        # CPython files the extension under its name by itself; left there, a
+        # later ``import scipy.linalg`` would not set its ``_flapack`` attribute
+        del sys.modules[name]
+    return module
+
+
+dgbsv = _load_flapack().dgbsv
 
 _MAX_ITER = 30
 _DAMPING = 0.5  # line-search step shrink factor

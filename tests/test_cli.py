@@ -202,31 +202,66 @@ def test_bad_stride_flag_exits_2(tmp_path, small_config, capsys):
     assert "--stride" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    """Run a fresh interpreter that imports kirchflow from this checkout."""
     src = str(Path(kirchflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "kirchflow", "--help"], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python("-m", "kirchflow", "--help")
     assert done.returncode == 0
     assert "probe-uniqueness" in done.stdout
 
 
 def test_solver_imports_no_unused_scipy_subpackage():
-    # the table kernels are numpy and the quadrature oracle lives with the
-    # tests: running the solver needs scipy.linalg (LAPACK dgbsv) only
-    src = str(Path(kirchflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # the table kernels are numpy, the quadrature oracle lives with the tests
+    # and dgbsv is bound from scipy's LAPACK extension module by file: the
+    # scipy.linalg package would bring in numpy.f2py, numpy.testing and more
+    # through its array-API layer, and np.unique would bring in numpy.ma.  A
+    # later scipy.linalg import still gets its _flapack, with the same dgbsv
     code = (
         "import sys\n"
         "import kirchflow.cli, kirchflow.harness\n"
-        "from kirchflow.constitutive import ConstitutiveModel, build_table\n"
-        "build_table(ConstitutiveModel())\n"
+        "from kirchflow import stepper\n"
+        "from kirchflow.config import load_config\n"
+        "cfg = load_config(None)\n"
+        "table = cfg.transform_table()\n"
+        "calls, lapack = [], stepper.dgbsv\n"
+        "stepper.dgbsv = lambda *a, **k: calls.append(1) or lapack(*a, **k)\n"
+        "stepper.step(cfg.initial_state(), cfg.build_stepping(table.beta_bound()), table)\n"
+        "assert calls, 'the step made no LAPACK call'\n"
         "print(*sorted(name for name in ('scipy.interpolate', 'scipy.integrate',\n"
-        "    'scipy.special', 'scipy.optimize') if name in sys.modules))\n"
+        "    'scipy.special', 'scipy.optimize', 'scipy.linalg', 'numpy.f2py',\n"
+        "    'numpy.testing', 'numpy.ma') if name in sys.modules))\n"
+        "import scipy.linalg\n"
+        "assert scipy.linalg._flapack.dgbsv is lapack, 'a second dgbsv'\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    done = _python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_missing_lapack_extension_is_an_import_error():
+    # a scipy whose LAPACK module is not at scipy/linalg/_flapack* fails the
+    # stepper import with a message naming the module and the scipy version
+    code = (
+        "import importlib.machinery as machinery\n"
+        "import scipy\n"
+        "find = machinery.PathFinder.find_spec\n"
+        "machinery.PathFinder.find_spec = classmethod(\n"
+        "    lambda cls, name, path=None, target=None:\n"
+        "    None if name == 'scipy.linalg._flapack' else find(name, path, target))\n"
+        "try:\n"
+        "    import kirchflow.stepper\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__, scipy.__version__, exc, sep='\\n')\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    kind, version, message = done.stdout.splitlines()
+    assert kind == "ImportError"
+    assert "scipy.linalg._flapack" in message and version in message

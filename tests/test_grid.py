@@ -9,7 +9,6 @@ from kirchflow.grid import (
     GridError,
     biharmonic_banded,
     biharmonic_clamped,
-    dense_from_banded,
     face_conductivities,
     gravity_divergence,
     gravity_divergence_jacobian_banded,
@@ -19,6 +18,7 @@ from kirchflow.grid import (
     laplacian_banded,
     laplacian_clamped,
 )
+from oracles.banded import dense_from_banded
 
 
 # ---------------------------------------------------------------------------

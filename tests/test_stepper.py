@@ -5,11 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 
 from kirchflow import stepper
 from kirchflow.config import load_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
-from kirchflow.grid import Column, Field, dense_from_banded
+from kirchflow.grid import Column, Field
 from kirchflow.stepper import (
     NonconvergenceError,
     StepConfig,
@@ -21,6 +22,7 @@ from kirchflow.stepper import (
     run,
     step,
 )
+from oracles.banded import dense_from_banded
 
 
 def _wet_lens(col, depth=0.2, center=0.5, width=0.15):
@@ -232,6 +234,36 @@ def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
         v = state.values
         floored += bool(np.any((v < 0.0) & (table.b_prime(v) == model.a_min)))
     assert floored == 6  # the a_min capacity floor is active in every one
+
+
+def test_dgbsv_binding_matches_scipy_lapack_when_pivoting_or_singular():
+    # stepper.dgbsv is loaded from scipy's LAPACK extension by file; on
+    # (2, 2)-band systems that pivot, and on a singular one, it returns what
+    # scipy.linalg.lapack.dgbsv returns, byte for byte
+    rng = np.random.default_rng(8)
+    n = 12
+    systems = []
+    for _ in range(4):
+        lu = np.zeros((n, 7)).T  # Fortran (7, n) storage, as the stepper builds it
+        lu[2:] = rng.uniform(-1.0, 1.0, (5, n))
+        lu[5:] *= 10.0  # sub-diagonals dominate the diagonal (row 4)
+        systems.append((lu, rng.standard_normal(n)))
+    singular = systems[0][0].copy(order="F")
+    singular[:, 5] = 0.0  # a zero column: U[5, 5] stays exactly zero
+    systems.append((singular, rng.standard_normal(n)))
+    pivoted, infos = 0, []
+    for lu, rhs in systems:
+        ours = stepper.dgbsv(2, 2, lu.copy(order="F"), rhs.copy(),
+                             overwrite_ab=True, overwrite_b=True)
+        ref = scipy_dgbsv(2, 2, lu.copy(order="F"), rhs.copy(),
+                          overwrite_ab=True, overwrite_b=True)
+        for mine, theirs in zip(ours[:3], ref[:3]):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert ours[3] == ref[3]
+        infos.append(ours[3])
+        pivoted += bool(np.any(ours[1] != np.arange(1, n + 1)))
+    assert pivoted == len(systems)
+    assert infos == [0, 0, 0, 0, 6]  # 6: 1-based index of the zero pivot
 
 
 def test_reference_run_reads_the_table_once_per_residual(table, monkeypatch):
