@@ -118,12 +118,14 @@ class ConstitutiveModel:
     _tail_rate: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
-        if not (self.alpha_vg > 0.0):
+        if not (np.isfinite(self.alpha_vg) and self.alpha_vg > 0.0):
             raise ConstitutiveError(
-                f"alpha_vg: must be positive (got {self.alpha_vg!r})"
+                f"alpha_vg: must be finite and positive (got {self.alpha_vg!r})"
             )
-        if not (self.n_vg > 1.0):
-            raise ConstitutiveError(f"n_vg: exponent must exceed 1 (got {self.n_vg!r})")
+        if not (np.isfinite(self.n_vg) and self.n_vg > 1.0):
+            raise ConstitutiveError(
+                f"n_vg: exponent must be finite and exceed 1 (got {self.n_vg!r})"
+            )
         if not (0.0 < self.s_res < 1.0):
             raise ConstitutiveError(
                 f"s_res: must lie strictly inside (0, 1) (got {self.s_res!r})"
@@ -688,19 +690,11 @@ class KirchhoffTable:
         np.maximum(out[2], a_min, out=out[2])
         return out
 
-    def residual_channels(self, u) -> np.ndarray:
-        """``(b(u), K_f(b(u)))``: the first two of :meth:`all_channels`."""
-        return self.all_channels(u)[:2]
-
-    def jacobian_channels(self, u) -> np.ndarray:
-        """``(max(b', a_min), dK_f/du)``: the last two of :meth:`all_channels`."""
-        return self.all_channels(u)[2:]
-
     # -- transformed saturation and potential ------------------------------------
 
     def b_of_u(self, u):
         """Transformed saturation b(u) = S(psi^-1(u)); 1 on ``u >= 0``."""
-        return _unwrap(u, self.residual_channels(u)[0])
+        return _unwrap(u, self.all_channels(u)[0])
 
     def b_prime(self, u):
         """Capacity db/du with the regularization floor ``a_min``.
@@ -711,7 +705,7 @@ class KirchhoffTable:
         ``b_prime`` linearizes the residual's ``b_of_u`` term exactly
         wherever the floor is inactive.
         """
-        return _unwrap(u, self.jacobian_channels(u)[0])
+        return _unwrap(u, self.all_channels(u)[2])
 
     def legendre_B(self, z):
         """Convex potential ``B(z) = b(z) z - integral_0^z b``.
@@ -721,7 +715,7 @@ class KirchhoffTable:
         ``b``, so the pairing inequalities hold to rounding.
         """
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        b = self.residual_channels(z_arr)[0]
+        b = self.all_channels(z_arr)[0]
         anti = self._channels(z_arr, self._b_anti, self._b_anti0)
         phi = anti - self._b_anti0
         zc = np.maximum(z_arr, self.u_samples[0])
@@ -736,7 +730,7 @@ class KirchhoffTable:
         :meth:`dconductivity_du` is its exact derivative — residual and
         Jacobian assembly then share one conductivity channel.
         """
-        return _unwrap(u, self.residual_channels(u)[1])
+        return _unwrap(u, self.all_channels(u)[1])
 
     def dconductivity_du(self, u):
         """d/du of the tabulated conductivity composition.
@@ -745,7 +739,7 @@ class KirchhoffTable:
         saturation); the exact derivative of :meth:`conductivity_of_u`,
         intended for Jacobian assembly.  Range-checked like every u-channel.
         """
-        return _unwrap(u, self.jacobian_channels(u)[1])
+        return _unwrap(u, self.all_channels(u)[3])
 
     def beta_bound(self) -> float:
         """Growth constant for the stored model (see model docstring)."""

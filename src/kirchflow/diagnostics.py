@@ -8,7 +8,7 @@ backward time-difference energies, an operational uniqueness probe, a
 maximum-principle violation meter, and an initial-condition fidelity
 check.  Everything is a pure function of a finished Trajectory.
 
-Convention: integrals use the column quadrature (`integrate`), the
+Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy uses the face-based seminorm — the discrete pairing the
 stepping scheme actually controls.
 
@@ -239,7 +239,7 @@ def uniqueness_probe(
         noise = perturbation * rng.standard_normal(col.n_cells)
         guess = Field(state.values + noise, col)
         state = step(state, cfg, table, initial_guess=guess)
-        gap = max(gap, l2_norm(Field(state.values - base.states[n].values, col)))
+        gap = max(gap, l2_norm(state.values - base.states[n].values, col.dz))
     return gap
 
 
@@ -261,4 +261,4 @@ def initial_condition_check(
     """L2 distance between stored initial saturation and b(projected u0)."""
     projected = project_initial(u0)
     db = table.b_of_u(traj.states[0].values) - table.b_of_u(projected.values)
-    return l2_norm(Field(db, u0.column))
+    return l2_norm(db, u0.column.dz)

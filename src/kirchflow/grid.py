@@ -11,34 +11,34 @@ so it is symmetric positive definite on the clamped space.
 
 Quadrature is the composite trapezoid over the interior nodes with each
 wall cell integrated by the rectangle at its nearest node (end weights
-``3*dz/2``); it is exact for constants, ``integrate(1) == length``, and
-second-order on smooth integrands.  The H1 seminorm is face-based — one
-squared difference quotient per face, wall faces one-sided against the
-zero wall value — so that ``dz * sum(u * (-laplacian(u)))`` equals
-``h1_seminorm(u)**2`` identically, the discrete integration by parts the
-energy estimates rest on.
+``3*dz/2``); it is exact for constants, ``integrate_array(1) == length``,
+and second-order on smooth integrands.  The H1 seminorm is face-based —
+one squared difference quotient per face, wall faces one-sided against
+the zero wall value — so that ``dz * sum(u * (-laplacian_array(u)))``
+equals ``h1_seminorm_array(u)**2`` identically, the discrete integration
+by parts the energy estimates rest on.
 
 Gravity flux uses arithmetic face means of the conductivity, with each
 wall face carrying the adjacent node's conductivity (same mirror rule as
 the operators).  That choice makes the face-mean inequality
-``sum(dz * K_face**2) <= integrate(K**2)`` exact term by term, which the
-dissipation bookkeeping in the diagnostics relies on.
+``sum(dz * K_face**2) <= integrate_array(K**2)`` exact term by term, which
+the dissipation bookkeeping in the diagnostics relies on.
 
-Each stencil lives once, as an array kernel (``*_array``, package
-internal) taking nodal values along the last axis and the spacing
-``dz``: the stepper's Newton iteration runs on plain arrays, and the
-diagnostics pass stacked blocks of states, one per row.  ``Field`` is
-the API type at the boundary; its operators (``laplacian_clamped``,
-``integrate``, ...) wrap the kernels and give the same numbers bit for
-bit.  Everything here is pure and safe to call concurrently.
+Each stencil lives once, as an array kernel (``*_array``) taking nodal
+values along the last axis and the spacing ``dz``: the stepper's Newton
+iteration runs on plain arrays, and the diagnostics pass stacked blocks
+of states, one per row.  ``Field`` is the API type at the boundary; it
+has no operators of its own, so callers hand its ``values`` and
+``column.dz`` to the kernels.  Everything here is pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,14 +46,14 @@ __all__ = [
     "GridError",
     "Column",
     "Field",
-    "laplacian_clamped",
-    "biharmonic_clamped",
-    "gravity_divergence",
-    "face_conductivities",
-    "gravity_divergence_jacobian_banded",
-    "integrate",
+    "laplacian_array",
+    "biharmonic_array",
+    "face_values",
+    "gravity_divergence_array",
+    "gravity_jacobian_array",
+    "integrate_array",
+    "h1_seminorm_array",
     "l2_norm",
-    "h1_seminorm",
     "laplacian_banded",
     "biharmonic_banded",
 ]
@@ -89,10 +89,12 @@ class Column:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.length) and self.length > 0.0):
             raise GridError(f"length: must be positive (got {self.length!r})")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 5:
+        n = self.n_cells
+        # non-finite first: int() of inf or nan raises without naming the field
+        non_finite = isinstance(n, numbers.Real) and not math.isfinite(n)
+        if non_finite or int(n) != n or n < 5:
             raise GridError(
-                f"n_cells: needs an integer >= 5 for the stencils "
-                f"(got {self.n_cells!r})"
+                f"n_cells: needs an integer >= 5 for the stencils (got {n!r})"
             )
         if self.gravity_sign not in (1.0, -1.0):
             raise GridError(
@@ -125,11 +127,6 @@ class Field:
             raise GridError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def sample(cls, column: Column, fn: Callable[[np.ndarray], np.ndarray]) -> "Field":
-        """Evaluate ``fn`` at the interior nodes."""
-        return cls(np.asarray(fn(column.nodes()), dtype=float), column)
 
     @classmethod
     def zeros(cls, column: Column) -> "Field":
@@ -179,7 +176,11 @@ def face_values(k: np.ndarray) -> np.ndarray:
 
 
 def gravity_divergence_array(k: np.ndarray, dz: float, sign: float) -> np.ndarray:
-    """Divergence of the flux ``k * sign`` from nodal conductivities ``k``."""
+    """Divergence of the flux ``k * sign`` from nodal conductivities ``k``.
+
+    Face-centered, so the plain ``dz * sum`` of the result telescopes to the
+    difference of the two wall-face fluxes exactly.
+    """
     flux = sign * face_values(k)
     return (flux[1:] - flux[:-1]) / dz
 
@@ -218,72 +219,16 @@ def libm_square(x: np.ndarray) -> np.ndarray:
 def h1_seminorm_array(u: np.ndarray, dz: float) -> np.ndarray:
     """Face-based gradient norm of each row with one-sided wall differences.
 
-    Satisfies dz * sum(u * (-laplacian(u))) == h1_seminorm(u)**2 exactly
-    (discrete integration by parts on the clamped space).
+    Satisfies dz * sum(u * (-laplacian_array(u))) == h1_seminorm_array(u)**2
+    exactly (discrete integration by parts on the clamped space).
     """
     inner = np.sum((u[..., 1:] - u[..., :-1]) ** 2, axis=-1)
     return np.sqrt((inner + (libm_square(u.T[0]) + libm_square(u.T[-1]))) / dz)
 
 
-# ---------------------------------------------------------------------------
-# Field operators
-# ---------------------------------------------------------------------------
-
-
-def laplacian_clamped(f: Field) -> Field:
-    """Clamped second difference of a field (see laplacian_array)."""
-    return Field(laplacian_array(f.values, f.column.dz), f.column)
-
-
-def biharmonic_clamped(f: Field) -> Field:
-    """Clamped fourth difference of a field (see biharmonic_array)."""
-    return Field(biharmonic_array(f.values, f.column.dz), f.column)
-
-
-def face_conductivities(
-    f: Field, conductivity: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Face conductivities (face_values) of ``conductivity``, a table channel."""
-    return face_values(np.asarray(conductivity(f.values), dtype=float))
-
-
-def gravity_divergence(
-    f: Field, conductivity: Callable[[np.ndarray], np.ndarray]
-) -> Field:
-    """Divergence of the gravity-driven flux K(u) * gravity_sign.
-
-    Face-centered differencing; the plain ``dz * sum`` of the result
-    telescopes to the difference of the two wall-face fluxes exactly.
-    Raises whatever ``conductivity`` raises on out-of-range values.
-    """
-    k, col = np.asarray(conductivity(f.values), dtype=float), f.column
-    return Field(gravity_divergence_array(k, col.dz, col.gravity_sign), col)
-
-
-def gravity_divergence_jacobian_banded(
-    f: Field, conductivity_slope: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Tridiagonal Jacobian of gravity_divergence in solve_banded layout.
-
-    ``conductivity_slope`` must be the exact derivative of the channel
-    used in gravity_divergence, so Newton models the flux term exactly.
-    """
-    dk = np.asarray(conductivity_slope(f.values), dtype=float)
-    return gravity_jacobian_array(dk, f.column.dz, f.column.gravity_sign)
-
-
-def integrate(f: Field) -> float:
-    """Composite quadrature over [0, L]; exact for constants."""
-    return float(integrate_array(f.values, f.column.dz))
-
-
-def l2_norm(f: Field) -> float:
-    return float(np.sqrt(integrate_array(f.values ** 2, f.column.dz)))
-
-
-def h1_seminorm(f: Field) -> float:
-    """Face-based gradient norm (see h1_seminorm_array)."""
-    return float(h1_seminorm_array(f.values, f.column.dz))
+def l2_norm(u: np.ndarray, dz: float) -> float:
+    """Quadrature L2 norm of one state."""
+    return float(np.sqrt(integrate_array(u ** 2, dz)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class ManufacturedSolution:
             amp = self.envelope(t)
             u = amp * shape
             rate = self.envelope_rate(t) * shape
-            b_prime, dk_du = table.jacobian_channels(u)
+            b_prime, dk_du = table.all_channels(u)[2:]
             out = b_prime * rate
             out += g * dk_du * (amp * d1)
             out -= amp * d2
@@ -112,7 +112,7 @@ def _mms_error(
         source=ms.source_callable(cfg, table),
     )
     exact = ms.field(float(traj.times[-1]))
-    return l2_norm(Field(traj.states[-1].values - exact.values, col))
+    return l2_norm(traj.states[-1].values - exact.values, col.dz)
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,11 @@ branch), saturation ``S = b(u)``, and the flux
     v = K(u) * gravity_sign - grad(u) + gamma * grad(lap(u)),
 
 the transformed statement of gravity-driven Darcy flow plus the
-fourth-order regularizing correction.
-
-Two velocity evaluations are provided on purpose.  ``darcy_velocity``
-is nodal (central differences, second-order one-sided at the walls) —
-what you plot and export.  ``face_velocity`` lives on the n+1 cell
-faces with the same mirror wall closure as the operators; its
-difference quotient reproduces the stepper's discrete operator terms
-identically, so the chain mass-rate + flux-difference closes to the
-Newton tolerance and nothing else.  Keep the distinction: the nodal
-field is for people, the face field is for conservation arithmetic.
-
-The mass-balance identity uses plain dz-sums (not the end-weighted
-quadrature) because only the plain sum telescopes exactly.
+fourth-order regularizing correction.  ``darcy_velocity`` evaluates it at
+the nodes (central differences, second-order one-sided at the walls):
+what you plot and export.  The conservative face flux and the chain-rule
+and mass-balance defects that check these fields are test instruments and
+live with the test oracles.
 """
 
 from __future__ import annotations
@@ -27,15 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .constitutive import KirchhoffTable, OutOfRangeError
-from .grid import Field, face_conductivities, l2_norm, laplacian_clamped
+from .grid import Field, laplacian_array
 
 __all__ = [
     "pressure_field",
     "saturation_field",
-    "gradient_consistency",
     "darcy_velocity",
-    "face_velocity",
-    "mass_balance_residual",
 ]
 
 
@@ -80,22 +69,6 @@ def saturation_field(u: Field, table: KirchhoffTable) -> Field:
     return Field(table.b_of_u(u.values), u.column)
 
 
-def gradient_consistency(u: Field, table: KirchhoffTable) -> float:
-    """Defect of the chain rule grad(p) = grad(u) / K(u), as an L2 norm.
-
-    Vanishes identically on constants and on the saturated plateau and
-    decays at second order on smooth profiles — a recovered pressure
-    whose gradient disagrees with the transformed gradient at O(1)
-    signals a broken inverse, not discretization error.
-    """
-    _check_domain(u, table)
-    dz = u.column.dz
-    p = table.kirchhoff_inverse(u.values)
-    k = table.conductivity_of_u(u.values)
-    defect = _nodal_gradient(p, dz) - _nodal_gradient(u.values, dz) / k
-    return l2_norm(Field(defect, u.column))
-
-
 def darcy_velocity(u: Field, gamma: float, table: KirchhoffTable) -> Field:
     """Nodal flux K(u)*g - grad(u) + gamma*grad(lap(u))."""
     _check_domain(u, table)
@@ -103,48 +76,6 @@ def darcy_velocity(u: Field, gamma: float, table: KirchhoffTable) -> Field:
     k = table.conductivity_of_u(u.values)
     v = u.column.gravity_sign * k - _nodal_gradient(u.values, dz)
     if gamma != 0.0:
-        lap = laplacian_clamped(u).values
+        lap = laplacian_array(u.values, dz)
         v = v + gamma * _nodal_gradient(lap, dz)
     return Field(v, u.column)
-
-
-def face_velocity(u: Field, gamma: float, table: KirchhoffTable) -> np.ndarray:
-    """Flux on the n+1 faces, conservative form.
-
-    Wall faces use the mirror closure of the clamped operators — the
-    wall-ghost Laplacian is 2*u_1/dz^2 — so the difference quotient of
-    this array reproduces the stepper's operator terms exactly.
-    """
-    _check_domain(u, table)
-    col = u.column
-    dz = col.dz
-    vals = u.values
-    kbar = face_conductivities(u, table.conductivity_of_u)
-    grad = np.empty(vals.shape[0] + 1)
-    grad[1:-1] = (vals[1:] - vals[:-1]) / dz
-    grad[0] = vals[0] / dz
-    grad[-1] = -vals[-1] / dz
-    flux = col.gravity_sign * kbar - grad
-    if gamma != 0.0:
-        lap = laplacian_clamped(u).values
-        glap = np.empty_like(grad)
-        glap[1:-1] = (lap[1:] - lap[:-1]) / dz
-        glap[0] = (lap[0] - 2.0 * vals[0] / dz ** 2) / dz
-        glap[-1] = (2.0 * vals[-1] / dz ** 2 - lap[-1]) / dz
-        flux = flux + gamma * glap
-    return flux
-
-
-def mass_balance_residual(
-    u_new: Field, u_old: Field, h: float, gamma: float, table: KirchhoffTable
-) -> float:
-    """Defect of mass rate + wall flux difference over one step.
-
-    Plain dz-sum of the saturation rate plus the top/bottom face flux
-    difference; bounded by length * newton_tol at an accepted step.
-    """
-    dz = u_new.column.dz
-    db = table.b_of_u(u_new.values) - table.b_of_u(u_old.values)
-    rate = dz * float(np.sum(db)) / h
-    flux = face_velocity(u_new, gamma, table)
-    return abs(rate + float(flux[-1] - flux[0]))

@@ -35,9 +35,9 @@ call.  The residual reads ``b``, ``K``, ``b'`` and ``K'`` through one lookup
 and hands the slopes on to the Newton matrix, which is assembled straight
 into the band storage of ``dgbsv``, the routine ``scipy.linalg.solve_banded``
 calls, on the same input.  ``b(u_old)`` is carried over from the previous
-accepted iterate, and only accepted states become ``Field``s.  ``residual``
-and ``jacobian`` (in ``solve_banded`` layout) are the ``Field`` entry points
-to the same arithmetic, bit for bit.
+accepted iterate, and only accepted states become ``Field``s.  ``step`` and
+``run`` are the entry points: the residual and the Newton matrix belong to
+the private ``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
 ``scipy.linalg`` package import would also load ``numpy.f2py``,
@@ -75,8 +75,6 @@ __all__ = [
     "Trajectory",
     "check_timestep",
     "project_initial",
-    "residual",
-    "jacobian",
     "step",
     "run",
 ]
@@ -249,36 +247,6 @@ class _System:
             ab += self.bih_ab
         ab[1:4] += gravity_jacobian_array(dk, self.dz, self.sign)
         return lu
-
-
-def residual(
-    u_new: Field,
-    u_old: Field,
-    cfg: StepConfig,
-    table: KirchhoffTable,
-    source: Optional[np.ndarray] = None,
-) -> Field:
-    """Nodal backward-difference residual at the trial state ``u_new``.
-
-    Zero residual characterizes an accepted step.  Raises the table's
-    OutOfRangeError when a value is outside the transform domain.
-    """
-    src = None if source is None else np.asarray(source, dtype=float)
-    system = _System(u_new.column, cfg, table)
-    out, _, _ = system.residual(u_new.values, table.b_of_u(u_old.values), src)
-    return Field(out, u_new.column)
-
-
-def jacobian(u_new: Field, cfg: StepConfig, table: KirchhoffTable) -> np.ndarray:
-    """Banded Newton matrix in solve_banded layout, bandwidth (2, 2).
-
-    Built from the same table channels as the residual (capacity floor
-    and tabulated conductivity derivative), so the finite-difference
-    directional derivative of ``residual`` matches it wherever the
-    capacity floor is inactive.
-    """
-    slopes = table.jacobian_channels(u_new.values)
-    return _System(u_new.column, cfg, table).jacobian(slopes)[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from kirchflow.diagnostics import (
 )
 from kirchflow.grid import Column, Field
 from kirchflow.harness import convergence_study, dense_reference_step, fitted_order
-from kirchflow.recovery import gradient_consistency
 from kirchflow.stepper import (
     StepConfig,
     StepConfigError,
@@ -28,6 +27,7 @@ from kirchflow.stepper import (
     run,
     step,
 )
+from oracles.recovery import gradient_consistency
 
 BENCH = dict(h=0.01, gamma=0.1, t_end=1.0, newton_tol=1.0e-7)
 

@@ -5,6 +5,8 @@ oracle in tests/oracles/constitutive_golden.py (mpmath, 50 digits); the
 default model is alpha_vg=2, n_vg=2, s_res=0.05, p_reg=-10, a_min=1e-3.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PPoly
@@ -48,11 +50,16 @@ GOLD_B_AT_PSI_M1 = 0.090032382655624551625
         {"p_reg": 2.0},
         {"a_min": 0.0},
         {"a_min": 1.0},
+        {"alpha_vg": float("inf")},
+        {"n_vg": float("inf")},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
-    with pytest.raises(ConstitutiveError):
-        ConstitutiveModel(**kwargs)
+    (field,) = kwargs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ConstitutiveError, match=f"^{field}: "):
+            ConstitutiveModel(**kwargs)
 
 
 def test_build_rejects_p_min_above_p_reg():

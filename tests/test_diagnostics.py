@@ -16,10 +16,10 @@ from kirchflow.diagnostics import (
 from kirchflow.grid import (
     Column,
     Field,
-    h1_seminorm,
-    integrate,
+    h1_seminorm_array,
+    integrate_array,
     l2_norm,
-    laplacian_clamped,
+    laplacian_array,
 )
 from kirchflow.stepper import StepConfig, Trajectory, project_initial, run
 
@@ -146,10 +146,12 @@ def test_blocked_energy_report_equals_per_state_definitions(table):
         col, states, traj = _multi_block_trajectory(h, repeats)
         cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
         rep = energy_report(traj, cfg, table)
-        b_int = [integrate(Field(table.legendre_B(s.values), col)) for s in states]
-        grad_sq = [h1_seminorm(s) ** 2 for s in states]
+        b_int = [float(integrate_array(table.legendre_B(s.values), col.dz))
+                 for s in states]
+        grad_sq = [float(h1_seminorm_array(s.values, col.dz)) ** 2 for s in states]
         lap_sq = [
-            cfg.gamma * integrate(Field(laplacian_clamped(s).values ** 2, col))
+            cfg.gamma * float(integrate_array(laplacian_array(s.values, col.dz) ** 2,
+                                              col.dz))
             for s in states
         ]
         # bitwise, not approximately: blocking and evaluating a repeated
@@ -166,7 +168,7 @@ def test_blocked_regularity_monitor_equals_per_state_definition(table):
         total = 0.0
         for n in range(1, len(states)):
             quot = (states[n].values - states[n - 1].values) / h
-            total += h * integrate(Field(quot**2, col))
+            total += h * float(integrate_array(quot**2, col.dz))
         assert regularity_monitor(traj) == total
 
 
@@ -192,7 +194,7 @@ def test_time_quotient_check_equals_per_step_definition(table):
             for n in range(k, len(states)):
                 du = states[n].values - states[n - k].values
                 db = table.b_of_u(states[n].values) - table.b_of_u(states[n - k].values)
-                total += h * integrate(Field(db * du, col))
+                total += h * float(integrate_array(db * du, col.dz))
             # bitwise: one b per distinct state and the skipped zero terms
             # inside a repeated run must not move a single rounding
             assert time_quotient_check(traj, k * h, table) == total / (k * h)
@@ -280,7 +282,7 @@ def test_probe_scale_detects_distinct_dynamics(table):
     t1 = run(u0, StepConfig(h=0.01, gamma=0.1, t_end=0.2, newton_tol=1.0e-7), table)
     t0 = run(u0, StepConfig(h=0.01, gamma=0.0, t_end=0.2, newton_tol=1.0e-7), table)
     gaps = [
-        l2_norm(Field(a.values - b.values, col))
+        l2_norm(a.values - b.values, col.dz)
         for a, b in zip(t1.states, t0.states)
     ]
     assert max(gaps) > 1.0e-2

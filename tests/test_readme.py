@@ -1,0 +1,14 @@
+"""The README's library example runs as documented."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], f"{README}:Library", "exec"), {})

@@ -7,19 +7,13 @@ from kirchflow.constitutive import OutOfRangeError
 from kirchflow.grid import (
     Column,
     Field,
-    biharmonic_clamped,
-    gravity_divergence,
-    laplacian_clamped,
+    biharmonic_array,
+    gravity_divergence_array,
+    laplacian_array,
 )
-from kirchflow.recovery import (
-    darcy_velocity,
-    face_velocity,
-    gradient_consistency,
-    mass_balance_residual,
-    pressure_field,
-    saturation_field,
-)
+from kirchflow.recovery import darcy_velocity, pressure_field, saturation_field
 from kirchflow.stepper import StepConfig, project_initial, run
+from oracles.recovery import face_velocity, gradient_consistency, mass_balance_residual
 
 
 def _lens(col, depth=0.2, width=0.15, center=0.5):
@@ -176,9 +170,10 @@ def test_face_divergence_matches_operator_terms(table, gamma):
     flux = face_velocity(u, gamma, table)
     div = (flux[1:] - flux[:-1]) / col.dz
     ops = (
-        gravity_divergence(u, table.conductivity_of_u).values
-        - laplacian_clamped(u).values
-        + gamma * biharmonic_clamped(u).values
+        gravity_divergence_array(table.conductivity_of_u(u.values), col.dz,
+                                 col.gravity_sign)
+        - laplacian_array(u.values, col.dz)
+        + gamma * biharmonic_array(u.values, col.dz)
     )
     scale = np.max(np.abs(ops))
     assert np.max(np.abs(div - ops)) <= 1.0e-13 * scale

@@ -16,13 +16,11 @@ from kirchflow.stepper import (
     StepConfig,
     StepConfigError,
     check_timestep,
-    jacobian,
     project_initial,
-    residual,
     run,
     step,
 )
-from oracles.banded import dense_from_banded
+from oracles.banded import dense_from_banded, newton_system
 
 
 def _wet_lens(col, depth=0.2, center=0.5, width=0.15):
@@ -85,8 +83,8 @@ def test_residual_zero_fixed_point(table):
     col = Column(length=1.0, n_cells=20)
     zero = Field.zeros(col)
     cfg = StepConfig(h=0.01, gamma=0.1)
-    r = residual(zero, zero, cfg, table)
-    assert np.all(r.values == 0.0)
+    r, _ = newton_system(zero, zero, cfg, table)
+    assert np.all(r == 0.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
@@ -113,7 +111,7 @@ def test_residual_matches_naive_dense_reimplementation(table, gamma):
     B[0, 0] = B[-1, -1] = 7.0
     expected = bdiff + grav - (A @ u_new) / dz ** 2 + gamma * (B @ u_new) / dz ** 4
 
-    got = residual(Field(u_new, col), Field(u_old, col), cfg, table).values
+    got, _ = newton_system(Field(u_new, col), Field(u_old, col), cfg, table)
     # the fourth difference amplifies representation noise by dz^-4, so the
     # comparison is relative to the stiffest term's magnitude
     scale = (np.max(np.abs(bdiff)) + np.max(np.abs(grav))
@@ -127,8 +125,8 @@ def test_residual_subtracts_source(table):
     f = _wet_lens(col)
     cfg = StepConfig(h=0.01, gamma=0.1)
     src = np.linspace(-1.0, 1.0, 12)
-    r0 = residual(f, f, cfg, table).values
-    r1 = residual(f, f, cfg, table, source=src).values
+    r0, _ = newton_system(f, f, cfg, table)
+    r1, _ = newton_system(f, f, cfg, table, source=src)
     assert np.allclose(r0 - src, r1, rtol=0, atol=1e-12)
 
 
@@ -144,15 +142,15 @@ def test_jacobian_matches_directional_difference_quotient(table, gamma):
     base = -0.02 - 0.18 * rng.random(30)  # capacity floor inactive here
     u_old = Field(-0.1 * np.ones(30), col)
     cfg = StepConfig(h=0.01, gamma=gamma)
-    ab = jacobian(Field(base, col), cfg, table)
+    _, ab = newton_system(Field(base, col), u_old, cfg, table)
     assert ab.shape == (5, 30)  # pentadiagonal: bandwidth <= 5
     J = dense_from_banded(ab, 2, 2)
     eps = 1e-6
     for _ in range(5):
         v = rng.standard_normal(30)
         v /= np.max(np.abs(v))
-        rp = residual(Field(base + eps * v, col), u_old, cfg, table).values
-        rm = residual(Field(base - eps * v, col), u_old, cfg, table).values
+        rp, _ = newton_system(Field(base + eps * v, col), u_old, cfg, table)
+        rm, _ = newton_system(Field(base - eps * v, col), u_old, cfg, table)
         fd = (rp - rm) / (2 * eps)
         Jv = J @ v
         assert np.max(np.abs(fd - Jv)) <= 1e-5 * np.max(np.abs(Jv))
@@ -162,7 +160,8 @@ def test_jacobian_saturated_plateau_is_heat_limit(table, model):
     # gamma = 0 on the saturated branch: J = (a_min/h) I - lap, an M-matrix
     col = Column(length=1.0, n_cells=10)
     cfg = StepConfig(h=0.01, gamma=0.0)
-    J = dense_from_banded(jacobian(Field(np.full(10, 0.5), col), cfg, table), 2, 2)
+    plateau = Field(np.full(10, 0.5), col)
+    J = dense_from_banded(newton_system(plateau, plateau, cfg, table)[1], 2, 2)
     assert np.max(np.abs(J - J.T)) <= 1e-14 * np.max(np.abs(J))
     assert np.all(np.diag(J) > 0.0)
     off = J - np.diag(np.diag(J))
@@ -227,8 +226,7 @@ def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
         calls.clear()
         step(state, cfg, table)
         matrix, rhs, delta = calls[0]
-        ab = jacobian(state, cfg, table)
-        r = residual(state, state, cfg, table).values
+        r, ab = newton_system(state, state, cfg, table)
         assert matrix.tobytes() == ab.tobytes() and rhs.tobytes() == (-r).tobytes()
         assert delta.tobytes() == solve_banded((2, 2), ab, -r).tobytes()
         v = state.values
@@ -351,8 +349,8 @@ def test_run_states_satisfy_residual_tolerance(table):
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05, newton_tol=1e-7)
     traj = run(project_initial(_wet_lens(col)), cfg, table)
     for k in range(1, len(traj.states)):
-        r = residual(traj.states[k], traj.states[k - 1], cfg, table)
-        assert np.max(np.abs(r.values)) <= cfg.newton_tol
+        r, _ = newton_system(traj.states[k], traj.states[k - 1], cfg, table)
+        assert np.max(np.abs(r)) <= cfg.newton_tol
 
 
 def test_run_newton_iteration_regression(table):
