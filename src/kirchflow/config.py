@@ -27,7 +27,7 @@ from .constitutive import (
 from .grid import Column, Field, GridError
 from .stepper import StepConfig, StepConfigError
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "gaussian_lens", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -61,6 +61,13 @@ _IC_KEYS = {
     "gaussian_lens": {"center", "width", "depth"},
     "custom": {"z", "u"},
 }
+
+
+def gaussian_lens(
+    z: np.ndarray, center: float, width: float, depth: float
+) -> np.ndarray:
+    """Wetting lens ``-depth * exp(-((z - center) / width)**2)``."""
+    return -depth * np.exp(-(((z - center) / width) ** 2))
 
 
 def _fail(path: str, constraint: str, value: Any) -> None:
@@ -150,8 +157,8 @@ class RunConfig:
         if profile == "zero":
             return Field.zeros(col)
         if profile == "gaussian_lens":
-            c, w, d = self.ic["center"], self.ic["width"], self.ic["depth"]
-            return Field(-d * np.exp(-(((z - c) / w) ** 2)), col)
+            ic = self.ic
+            return Field(gaussian_lens(z, ic["center"], ic["width"], ic["depth"]), col)
         # custom: tabulated profile, linearly interpolated onto the nodes
         # (clamped to the end values outside the tabulated range)
         return Field(np.interp(z, self.ic["z"], self.ic["u"]), col)

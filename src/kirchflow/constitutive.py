@@ -146,6 +146,11 @@ class ConstitutiveModel:
             raise ConstitutiveError(
                 f"p_reg: retention curve already at s_res there (got {self.p_reg!r})"
             )
+        if slope_j <= 0.0:
+            raise ConstitutiveError(
+                f"alpha_vg: retention slope at p_reg = {self.p_reg!r} underflows "
+                f"to 0 (got {self.alpha_vg!r})"
+            )
         object.__setattr__(self, "_tail_amp", amp)
         object.__setattr__(self, "_tail_rate", slope_j / amp)
 

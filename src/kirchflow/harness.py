@@ -82,7 +82,7 @@ class ManufacturedSolution:
 
         def source(t: float, z: np.ndarray) -> np.ndarray:
             s = z / length
-            shape = 16.0 * s**2 * (1.0 - s) ** 2
+            shape = self._shape(z)
             d1 = 16.0 * (2.0 * s - 6.0 * s**2 + 4.0 * s**3) / length
             d2 = 16.0 * (2.0 - 12.0 * s + 12.0 * s**2) / length**2
             d4 = 16.0 * 24.0 / length**4 * np.ones_like(z)
@@ -100,11 +100,9 @@ class ManufacturedSolution:
         return source
 
 
-def _mms_error(
-    n_cells: int, cfg: StepConfig, table: KirchhoffTable, ms_template: dict
-) -> float:
+def _mms_error(n_cells: int, cfg: StepConfig, table: KirchhoffTable) -> float:
     col = Column(length=1.0, n_cells=n_cells, gravity_sign=-1.0)
-    ms = ManufacturedSolution(column=col, **ms_template)
+    ms = ManufacturedSolution(column=col)
     traj = run(
         project_initial(ms.field(0.0)),
         cfg,
@@ -153,7 +151,7 @@ def convergence_study(
         else:
             n = 400
             cfg = StepConfig(h=0.02 / 2**k, gamma=gamma, t_end=0.4, newton_tol=3.0e-6)
-        errs.append(_mms_error(n, cfg, table, {}))
+        errs.append(_mms_error(n, cfg, table))
         order = None if k == 0 else float(np.log2(errs[k - 1] / errs[k]))
         rows.append(StudyRow(k, 1.0 / (n + 1), cfg.h, errs[k], order))
     return rows

@@ -11,6 +11,7 @@ import pytest
 
 import kirchflow
 from kirchflow.cli import main
+from kirchflow.config import load_config
 
 # small, fast problem reused by most invocations
 SMALL = {
@@ -69,11 +70,36 @@ def test_run_stride_flag_overrides_config(tmp_path, small_config):
 
 
 def test_run_is_bitwise_deterministic(tmp_path, small_config):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(["run", "--config", small_config, "--out", str(out_a)]) == 0
-    assert main(["run", "--config", small_config, "--out", str(out_b)]) == 0
-    assert (out_a / "states.csv").read_bytes() == (out_b / "states.csv").read_bytes()
+    artifacts = {
+        "run": ("states.csv",),
+        "diagnose": ("energy.csv",),
+        "recover": ("fields.csv",),
+        "dump-constitutive": ("constitutive_pressure.csv",
+                              "constitutive_transformed.csv"),
+    }
+    for command, names in artifacts.items():
+        out_a = tmp_path / command / "a"
+        out_b = tmp_path / command / "b"
+        for out in (out_a, out_b):
+            assert main([command, "--config", small_config, "--out", str(out)]) == 0
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_recover_snapshots_match_run(tmp_path, small_config):
+    # same config and stride: the t,z,u columns of fields.csv are the rows
+    # of states.csv, character for character
+    def rows(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+
+    for stride in ("3", "4"):
+        out = tmp_path / stride
+        for command in ("run", "recover"):
+            assert main([command, "--config", small_config, "--out", str(out),
+                         "--stride", stride]) == 0
+        fields = [",".join(line.split(",")[:3]) for line in rows(out / "fields.csv")]
+        assert fields == rows(out / "states.csv")
 
 
 def test_diagnose_benchmark_passes(tmp_path, capsys):
@@ -169,6 +195,28 @@ def test_dump_constitutive_tables(tmp_path):
     _, header_u, data_u = _read_csv(out / "constitutive_transformed.csv")
     assert header_u == ["u", "b", "b_prime", "legendre_B", "conductivity"]
     assert np.all(data_u[:, 2] >= 1.0e-3)  # capacity floor visible
+
+
+def test_dump_constitutive_matches_pointwise_evaluation(tmp_path):
+    # the tables evaluate whole grids at once; each value must be the one a
+    # scalar call returns, to the last digit
+    out = tmp_path / "artifacts"
+    assert main(["dump-constitutive", "--out", str(out)]) == 0
+    table = load_config(None).transform_table()
+    model = table.model
+    pointwise = {
+        "constitutive_pressure.csv": (
+            model.saturation, model.conductivity_vs_pressure, table.kirchhoff),
+        "constitutive_transformed.csv": (
+            table.b_of_u, table.b_prime, table.legendre_B, table.conductivity_of_u),
+    }
+    for name, functions in pointwise.items():
+        lines = [line for line in (out / name).read_text().splitlines()
+                 if not line.startswith("#")][1:]
+        assert len(lines) == 601
+        for line in lines:
+            x, *values = line.split(",")
+            assert values == [repr(float(f(float(x)))) for f in functions], line
 
 
 def test_config_error_exits_2(tmp_path, capsys):

@@ -52,6 +52,7 @@ GOLD_B_AT_PSI_M1 = 0.090032382655624551625
         {"a_min": 1.0},
         {"alpha_vg": float("inf")},
         {"n_vg": float("inf")},
+        {"alpha_vg": 1e-300},  # retention slope at p_reg underflows to 0
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

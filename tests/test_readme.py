@@ -1,7 +1,10 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs and its command table is complete."""
 
+import argparse
 import re
 from pathlib import Path
+
+from kirchflow.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,12 @@ def test_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], f"{README}:Library", "exec"), {})
+
+
+def test_command_table_lists_the_registered_subcommands():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert documented == list(subparsers.choices)
