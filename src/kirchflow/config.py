@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -37,14 +37,9 @@ class ConfigError(ValueError):
 # Defaults reproduce the reference problem end to end: unit column with
 # 200 nodes, first-order stepping at h = 0.01 to t = 1, fourth-order
 # term on, and the standard wetting lens.  An empty document is that run.
+# The soil is ConstitutiveModel's own defaults, in its field order.
 _DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "constitutive": {
-        "alpha_vg": 2.0,
-        "n_vg": 2.0,
-        "s_res": 0.05,
-        "p_reg": -10.0,
-        "a_min": 1.0e-3,
-    },
+    "constitutive": {f.name: f.default for f in fields(ConstitutiveModel) if f.init},
     "grid": {"length": 1.0, "n_cells": 200, "gravity_sign": -1.0},
     "stepping": {
         "h": 0.01,

@@ -151,6 +151,11 @@ class ConstitutiveModel:
                 f"alpha_vg: retention slope at p_reg = {self.p_reg!r} underflows "
                 f"to 0 (got {self.alpha_vg!r})"
             )
+        if s_j >= 1.0:
+            raise ConstitutiveError(
+                f"alpha_vg: retention curve still saturated at p_reg = {self.p_reg!r} "
+                f"(got {self.alpha_vg!r})"
+            )
         object.__setattr__(self, "_tail_amp", amp)
         object.__setattr__(self, "_tail_rate", slope_j / amp)
 
@@ -185,6 +190,23 @@ class ConstitutiveModel:
         )
         return (1.0 - self.s_res) * np.exp(log_slope)
 
+    def _branches(self, p, wet: float, mid, dry):
+        """``wet`` on ``p >= 0``, ``mid(p)`` on ``[p_reg, 0)`` and ``dry(p)``
+        below ``p_reg``; NaN takes the dry branch, which propagates it."""
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        out = np.full_like(p_arr, wet)
+        is_mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
+        is_dry = ~(p_arr >= self.p_reg)
+        if np.any(is_mid):
+            out[is_mid] = mid(p_arr[is_mid])
+        if np.any(is_dry):
+            out[is_dry] = dry(p_arr[is_dry])
+        return _unwrap(p, out)
+
+    def _tail(self, p: np.ndarray) -> np.ndarray:
+        # exponential decay of S - s_res below p_reg, 1 at the joint
+        return np.exp(self._tail_rate * (p - self.p_reg))
+
     def saturation(self, p):
         """Saturation S(p): 1 on the saturated branch, monotone below.
 
@@ -197,33 +219,14 @@ class ConstitutiveModel:
         -------
         float or ndarray in ``(s_res, 1]``, exactly 1 for ``p >= 0``.
         """
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.ones_like(p_arr)
-        mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
-        dry = p_arr < self.p_reg
-        if np.any(mid):
-            out[mid] = self._vg_saturation(p_arr[mid])
-        if np.any(dry):
-            out[dry] = self.s_res + self._tail_amp * np.exp(
-                self._tail_rate * (p_arr[dry] - self.p_reg)
-            )
-        return _unwrap(p, out)
+        return self._branches(p, 1.0, self._vg_saturation,
+                              lambda pd: self.s_res + self._tail_amp * self._tail(pd))
 
     def sat_slope_raw(self, p):
         """Pointwise derivative of :meth:`saturation` (no floor)."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.zeros_like(p_arr)
-        mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
-        dry = p_arr < self.p_reg
-        if np.any(mid):
-            out[mid] = self._vg_slope(p_arr[mid])
-        if np.any(dry):
-            out[dry] = (
-                self._tail_amp
-                * self._tail_rate
-                * np.exp(self._tail_rate * (p_arr[dry] - self.p_reg))
-            )
-        return _unwrap(p, out)
+        amp, rate = self._tail_amp, self._tail_rate
+        return self._branches(p, 0.0, self._vg_slope,
+                              lambda pd: amp * rate * self._tail(pd))
 
     # -- conductivity ----------------------------------------------------------
 
@@ -250,37 +253,11 @@ class ConstitutiveModel:
             If ``s`` lies outside ``[s_res, 1]`` by more than 1e-12.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr < self.s_res - 1.0e-12) or np.any(s_arr > 1.0 + 1.0e-12):
-            bad = s_arr[(s_arr < self.s_res - 1.0e-12) | (s_arr > 1.0 + 1.0e-12)]
-            raise ConstitutiveError(
-                f"saturation {bad[0]!r} outside [{self.s_res}, 1]"
-            )
+        bad = s_arr[(s_arr < self.s_res - 1.0e-12) | (s_arr > 1.0 + 1.0e-12)]
+        if bad.size:
+            raise ConstitutiveError(f"saturation {bad[0]!r} outside [{self.s_res}, 1]")
         se = np.clip(self.effective_saturation(s_arr), 0.0, 1.0)
         out = self.k_floor + (1.0 - self.k_floor) * self._mualem_kr(se)
-        return _unwrap(s, out)
-
-    def conductivity_slope(self, s):
-        """dK_f/ds; diverges at full saturation when ``m_vg < 1``.
-
-        Callers that need a bounded derivative of conductivity along the
-        transformed variable should use :meth:`KirchhoffTable.dconductivity_du`,
-        which reads the tabulated composition instead.
-        """
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        se = np.clip(self.effective_saturation(s_arr), 0.0, 1.0)
-        m = self.m_vg
-        out = np.zeros_like(se)
-        pos = se > 0.0
-        sep = se[pos]
-        x = np.exp(np.log(sep) / m)
-        x = np.minimum(x, 1.0)
-        wet = -np.expm1(m * np.log1p(-x))
-        root = np.sqrt(sep)
-        with np.errstate(divide="ignore", over="ignore"):
-            edge = np.exp((m - 1.0) * np.log1p(-x))  # (1-x)^(m-1), inf at x=1
-            dkr = wet * wet / (2.0 * root) + 2.0 * wet * x * edge / root
-        out[pos] = dkr
-        out = (1.0 - self.k_floor) / (1.0 - self.s_res) * out
         return _unwrap(s, out)
 
     def conductivity_vs_pressure(self, p):
@@ -292,30 +269,41 @@ class ConstitutiveModel:
 
         Parametrized by t = (alpha |p|)^n_vg so the near-saturation
         blowup of dK_f/ds cancels against S' analytically instead of in
-        floating point; 0 on p >= 0 (plateau, one-sided).
+        floating point; 0 on p >= 0 (plateau, one-sided).  Below ``p_reg``
+        it is dK_f/ds at the tail saturation times the tail slope.
         """
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.zeros_like(p_arr)
         m, n = self.m_vg, self.n_vg
-        mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
-        if np.any(mid):
-            pm = p_arr[mid]
+
+        def mid(pm):
             log_t = n * np.log(self.alpha_vg * np.abs(pm))
             t = np.exp(log_t)
-            sqrt_se = np.exp(-0.5 * m * _log1pexp(log_t))
-            wet = -np.expm1(m * (log_t - _log1pexp(log_t)))  # 1 - tau^m
-            tau_pow = np.exp((m - 1.0) * (log_t - _log1pexp(log_t)))  # tau^(m-1)
-            inv1pt2 = np.exp(-2.0 * _log1pexp(log_t))  # (1+t)^-2
-            dsqrt_se = -0.5 * m * np.exp(-(0.5 * m + 1.0) * _log1pexp(log_t))
+            log_1pt = _log1pexp(log_t)
+            sqrt_se = np.exp(-0.5 * m * log_1pt)
+            wet = -np.expm1(m * (log_t - log_1pt))  # 1 - tau^m
+            tau_pow = np.exp((m - 1.0) * (log_t - log_1pt))  # tau^(m-1)
+            inv1pt2 = np.exp(-2.0 * log_1pt)  # (1+t)^-2
+            dsqrt_se = -0.5 * m * np.exp(-(0.5 * m + 1.0) * log_1pt)
             dkr_dt = wet * wet * dsqrt_se - 2.0 * m * sqrt_se * wet * tau_pow * inv1pt2
-            dkr_dp = dkr_dt * (n * t / pm)
-            out[mid] = (1.0 - self.k_floor) * dkr_dp
-        dry = p_arr < self.p_reg
-        if np.any(dry):
-            pd = p_arr[dry]
-            s = self.saturation(pd)
-            out[dry] = self.conductivity_slope(s) * self.sat_slope_raw(pd)
-        return _unwrap(p, out)
+            return (1.0 - self.k_floor) * (dkr_dt * (n * t / pm))
+
+        def dry(pd):
+            tail = self._tail(pd)
+            # through s, not amp * tail: (s_res + x) - s_res rounds
+            s = self.s_res + self._tail_amp * tail
+            se = np.clip(self.effective_saturation(s), 0.0, 1.0)
+            dkr = np.zeros_like(se)
+            pos = se > 0.0
+            sep = se[pos]
+            x = np.minimum(np.exp(np.log(sep) / m), 1.0)  # se**(1/m)
+            wet = -np.expm1(m * np.log1p(-x))  # 1 - (1-x)^m
+            root = np.sqrt(sep)
+            with np.errstate(divide="ignore", over="ignore"):
+                edge = np.exp((m - 1.0) * np.log1p(-x))  # (1-x)^(m-1), inf at x=1
+                dkr[pos] = wet * wet / (2.0 * root) + 2.0 * wet * x * edge / root
+            dk_ds = (1.0 - self.k_floor) / (1.0 - self.s_res) * dkr
+            return dk_ds * (self._tail_amp * self._tail_rate * tail)
+
+        return self._branches(p, 0.0, mid, dry)
 
     def _conductivity_pressure_slope_limit(self) -> float:
         """One-sided limit of the composition slope as p -> 0-.
@@ -553,8 +541,8 @@ class KirchhoffTable:
     model : ConstitutiveModel
         The closed-form package the table was built from.
     p_samples, u_samples : ndarray
-        Matching pressure / transformed samples; strictly increasing, with
-        ``u == p`` on the nonnegative branch.
+        The knots: pressures on ``[P_MIN, 0]`` and their images ``u = psi(p)``,
+        strictly increasing and ending at ``p = u = 0``.
     u_lower : float
         Certified bound strictly below every tabulated ``u``; inversion is
         refused at or below ``u_lower + margin``.
@@ -570,8 +558,6 @@ class KirchhoffTable:
     u_lower: float
     margin: float
     tol_q: float
-    _p_knots: np.ndarray = field(repr=False)  # p_samples on p <= 0
-    _u_knots: np.ndarray = field(repr=False)  # u_samples on u <= 0
     _psi: np.ndarray = field(repr=False)  # u along p
     _psi_d: np.ndarray = field(repr=False)  # du/dp along p
     _bk: np.ndarray = field(repr=False)  # channels (b, K_f, db/du, dK_f/du) along u
@@ -585,29 +571,21 @@ class KirchhoffTable:
 
         Total on the reals: below the tabulated range the map continues
         linearly with slope ``k_floor`` (the integrand is constant there
-        to machine precision).
+        to machine precision).  NaN maps to NaN.
         """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.where(p_arr >= 0.0, p_arr, 0.0)
-        neg = p_arr < 0.0
-        if np.any(neg):
-            pn = p_arr[neg]
-            p_bot = self.p_samples[0]
-            inside = pn >= p_bot
-            vals = np.empty_like(pn)
-            vals[inside] = _evaluate(self._p_knots, self._psi, pn[inside])
-            below = ~inside
-            if np.any(below):
-                u_bot = self.u_samples[0]
-                vals[below] = u_bot + self.model.k_floor * (pn[below] - p_bot)
-            out[neg] = vals
-        return _unwrap(p, out)
+        p_bot, u_bot = self.p_samples[0], self.u_samples[0]
+        fit = _evaluate(self.p_samples, self._psi,
+                        np.minimum(np.maximum(p_arr, p_bot), 0.0))
+        below = u_bot + self.model.k_floor * (p_arr - p_bot)
+        return _unwrap(p, np.where(p_arr >= 0.0, p_arr,
+                                   np.where(p_arr >= p_bot, fit, below)))
 
     # -- inverse map -----------------------------------------------------------
 
     def _check_invertible(self, u_arr: np.ndarray) -> None:
         floor = self.u_lower + self.margin
-        below = u_arr <= floor
+        below = ~(u_arr > floor)  # NaN included
         if below.any():
             idx = int(np.argmax(below))
             raise OutOfRangeError(
@@ -626,7 +604,7 @@ class KirchhoffTable:
         Raises
         ------
         OutOfRangeError
-            If any entry is at or below ``u_lower + margin``.
+            If any entry is at or below ``u_lower + margin``, or NaN.
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_invertible(u_arr)
@@ -655,13 +633,13 @@ class KirchhoffTable:
         # evaluation noise scales with it.
         tol = np.maximum(3.0e-15, 4.0e-15 * np.abs(u))
         for _ in range(80):
-            f = _evaluate(self._p_knots, self._psi, p) - u
+            f = _evaluate(self.p_samples, self._psi, p) - u
             done = np.abs(f) <= tol
             if np.all(done):
                 break
             hi = np.where(f > 0.0, p, hi)
             lo = np.where(f <= 0.0, p, lo)
-            d = np.maximum(_evaluate(self._p_knots, self._psi_d, p),
+            d = np.maximum(_evaluate(self.p_samples, self._psi_d, p),
                            self.model.k_floor * 1.0e-3)
             step = f / d
             p_new = p - step
@@ -682,7 +660,7 @@ class KirchhoffTable:
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_invertible(u_arr)
-        vals = _evaluate(self._u_knots, fit,
+        vals = _evaluate(self.u_samples, fit,
                          np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
         plateau = np.reshape(plateau, np.shape(plateau) + (1,) * u_arr.ndim)
         return np.where(u_arr < 0.0, vals, plateau)
@@ -740,9 +718,9 @@ class KirchhoffTable:
     def dconductivity_du(self, u):
         """d/du of the tabulated conductivity composition.
 
-        Bounded everywhere (unlike ``conductivity_slope`` at full
-        saturation); the exact derivative of :meth:`conductivity_of_u`,
-        intended for Jacobian assembly.  Range-checked like every u-channel.
+        Bounded everywhere (unlike dK_f/ds at full saturation); the exact
+        derivative of :meth:`conductivity_of_u`, intended for Jacobian
+        assembly.  Range-checked like every u-channel.
         """
         return _unwrap(u, self.all_channels(u)[3])
 
@@ -783,24 +761,17 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     bk[1:, 2] = _derivative(bk[:, 0])
     bk[1:, 3] = _derivative(bk[:, 1])
 
-    p_plus = np.array([2.5, 5.0, 7.5, 10.0])
-    p_samples = np.concatenate([neg_grid, p_plus])
-    u_samples = np.concatenate([u_neg, p_plus])
-    n_neg = neg_grid.size
-
     u_bot = float(u_neg[0])
     u_lower = u_bot * (1.0 + 2.0e-9)
     margin = 1.0e-9 * abs(u_lower)
 
     return KirchhoffTable(
         model=model,
-        p_samples=p_samples,
-        u_samples=u_samples,
+        p_samples=neg_grid,
+        u_samples=u_neg,
         u_lower=u_lower,
         margin=margin,
         tol_q=TOL_Q,
-        _p_knots=p_samples[:n_neg],
-        _u_knots=u_samples[:n_neg],
         _psi=psi,
         _psi_d=psi_d,
         _bk=bk,

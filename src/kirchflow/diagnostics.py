@@ -28,7 +28,7 @@ from .constitutive import KirchhoffTable
 from .grid import (
     Field, h1_seminorm_array, integrate_array, l2_norm, laplacian_array, libm_square,
 )
-from .stepper import StepConfig, Trajectory, project_initial, run, step
+from .stepper import StepConfig, Trajectory, _newton, _System, project_initial, run
 
 __all__ = [
     "DiagnosticsError",
@@ -233,13 +233,14 @@ def uniqueness_probe(
     base = run(u0, cfg, table)
     rng = np.random.default_rng(seed)
     col = u0.column
-    state = project_initial(u0)
+    system = _System(col, cfg, table)
+    v = project_initial(u0).values
+    b = table.b_of_u(v)  # b(u_old), carried over as in run
     gap = 0.0
     for n in range(1, cfg.n_steps + 1):
         noise = perturbation * rng.standard_normal(col.n_cells)
-        guess = Field(state.values + noise, col)
-        state = step(state, cfg, table, initial_guess=guess)
-        gap = max(gap, l2_norm(state.values - base.states[n].values, col.dz))
+        v, b, _, _ = _newton(system, b, v + noise, None, n)
+        gap = max(gap, l2_norm(v - base.states[n].values, col.dz))
     return gap
 
 

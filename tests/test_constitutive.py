@@ -53,6 +53,8 @@ GOLD_B_AT_PSI_M1 = 0.090032382655624551625
         {"alpha_vg": float("inf")},
         {"n_vg": float("inf")},
         {"alpha_vg": 1e-300},  # retention slope at p_reg underflows to 0
+        {"alpha_vg": 1e-10},  # S(p_reg) rounds to 1: no dry tail to join
+        {"alpha_vg": 1e-162},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
@@ -195,11 +197,20 @@ def test_inverse_out_of_range(table):
 
 
 def test_every_u_channel_refuses_values_below_the_table(table):
-    u = table.u_lower - 1.0
-    for channel in (table.b_of_u, table.b_prime, table.legendre_B,
-                    table.conductivity_of_u, table.dconductivity_du):
-        with pytest.raises(OutOfRangeError):
-            channel(u)
+    for u in (table.u_lower - 1.0, np.nan):
+        for channel in (table.b_of_u, table.b_prime, table.legendre_B,
+                        table.conductivity_of_u, table.dconductivity_du,
+                        table.kirchhoff_inverse):
+            with pytest.raises(OutOfRangeError):
+                channel(u)
+
+
+def test_pressure_maps_propagate_nan(table, model):
+    for f in (model.saturation, model.sat_slope_raw, model.conductivity_pressure_slope,
+              model.conductivity_vs_pressure, table.kirchhoff):
+        assert np.isnan(f(np.nan))
+        out = f(np.array([-1.0, np.nan, -20.0, 2.0]))
+        assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2, 3]]))
 
 
 def test_table_sample_invariants(table):
@@ -213,7 +224,7 @@ def test_table_sample_invariants(table):
 def test_default_table_knot_count(table):
     # work count of the default build: the graded grid needs no refinement
     assert np.count_nonzero(table.p_samples <= 0.0) == 43167
-    assert table.p_samples.size == 43171
+    assert table.p_samples.size == 43167
     assert table.p_samples[0] == P_MIN
 
 
@@ -224,7 +235,7 @@ def test_default_table_meets_slope_tolerance(table):
     for frac in (0.25, 0.5, 0.75):
         probe = grid[:-1] + frac * np.diff(grid)
         exact = table.model.conductivity_vs_pressure(probe)
-        slope = constitutive._evaluate(table._p_knots, table._psi_d, probe)
+        slope = constitutive._evaluate(table.p_samples, table._psi_d, probe)
         assert np.max(np.abs(slope - exact)) <= 1.0e-8
 
 
@@ -276,8 +287,8 @@ def test_table_fits_equal_scipy_fits(recorded_build):
         assert _same_bits(coef, CubicHermiteSpline(x, y, d).c)
     # the last three are the map, b and K_f, on the table's knots
     psi, b, k = (CubicHermiteSpline(*fit[:3]) for fit in fits[-3:])
-    assert _same_bits(table._p_knots, psi.x) and _same_bits(table._u_knots, b.x)
-    assert _same_bits(table._u_knots, k.x)
+    assert _same_bits(table.p_samples, psi.x) and _same_bits(table.u_samples, b.x)
+    assert _same_bits(table.u_samples, k.x)
     assert _same_bits(table._psi, psi.c)
     assert _same_bits(table._psi_d, psi.derivative().c)
     # channel-major (b, K_f, b', K_f'); the quadratic slopes sit under a
@@ -295,16 +306,16 @@ def test_table_fits_equal_scipy_fits(recorded_build):
 def test_evaluate_equals_ppoly_call(recorded_build):
     table = recorded_build[0]
     rng = np.random.default_rng(6)
-    knots, bk = table._u_knots, table._bk
+    knots, bk = table.u_samples, table._bk
     # each channel of the four-channel fit against its own PPoly, the two
     # slopes against the derivative of the fit they belong to
     b, k = PPoly(bk[:, 0], knots), PPoly(bk[:, 1], knots)
     channels = (b, k, b.derivative(), k.derivative())
     for knots, coef, fits in [
-        (table._p_knots, table._psi, None),
-        (table._p_knots, table._psi_d, None),
-        (table._u_knots, bk, channels),
-        (table._u_knots, table._b_anti, None),
+        (table.p_samples, table._psi, None),
+        (table.p_samples, table._psi_d, None),
+        (table.u_samples, bk, channels),
+        (table.u_samples, table._b_anti, None),
     ]:
         lo, hi = knots[0], knots[-1]
         width = hi - lo
