@@ -49,7 +49,7 @@ class ConstitutiveError(ValueError):
 
 
 class OutOfRangeError(ConstitutiveError):
-    """Transformed variable below the invertible range of the table."""
+    """Transformed variable below the invertible range of the table, or NaN."""
 
 
 def _unwrap(x, out: np.ndarray):
@@ -563,6 +563,7 @@ class KirchhoffTable:
     _bk: np.ndarray = field(repr=False)  # channels (b, K_f, db/du, dK_f/du) along u
     _b_anti: np.ndarray = field(repr=False)  # integral of b along u
     _b_anti0: float = field(repr=False)  # that integral at u = 0
+    _bk_plateau: np.ndarray = field(repr=False)  # _bk's channels on u >= 0, (4, 1)
 
     # -- forward map ---------------------------------------------------------
 
@@ -585,13 +586,19 @@ class KirchhoffTable:
 
     def _check_invertible(self, u_arr: np.ndarray) -> None:
         floor = self.u_lower + self.margin
-        below = ~(u_arr > floor)  # NaN included
-        if below.any():
-            idx = int(np.argmax(below))
+        inside = u_arr > floor  # False at NaN
+        if inside.all():
+            return
+        bad = u_arr.flat[int(np.argmin(inside))]
+        if np.isnan(bad):
             raise OutOfRangeError(
-                f"u={u_arr[idx]!r} at or below invertible range "
-                f"(u_lower + margin = {floor!r}): pressure diverges"
+                f"u=nan is not a number, outside the invertible range "
+                f"(u > u_lower + margin = {floor!r})"
             )
+        raise OutOfRangeError(
+            f"u={bad!r} at or below invertible range "
+            f"(u_lower + margin = {floor!r}): pressure diverges"
+        )
 
     def kirchhoff_inverse(self, u):
         """Pressure p with ``kirchhoff(p) = u``, for ``u > u_lower + margin``.
@@ -656,21 +663,22 @@ class KirchhoffTable:
         The one place that range-checks ``u``, clamps it into the tabulated
         branch ``[u_samples[0], 0]`` and masks ``u < 0``: there the fit is
         read, on the saturated branch each channel takes its ``plateau``
-        constant.
+        constant.  The fit is read along the flattened ``u``, so ``plateau``
+        is a scalar or one ``(channels, 1)`` column.
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_invertible(u_arr)
+        flat = u_arr.ravel()
         vals = _evaluate(self.u_samples, fit,
-                         np.minimum(np.maximum(u_arr, self.u_samples[0]), 0.0))
-        plateau = np.reshape(plateau, np.shape(plateau) + (1,) * u_arr.ndim)
-        return np.where(u_arr < 0.0, vals, plateau)
+                         np.minimum(np.maximum(flat, self.u_samples[0]), 0.0))
+        out = np.where(flat < 0.0, vals, plateau)
+        return out.reshape(out.shape[:-1] + u_arr.shape)
 
     def all_channels(self, u) -> np.ndarray:
         """``(b, K_f, max(b', a_min), dK_f/du)`` at ``u``, channel first, from
         one range check and one interval lookup: what a Newton iterate reads."""
-        a_min = self.model.a_min
-        out = self._channels(u, self._bk, (1.0, 1.0, a_min, 0.0))
-        np.maximum(out[2], a_min, out=out[2])
+        out = self._channels(u, self._bk, self._bk_plateau)
+        np.maximum(out[2], self.model.a_min, out=out[2])
         return out
 
     # -- transformed saturation and potential ------------------------------------
@@ -777,4 +785,5 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
         _bk=bk,
         _b_anti=b_anti,
         _b_anti0=float(_evaluate(u_neg, b_anti, 0.0)),
+        _bk_plateau=np.array([[1.0], [1.0], [model.a_min], [0.0]]),
     )

@@ -239,7 +239,8 @@ def uniqueness_probe(
     gap = 0.0
     for n in range(1, cfg.n_steps + 1):
         noise = perturbation * rng.standard_normal(col.n_cells)
-        v, b, _, _ = _newton(system, b, v + noise, None, n)
+        it, _, _ = _newton(system, b, system.start(v + noise), None, n)
+        v, b = it.v, it.channels[0]
         gap = max(gap, l2_norm(v - base.states[n].values, col.dz))
     return gap
 

@@ -172,7 +172,11 @@ def biharmonic_array(u: np.ndarray, dz: float) -> np.ndarray:
 
 def face_values(k: np.ndarray) -> np.ndarray:
     """Node means on the n_cells+1 faces; wall faces take the adjacent node."""
-    return np.concatenate(([k[0]], 0.5 * (k[:-1] + k[1:]), [k[-1]]))
+    out = np.empty(k.shape[0] + 1)
+    out[0], out[-1] = k[0], k[-1]
+    np.add(k[:-1], k[1:], out=out[1:-1])
+    out[1:-1] *= 0.5
+    return out
 
 
 def gravity_divergence_array(k: np.ndarray, dz: float, sign: float) -> np.ndarray:

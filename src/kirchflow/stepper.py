@@ -29,15 +29,18 @@ tabulated derivative), giving quadratic local convergence.  The iteration
 cap, the line-search factor and the growth cap are module constants: they
 choose how the root is found, not which root, so they are not settings.
 
-Newton runs on plain arrays: the banded ``-lap + gamma * bih`` parts are
-built once per run, and an iterate costs one table lookup and one LAPACK
-call.  The residual reads ``b``, ``K``, ``b'`` and ``K'`` through one lookup
-and hands the slopes on to the Newton matrix, which is assembled straight
-into the band storage of ``dgbsv``, the routine ``scipy.linalg.solve_banded``
-calls, on the same input.  ``b(u_old)`` is carried over from the previous
-accepted iterate, and only accepted states become ``Field``s.  ``step`` and
-``run`` are the entry points: the residual and the Newton matrix belong to
-the private ``_System`` of one march and have no ``Field`` form.
+Newton runs on plain arrays, and each iterate is evaluated once: one table
+lookup for ``b``, ``K``, ``b'`` and ``K'`` and one call of each stencil make
+an evaluated record, from which the residual and the Newton matrix are
+both read.  The Newton matrix starts from a per-run template of the
+constant ``-lap + gamma * bih`` bands in the band storage of ``dgbsv``, the
+routine ``scipy.linalg.solve_banded`` calls, on the same input; an iterate
+writes only its diagonal and the gravity bands.  ``run`` carries the record
+of each accepted iterate into the next step as its starting guess, and
+``b(u_old)`` with it, so only the first step evaluates a guess; only
+accepted states become ``Field``s.  ``step`` and ``run`` are the entry
+points: the residual and the Newton matrix belong to the private
+``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
 ``scipy.linalg`` package import would also load ``numpy.f2py``,
@@ -57,7 +60,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -206,46 +209,79 @@ def project_initial(u0: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 
+class _Iterate(NamedTuple):
+    """One evaluated Newton iterate: everything a residual at ``v`` and the
+    Newton matrix at ``v`` read."""
+
+    v: np.ndarray
+    channels: np.ndarray  # (b, K_f, b', K_f') at v, from one table lookup
+    grav: np.ndarray  # gravity_divergence_array(K_f)
+    lap: np.ndarray  # laplacian_array(v)
+    bih: Optional[np.ndarray]  # gamma * biharmonic_array(v); None at gamma = 0
+
+
 class _System:
     """One march's Newton system on plain arrays, with its run constants."""
 
     def __init__(self, col: Column, cfg: StepConfig, table: KirchhoffTable):
         self.cfg, self.table, self.dz, self.sign = cfg, table, col.dz, col.gravity_sign
-        self.lap_ab = laplacian_banded(col)
-        self.bih_ab = cfg.gamma * biharmonic_banded(col) if cfg.gamma != 0.0 else None
         self.floor = table.u_lower + 2.0 * table.margin  # strictly invertible band
-
-    def residual(
-        self, v: np.ndarray, b_old: np.ndarray, source: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residual at the trial values ``v``, ``b(v)`` for reuse, and the
-        slopes ``(b'(v), K'(v))`` the Newton matrix at ``v`` is built from."""
-        cfg = self.cfg
-        channels = self.table.all_channels(v)
-        b, k = channels[0], channels[1]
-        out = (b - b_old) / cfg.h
-        out = out + gravity_divergence_array(k, self.dz, self.sign)
-        out = out - laplacian_array(v, self.dz)
+        # the constant bands of the Newton matrix in dgbsv's Fortran (7, n)
+        # band storage, added term by term into zeros as (0 - lap) + gamma * bih;
+        # summing -lap + gamma * bih ahead of time would round differently
+        lap_ab = laplacian_banded(col)
+        self.template = np.zeros((col.n_cells, 7)).T
+        ab = self.template[2:]
+        ab[1:4] -= lap_ab
+        self.lap_d = lap_ab[1]
+        self.bih_d = None
         if cfg.gamma != 0.0:
-            out = out + cfg.gamma * biharmonic_array(v, self.dz)
+            bih_ab = cfg.gamma * biharmonic_banded(col)
+            ab += bih_ab
+            self.bih_d = bih_ab[2]
+
+    def start(self, guess: np.ndarray) -> _Iterate:
+        """A Newton guess clamped strictly above the table floor, evaluated."""
+        return self.evaluate(np.maximum(guess, self.floor))
+
+    def evaluate(self, v: np.ndarray) -> _Iterate:
+        """One table lookup and one call of each stencil at ``v``."""
+        channels = self.table.all_channels(v)
+        bih = None
+        if self.cfg.gamma != 0.0:
+            bih = self.cfg.gamma * biharmonic_array(v, self.dz)
+        return _Iterate(v, channels,
+                        gravity_divergence_array(channels[1], self.dz, self.sign),
+                        laplacian_array(v, self.dz), bih)
+
+    def residual(self, it: _Iterate, b_old: np.ndarray,
+                 source: Optional[np.ndarray]) -> np.ndarray:
+        """Residual at the evaluated iterate ``it`` for a step from ``b_old``."""
+        out = (it.channels[0] - b_old) / self.cfg.h
+        out = out + it.grav
+        out = out - it.lap
+        if it.bih is not None:
+            out = out + it.bih
         if source is not None:
             out = out - source
-        return out, b, channels[2:]
+        return out
 
-    def jacobian(self, slopes) -> np.ndarray:
-        """Newton matrix from the slopes ``(b', K')`` in ``dgbsv``'s Fortran
-        ``(7, n)`` band storage: rows ``2:`` in ``solve_banded`` layout, rows
-        ``:2`` left for the factorization's fill-in."""
-        b_prime, dk = slopes
-        lu = np.zeros((dk.shape[0], 7)).T
-        # the run constants are added term by term as they always were:
-        # summing them ahead of time would round differently
-        ab = lu[2:]
-        ab[2] += b_prime / self.cfg.h
-        ab[1:4] -= self.lap_ab
-        if self.bih_ab is not None:
-            ab += self.bih_ab
-        ab[1:4] += gravity_jacobian_array(dk, self.dz, self.sign)
+    def jacobian(self, it: _Iterate) -> np.ndarray:
+        """Newton matrix at ``it`` in ``dgbsv``'s Fortran ``(7, n)`` band
+        storage: rows ``2:`` in ``solve_banded`` layout, rows ``:2`` left for
+        the factorization's fill-in.
+
+        The diagonal is written as ``(b'/h - lap) + gamma * bih``: adding the
+        three terms into a zero diagonal in turn gives the same bits, because
+        ``0.0 + b'/h == b'/h`` for ``b' >= a_min > 0``.
+        """
+        lu = self.template.copy(order="F")
+        diag = lu[4]
+        np.divide(it.channels[2], self.cfg.h, out=diag)
+        diag -= self.lap_d
+        if self.bih_d is not None:
+            diag += self.bih_d
+        lu[3:6] += gravity_jacobian_array(it.channels[3], self.dz, self.sign)
         return lu
 
 
@@ -254,35 +290,40 @@ class _System:
 # ---------------------------------------------------------------------------
 
 
-def _newton(system: _System, b_old: np.ndarray, guess: np.ndarray,
+def _newton(system: _System, b_old: np.ndarray, guess: _Iterate,
             source: Optional[np.ndarray], step_index: Optional[int]
-            ) -> Tuple[np.ndarray, np.ndarray, int, float]:
-    """Accepted values, their ``b``, the iteration count and the residual norm."""
+            ) -> Tuple[_Iterate, int, float]:
+    """The accepted iterate, the iteration count and the residual norm.
+
+    ``guess`` is evaluated already, at values on or above the floor: a fresh
+    guess goes through ``_System.start``, and the iterate returned here (the
+    guess or a clamped trial) can start the next step as it is.
+    """
     cfg = system.cfg
     where = "" if step_index is None else f" (step {step_index})"
-    v = np.maximum(guess, system.floor)
-    r, b, slopes = system.residual(v, b_old, source)
-    rnorm = float(np.max(np.abs(r)))
-    if not np.isfinite(rnorm):
+    it = guess
+    r = system.residual(it, b_old, source)
+    rnorm = float(np.abs(r).max())
+    if not math.isfinite(rnorm):
         raise NonconvergenceError(f"residual not finite{where}", step_index, rnorm)
     best = rnorm
-    for it in range(_MAX_ITER):
+    for n_it in range(_MAX_ITER):
         if rnorm <= cfg.newton_tol:
-            return v, b, it, rnorm
-        _, _, delta, info = dgbsv(2, 2, system.jacobian(slopes), -r,
+            return it, n_it, rnorm
+        _, _, delta, info = dgbsv(2, 2, system.jacobian(it), -r,
                                   overwrite_ab=True, overwrite_b=True)
         if info != 0:
             raise NonconvergenceError(f"banded factorization failed (LAPACK info "
                                       f"{info}){where}", step_index, rnorm)
         lam = 1.0
         for _ in range(_BACKTRACK_LIMIT):
-            cand = np.maximum(v + lam * delta, system.floor)
-            cand_r, cand_b, cand_slopes = system.residual(cand, b_old, source)
-            cand_norm = float(np.max(np.abs(cand_r)))
-            if np.isfinite(cand_norm) and cand_norm <= max(
+            cand = system.evaluate(np.maximum(it.v + lam * delta, system.floor))
+            cand_r = system.residual(cand, b_old, source)
+            cand_norm = float(np.abs(cand_r).max())
+            if math.isfinite(cand_norm) and cand_norm <= max(
                 _GROWTH_CAP * best, cfg.newton_tol
             ):
-                v, r, rnorm, b, slopes = cand, cand_r, cand_norm, cand_b, cand_slopes
+                it, r, rnorm = cand, cand_r, cand_norm
                 best = min(best, cand_norm)
                 break
             lam *= _DAMPING
@@ -291,7 +332,7 @@ def _newton(system: _System, b_old: np.ndarray, guess: np.ndarray,
                 f"line search stalled at residual {rnorm:.3e}{where}", step_index, rnorm
             )
     if rnorm <= cfg.newton_tol:
-        return v, b, _MAX_ITER, rnorm
+        return it, _MAX_ITER, rnorm
     raise NonconvergenceError(
         f"no convergence in {_MAX_ITER} Newton iterations: "
         f"residual {rnorm:.3e} > tol {cfg.newton_tol:.3e}{where}",
@@ -311,36 +352,44 @@ def step(
     guess = u_old if initial_guess is None else initial_guess
     src = None if source is None else np.asarray(source, dtype=float)
     system = _System(u_old.column, cfg, table)
-    v, _, _, _ = _newton(system, table.b_of_u(u_old.values), guess.values, src, None)
-    return Field(v, u_old.column)
+    it, _, _ = _newton(system, table.b_of_u(u_old.values), system.start(guess.values),
+                       src, None)
+    return Field(it.v, u_old.column)
 
 
 def run(
     u0: Field,
     cfg: StepConfig,
     table: KirchhoffTable,
-    source: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+    source: Optional[Callable[[float], np.ndarray]] = None,
 ) -> Trajectory:
     """March N = ceil(t_end/h) steps from the projected initial state.
 
-    ``source(t, z)`` — when given — is evaluated at each step's target
-    time (fully implicit right side, used by the manufactured-solution
-    studies).  Solver failures carry the failing step index.  A sourceless
-    step that returns its input values and ``b`` byte for byte is a fixed
-    point: later steps repeat its ``Field``, iteration count and norm.
+    ``source(t)`` — when given — returns the right side at time ``t`` on the
+    nodes of ``u0.column``; it is evaluated at each step's target time (fully
+    implicit right side, used by the manufactured-solution studies).  Solver
+    failures carry the failing step index.  A sourceless step that returns
+    its input values and ``b`` byte for byte is a fixed point: later steps
+    repeat its ``Field``, iteration count and norm.
+
+    Each step starts from the evaluated iterate the previous step accepted,
+    so only the first step evaluates its guess.
     """
     col = u0.column
     state = project_initial(u0)
     system = _System(col, cfg, table)
     times = cfg.h * np.arange(cfg.n_steps + 1)
     states, iters, norms = [state], [], []
-    z = col.nodes()
     v = state.values
     b = table.b_of_u(v)  # b(u_old), carried over from each accepted iterate
+    it = system.start(v)
     for k in range(1, cfg.n_steps + 1):
-        src = None if source is None else np.asarray(source(times[k], z), dtype=float)
-        key = v.tobytes() + b.tobytes()
-        v, b, n_it, rnorm = _newton(system, b, v, src, k)
+        if source is None:
+            src, key = None, v.tobytes() + b.tobytes()
+        else:
+            src = np.asarray(source(times[k]), dtype=float)
+        it, n_it, rnorm = _newton(system, b, it, src, k)
+        v, b = it.v, it.channels[0]
         if source is None and v.tobytes() + b.tobytes() == key:
             tail = cfg.n_steps + 1 - k
             states += [states[-1]] * tail

@@ -1,10 +1,17 @@
 """Dense expansion of banded matrices, for checking banded assembly against
-dense references, and the stepper's Newton system evaluated at one state.
-Nothing in the solver uses either, so they live with the other test oracles.
+dense references, the stepper's Newton system evaluated at one state, and
+that system assembled term by term straight from the kernels, the order
+oracle for the stepper's evaluated iterates and per-run matrix template.
+Nothing in the solver uses any of them, so they live with the other test
+oracles.
 """
 
 import numpy as np
 
+from kirchflow.grid import (
+    biharmonic_array, biharmonic_banded, gravity_divergence_array,
+    gravity_jacobian_array, laplacian_array, laplacian_banded,
+)
 from kirchflow.stepper import _System
 
 
@@ -25,5 +32,35 @@ def newton_system(u_new, u_old, cfg, table, source=None):
     """The march's residual at ``u_new`` for a step from ``u_old``, and its
     Newton matrix at ``u_new`` in solve_banded layout, bandwidth (2, 2)."""
     system = _System(u_new.column, cfg, table)
-    r, _, slopes = system.residual(u_new.values, table.b_of_u(u_old.values), source)
-    return r, system.jacobian(slopes)[2:]
+    it = system.evaluate(u_new.values)
+    r = system.residual(it, table.b_of_u(u_old.values), source)
+    return r, system.jacobian(it)[2:]
+
+
+def term_by_term_residual(v, b_old, col, cfg, table, source=None):
+    """Residual of the scheme at ``v``, its terms added in the scheme's order:
+    ``(b - b_old)/h``, ``+ grav``, ``- lap``, ``+ gamma * bih``, ``- source``."""
+    channels = table.all_channels(v)
+    out = (channels[0] - b_old) / cfg.h
+    out = out + gravity_divergence_array(channels[1], col.dz, col.gravity_sign)
+    out = out - laplacian_array(v, col.dz)
+    if cfg.gamma != 0.0:
+        out = out + cfg.gamma * biharmonic_array(v, col.dz)
+    if source is not None:
+        out = out - source
+    return out
+
+
+def term_by_term_jacobian(v, col, cfg, table):
+    """Newton matrix at ``v`` in ``dgbsv``'s Fortran ``(7, n)`` band storage,
+    each term added into a zero matrix in turn: ``b'/h``, ``- lap``,
+    ``+ gamma * bih``, ``+`` the gravity bands."""
+    b_prime, dk = table.all_channels(v)[2:]
+    lu = np.zeros((col.n_cells, 7)).T
+    ab = lu[2:]
+    ab[2] += b_prime / cfg.h
+    ab[1:4] -= laplacian_banded(col)
+    if cfg.gamma != 0.0:
+        ab += cfg.gamma * biharmonic_banded(col)
+    ab[1:4] += gravity_jacobian_array(dk, col.dz, col.gravity_sign)
+    return lu

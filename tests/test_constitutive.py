@@ -197,12 +197,17 @@ def test_inverse_out_of_range(table):
 
 
 def test_every_u_channel_refuses_values_below_the_table(table):
-    for u in (table.u_lower - 1.0, np.nan):
-        for channel in (table.b_of_u, table.b_prime, table.legendre_B,
-                        table.conductivity_of_u, table.dconductivity_du,
-                        table.kirchhoff_inverse):
-            with pytest.raises(OutOfRangeError):
-                channel(u)
+    below = "at or below invertible range .*: pressure diverges"
+    for bad, message in ((table.u_lower - 1.0, below), (np.nan, "u=nan is not a number")):
+        block = np.full((2, 3), -0.1)
+        block[1, 2] = bad  # the refusal names the entry of a stacked block too
+        for u in (bad, block):
+            for channel in (table.b_of_u, table.b_prime, table.legendre_B,
+                            table.conductivity_of_u, table.dconductivity_du,
+                            table.kirchhoff_inverse):
+                with pytest.raises(OutOfRangeError, match=message) as err:
+                    channel(u)
+                assert ("diverges" in str(err.value)) == (message is below)
 
 
 def test_pressure_maps_propagate_nan(table, model):

@@ -99,13 +99,36 @@ def test_ms_envelope_rate_matches_central_difference(ms):
 
 def test_ms_source_gamma_wiring(ms, table):
     # the two sources must differ by exactly the fourth-derivative term
-    z = ms.column.nodes()
     cfg0 = StepConfig(h=0.01, gamma=0.0, t_end=0.01)
     cfg1 = StepConfig(h=0.01, gamma=0.25, t_end=0.01)
     t = 0.3
-    gap = ms.source_callable(cfg1, table)(t, z) - ms.source_callable(cfg0, table)(t, z)
+    gap = ms.source_callable(cfg1, table)(t) - ms.source_callable(cfg0, table)(t)
     expected = 0.25 * ms.envelope(t) * 16.0 * 24.0 / ms.column.length**4
     np.testing.assert_allclose(gap, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_ms_source_equals_per_call_closed_form(ms, table, gamma):
+    # the shape and its derivatives are computed once per source; every value
+    # is the one the closed form computes from scratch at each call
+    cfg = StepConfig(h=0.01, gamma=gamma, t_end=0.01)
+    src = ms.source_callable(cfg, table)
+    length, g = ms.column.length, ms.column.gravity_sign
+    for t in (0.0, 0.01, 0.3, 0.77, 2.5):
+        z = ms.column.nodes()
+        s = z / length
+        shape = 16.0 * s**2 * (1.0 - s) ** 2
+        d1 = 16.0 * (2.0 * s - 6.0 * s**2 + 4.0 * s**3) / length
+        d2 = 16.0 * (2.0 - 12.0 * s + 12.0 * s**2) / length**2
+        d4 = 16.0 * 24.0 / length**4 * np.ones_like(z)
+        amp = ms.envelope(t)
+        u = amp * shape
+        expected = table.b_prime(u) * (ms.envelope_rate(t) * shape)
+        expected += g * table.dconductivity_du(u) * (amp * d1)
+        expected -= amp * d2
+        if gamma != 0.0:
+            expected += gamma * amp * d4
+        assert src(t).tobytes() == expected.tobytes()
 
 
 def test_ms_discrete_residual_small_at_exact_solution(ms, table):
@@ -119,7 +142,7 @@ def test_ms_discrete_residual_small_at_exact_solution(ms, table):
         ms.field(t - cfg.h),
         cfg,
         table,
-        src(t, ms.column.nodes()),
+        src(t),
     )
     # wall rows carry the mirror-ghost closure truncation (grows like
     # 1/dz when u''' is nonzero at the wall); the convergence studies

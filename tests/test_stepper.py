@@ -1,6 +1,7 @@
 """Backward-difference stepper: residual, Jacobian, Newton, trajectories."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kirchflow import stepper
 from kirchflow.config import load_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
 from kirchflow.grid import Column, Field
+from kirchflow.harness import ManufacturedSolution
 from kirchflow.stepper import (
     NonconvergenceError,
     StepConfig,
@@ -20,7 +22,9 @@ from kirchflow.stepper import (
     run,
     step,
 )
-from oracles.banded import dense_from_banded, newton_system
+from oracles.banded import (
+    dense_from_banded, newton_system, term_by_term_jacobian, term_by_term_residual,
+)
 
 
 def _wet_lens(col, depth=0.2, center=0.5, width=0.15):
@@ -170,6 +174,45 @@ def test_jacobian_saturated_plateau_is_heat_limit(table, model):
     assert np.allclose(np.diag(J), expected_diag, rtol=1e-12)
 
 
+def _oracle_states(col, table, model):
+    """Four kinds of state, each checked to be what its name says."""
+    z = col.nodes() / col.length
+    rng = np.random.default_rng(12)
+    states = {
+        "capacity floor": -0.7 * np.sin(np.pi * z),
+        "saturated": 0.3 * np.sin(np.pi * z) - 0.1,
+        "wall slope": -0.1 - 0.05 * np.sin(2.0 * np.pi * z),
+        "random lens": -0.02 - 0.18 * rng.random(col.n_cells),
+    }
+    u = np.stack(list(states.values()))
+    b_prime, dk = table.all_channels(u)[2:]
+    assert np.any((b_prime[0] == model.a_min) & (u[0] < 0.0))
+    assert np.any(u[1] >= 0.0)
+    assert dk[2, 0] != 0.0 and dk[2, -1] != 0.0
+    return states
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_newton_system_equals_term_by_term_assembly(table, model, gamma):
+    # the evaluated iterate and the per-run matrix template add the terms of
+    # the scheme in the order a term-by-term assembly adds them, bit for bit;
+    # the long column (dz ~ 0.5) gives b'/h, lap and gamma * bih comparable
+    # sizes, so that another summation order shows in the last bit
+    col = Column(length=20.0, n_cells=40, gravity_sign=-1.0)
+    cfg = StepConfig(h=0.01, gamma=gamma)
+    system = stepper._System(col, cfg, table)
+    rng = np.random.default_rng(3)
+    b_old = table.b_of_u(-0.3 * rng.random(col.n_cells))
+    source = rng.standard_normal(col.n_cells)
+    for name, v in _oracle_states(col, table, model).items():
+        it = system.evaluate(v)
+        for src in (None, source):
+            expected = term_by_term_residual(v, b_old, col, cfg, table, src)
+            assert system.residual(it, b_old, src).tobytes() == expected.tobytes(), name
+        expected = term_by_term_jacobian(v, col, cfg, table)
+        assert system.jacobian(it).tobytes() == expected.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Newton step
 # ---------------------------------------------------------------------------
@@ -197,7 +240,7 @@ def test_run_refuses_a_non_finite_residual(table, bad):
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05)
     with pytest.raises(NonconvergenceError,
                        match=r"residual not finite \(step 1\)") as exc:
-        run(_wet_lens(col), cfg, table, source=lambda t, z: np.full_like(z, bad))
+        run(_wet_lens(col), cfg, table, source=lambda t: np.full(col.n_cells, bad))
     assert exc.value.step_index == 1
 
 
@@ -264,10 +307,15 @@ def test_dgbsv_binding_matches_scipy_lapack_when_pivoting_or_singular():
     assert infos == [0, 0, 0, 0, 6]  # 6: 1-based index of the zero pivot
 
 
-def test_reference_run_reads_the_table_once_per_residual(table, monkeypatch):
+_STENCILS = ("laplacian_array", "biharmonic_array", "gravity_divergence_array")
+
+
+def _counting(monkeypatch):
+    """Count calls of the table lookup, the stencils and the Newton parts,
+    each also under the name of the counted call it happened in."""
     counts, active = Counter(), []
 
-    def counting(owner, name):
+    def count(owner, name):
         inner = getattr(owner, name)
 
         def counted(*args, **kwargs):
@@ -280,23 +328,61 @@ def test_reference_run_reads_the_table_once_per_residual(table, monkeypatch):
                 active.pop()
 
         monkeypatch.setattr(owner, name, counted)
+        return counted
 
-    counting(KirchhoffTable, "all_channels")
-    counting(stepper._System, "residual")
-    counting(stepper._System, "jacobian")
-    counting(stepper, "_newton")
-    counting(stepper, "dgbsv")
+    count(KirchhoffTable, "all_channels")
+    for name in ("evaluate", "residual", "jacobian"):
+        count(stepper._System, name)
+    for name in ("_newton", "dgbsv") + _STENCILS:
+        count(stepper, name)
+    return counts, count
+
+
+def test_reference_run_evaluates_each_iterate_once(table, monkeypatch):
+    counts, _ = _counting(monkeypatch)
     traj, _ = _reference_run(table)
     iters = sum(traj.newton_iters)
     # seven solved steps (then the fixed-point tail), 21 iterations, no
-    # backtracks: each iterate costs one trial residual and one LAPACK call
+    # backtracks; each step starts from the iterate the one before accepted,
+    # so only step 1 evaluates its guess: one lookup and one call of each
+    # stencil per evaluated iterate, one trial residual and one LAPACK call
+    # per iteration
     assert (counts["_newton"], iters) == (7, 21)
-    assert counts["residual"] == counts["_newton"] + iters
-    assert counts["all_channels in residual"] == counts["residual"]
+    assert counts["evaluate"] == 1 + iters == 22
+    assert counts["all_channels"] == 1 + counts["evaluate"] == 23
     assert counts["all_channels in run"] == 1  # b(u^0)
-    assert counts["all_channels"] == counts["residual"] + 1
+    assert counts["all_channels in evaluate"] == counts["evaluate"]
+    for name in _STENCILS:
+        assert counts[name] == counts[f"{name} in evaluate"] == counts["evaluate"]
+    assert counts["residual"] == counts["_newton"] + iters
     assert counts["jacobian"] == counts["dgbsv"] == iters
-    assert counts["all_channels in jacobian"] == 0
+    for name in ("residual", "jacobian"):
+        assert not any(counts[f"{inner} in {name}"]
+                       for inner in ("all_channels",) + _STENCILS)
+
+
+def _mms_first_spatial_level(table):
+    """Initial state, stepping and source of the manufactured-solution
+    study's first spatial level."""
+    ms = ManufacturedSolution(column=Column(length=1.0, n_cells=25, gravity_sign=-1.0))
+    cfg = StepConfig(h=1.0e-4, gamma=0.1, t_end=0.02, newton_tol=3.0e-7)
+    return project_initial(ms.field(0.0)), cfg, ms.source_callable(cfg, table)
+
+
+def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
+    # the source reads the table once per step and runs no stencil
+    u0, cfg, source = _mms_first_spatial_level(table)
+    counts, count = _counting(monkeypatch)
+    traj = run(u0, cfg, table, source=count(SimpleNamespace(source=source), "source"))
+    iters = sum(traj.newton_iters)
+    assert (counts["_newton"], counts["source"], iters) == (200, 200, 364)
+    assert counts["evaluate"] == 1 + iters
+    assert counts["all_channels in source"] == counts["source"]
+    assert counts["all_channels"] == 1 + counts["evaluate"] + counts["source"]
+    for name in _STENCILS:
+        assert counts[name] == counts[f"{name} in evaluate"] == counts["evaluate"]
+    assert counts["residual"] == counts["_newton"] + iters
+    assert counts["jacobian"] == counts["dgbsv"] == iters
 
 
 def test_step_rejects_out_of_domain_state(table):
@@ -389,7 +475,7 @@ def test_run_fixed_point_tail_equals_full_march(table):
     cfg = StepConfig(h=2.5e-4, gamma=0.1, t_end=0.05, newton_tol=1e-7)
     u0 = project_initial(_wet_lens(col))
     tail = run(u0, cfg, table)
-    full = run(u0, cfg, table, source=lambda t, z: np.zeros_like(z))
+    full = run(u0, cfg, table, source=lambda t: np.zeros(col.n_cells))
     assert len(tail.states) == len(full.states) == 201
     for a, b in zip(tail.states, full.states):
         assert a.values.tobytes() == b.values.tobytes()
@@ -398,6 +484,46 @@ def test_run_fixed_point_tail_equals_full_march(table):
     assert all(s is tail.states[81] for s in tail.states[82:])
     assert len({id(s) for s in tail.states}) == 82
     assert len({id(s) for s in full.states}) == 201
+
+
+def _fresh_march(u0, cfg, table, source=None):
+    """``run`` without carrying: every step clamps and evaluates its guess,
+    and no fixed-point tail is taken.  States, iterations and norms."""
+    system = stepper._System(u0.column, cfg, table)
+    times = cfg.h * np.arange(cfg.n_steps + 1)
+    v = project_initial(u0).values
+    b = table.b_of_u(v)
+    states, iters, norms = [v], [], []
+    for k in range(1, cfg.n_steps + 1):
+        src = None if source is None else source(times[k])
+        it, n_it, rnorm = stepper._newton(system, b, system.start(v), src, k)
+        v, b = it.v, it.channels[0]
+        states.append(v)
+        iters.append(n_it)
+        norms.append(rnorm)
+    return states, iters, norms
+
+
+def _assert_march_equal(traj, fresh):
+    states, iters, norms = fresh
+    assert len(traj.states) == len(states)
+    for a, b in zip(traj.states, states):
+        assert a.values.tobytes() == b.tobytes()
+    assert traj.newton_iters == tuple(iters)
+    assert np.array(traj.residual_norms).tobytes() == np.array(norms).tobytes()
+
+
+def test_carried_iterates_equal_fresh_evaluation_on_reference_run(table):
+    cfg = load_config(None)
+    u0 = cfg.initial_state(cfg.build_column())
+    stepping = cfg.build_stepping(beta=table.beta_bound())
+    _assert_march_equal(run(u0, stepping, table), _fresh_march(u0, stepping, table))
+
+
+def test_carried_iterates_equal_fresh_evaluation_on_mms_level(table):
+    u0, cfg, source = _mms_first_spatial_level(table)
+    _assert_march_equal(run(u0, cfg, table, source=source),
+                        _fresh_march(u0, cfg, table, source))
 
 
 def test_run_gamma_zero_keeps_maximum_principle(table):
