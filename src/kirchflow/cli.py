@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -58,29 +58,29 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _csv_lines(rows: Iterable[Sequence[Any]]) -> Iterator[str]:
+    """One comma-joined line of ``_fmt`` values per row."""
+    return (",".join(_fmt(v) for v in row) for row in rows)
+
+
 def _write_csv(
     cfg: RunConfig,
     out: str,
     name: str,
     schema: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    lines: Iterable[str],
     **meta: Any,
 ) -> str:
-    """Write ``out/name`` with the metadata header; return its path."""
-    lines: List[str] = []
-    lines.append(f"# kirchflow_version: {__version__}")
-    lines.append(f"# numpy_version: {np.__version__}")
-    lines.append(f"# scipy_version: {scipy.__version__}")
-    lines.append(f"# config_sha256: {cfg.config_hash()}")
-    for key, value in meta.items():
-        lines.append(f"# {key}: {_fmt(value)}")
-    lines.append("# schema: " + ",".join(schema))
-    lines.append(",".join(schema))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """Stream the metadata header and the data ``lines`` to ``out/name``;
+    return its path."""
+    header = {"kirchflow_version": __version__, "numpy_version": np.__version__,
+              "scipy_version": scipy.__version__, "config_sha256": cfg.config_hash(),
+              **meta, "schema": ",".join(schema)}
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {key}: {_fmt(value)}\n" for key, value in header.items())
+        fh.write(",".join(schema) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     return path
 
 
@@ -92,28 +92,33 @@ def _stride(cfg: RunConfig, args: argparse.Namespace) -> int:
     return args.stride
 
 
-def _snapshot_rows(
+def _snapshots(traj: Trajectory, stride: int) -> List[int]:
+    """Every ``stride``-th state index, and the last (always an artifact)."""
+    return sorted({*range(0, len(traj.states), stride), len(traj.states) - 1})
+
+
+def _snapshot_lines(
     traj: Trajectory,
     column: Column,
-    stride: int,
+    snapshots: Sequence[int],
     *extra: Callable[[Field], Field],
-) -> List[Tuple[Any, ...]]:
-    """Rows ``(t, z, u, *extra)`` of every ``stride``-th state and the last.
+) -> Iterator[str]:
+    """Lines ``t,z,u,*extra`` of the states at ``snapshots``.
 
-    Each of ``extra`` maps a state to one more nodal column.
+    Each of ``extra`` maps a state to one more nodal column.  The fixed-point
+    tail repeats one ``Field``, so each distinct state is mapped and formatted
+    once, before any file is opened: a map that raises leaves no partial
+    artifact.  The returned lines prefix that text with each snapshot's time.
     """
-    last = len(traj.states) - 1
-    snapshots = list(range(0, last + 1, stride))
-    if snapshots[-1] != last:
-        snapshots.append(last)  # the final state is always an artifact
     z = column.nodes().tolist()
-    rows: List[Tuple[Any, ...]] = []
+    text = {}  # the "z,u,*extra" lines of each distinct state, by its id
     for k in snapshots:
         state = traj.states[k]
-        columns = [f(state).values.tolist() for f in extra]
-        t = [float(traj.times[k])] * column.n_cells
-        rows += zip(t, z, state.values.tolist(), *columns)
-    return rows
+        if id(state) not in text:
+            columns = [f(state).values.tolist() for f in extra]
+            text[id(state)] = list(_csv_lines(zip(z, state.values.tolist(), *columns)))
+    blocks = [(_fmt(float(traj.times[k])), text[id(traj.states[k])]) for k in snapshots]
+    return (f"{t},{line}" for t, lines in blocks for line in lines)
 
 
 def _problem(cfg: RunConfig):
@@ -131,9 +136,10 @@ def _cmd_run(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     stride = _stride(cfg, args)
     table, column, stepping, u0 = _problem(cfg)
     traj = march(u0, stepping, table)
-    rows = _snapshot_rows(traj, column, stride)
-    path = _write_csv(cfg, out, "states.csv", ("t", "z", "u"), rows, stride=stride)
-    print(f"wrote {path}: {len(rows) // column.n_cells} snapshots "
+    snapshots = _snapshots(traj, stride)
+    path = _write_csv(cfg, out, "states.csv", ("t", "z", "u"),
+                      _snapshot_lines(traj, column, snapshots), stride=stride)
+    print(f"wrote {path}: {len(snapshots)} snapshots "
           f"of {column.n_cells} nodes")
     return 0
 
@@ -148,7 +154,7 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     path = _write_csv(
         cfg, out, "energy.csv",
         ("t", "B_int", "grad_sq", "lap_sq", "cum_dissipation", "gronwall_bound"),
-        zip(*(series.tolist() for series in ledger)),
+        _csv_lines(zip(*(series.tolist() for series in ledger))),
     )
     print(f"wrote {path}")
 
@@ -181,15 +187,15 @@ def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     stride = _stride(cfg, args)
     table, column, stepping, u0 = _problem(cfg)
     traj = march(u0, stepping, table)
-    rows = _snapshot_rows(
-        traj, column, stride,
+    lines = _snapshot_lines(
+        traj, column, _snapshots(traj, stride),
         lambda state: pressure_field(state, table),
         lambda state: saturation_field(state, table),
         lambda state: darcy_velocity(state, stepping.gamma, table),
     )
     path = _write_csv(
         cfg, out, "fields.csv",
-        ("t", "z", "u", "pressure", "saturation", "velocity"), rows, stride=stride,
+        ("t", "z", "u", "pressure", "saturation", "velocity"), lines, stride=stride,
     )
     print(f"wrote {path}")
     return 0
@@ -211,16 +217,16 @@ def _cmd_mms(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     for mode, threshold in (("spatial", 1.9), ("temporal", 0.9)):
         study = convergence_study(mode, table, gamma=gamma)
         fitted = fitted_order(study)
-        rows = _study_rows(study)
-        _write_csv(cfg, out, f"mms_{mode}.csv", schema, rows, mode=mode,
+        lines = list(_csv_lines(_study_rows(study)))
+        _write_csv(cfg, out, f"mms_{mode}.csv", schema, lines, mode=mode,
                    gamma=float(gamma), fitted_order=float(fitted))
         passed = fitted >= threshold
         ok = ok and passed
         print(f"# mode: {mode}  fitted_order: {fitted:.4f} "
               f"(threshold {threshold}): {'PASS' if passed else 'FAIL'}")
         print(",".join(schema))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        for line in lines:
+            print(line)
     return 0 if ok else 1
 
 
@@ -230,7 +236,7 @@ def _cmd_probe_uniqueness(cfg: RunConfig, out: str, args: argparse.Namespace) ->
     bound = 10.0 * stepping.newton_tol
     passed = gap <= bound
     _write_csv(cfg, out, "uniqueness.csv", ("seed", "max_discrepancy", "bound"),
-               [(args.seed, float(gap), float(bound))])
+               _csv_lines([(args.seed, float(gap), float(bound))]))
     print(f"max discrepancy {gap:.6e} <= {bound:.6e}: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
@@ -253,7 +259,8 @@ def _cmd_demo_overshoot(cfg: RunConfig, out: str, args: argparse.Namespace) -> i
     amp_classic = amplitudes[0.0]
     _write_csv(
         cfg, out, "overshoot.csv", ("gamma", "overshoot_amplitude"),
-        [(float(_OVERSHOOT["gamma"]), float(amp_fourth)), (0.0, float(amp_classic))],
+        _csv_lines([(float(_OVERSHOOT["gamma"]), float(amp_fourth)),
+                    (0.0, float(amp_classic))]),
         **_OVERSHOOT,
     )
     fourth_ok = amp_fourth > 0.0
@@ -280,10 +287,10 @@ def _cmd_dump_constitutive(cfg: RunConfig, out: str, args: argparse.Namespace) -
                    table.conductivity_of_u(u))
     path_p = _write_csv(cfg, out, "constitutive_pressure.csv",
                         ("p", "saturation", "conductivity", "kirchhoff"),
-                        zip(*(series.tolist() for series in pressure)))
+                        _csv_lines(zip(*(series.tolist() for series in pressure))))
     path_u = _write_csv(cfg, out, "constitutive_transformed.csv",
                         ("u", "b", "b_prime", "legendre_B", "conductivity"),
-                        zip(*(series.tolist() for series in transformed)))
+                        _csv_lines(zip(*(series.tolist() for series in transformed))))
     print(f"wrote {path_p}")
     print(f"wrote {path_u}")
     return 0

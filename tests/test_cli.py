@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 import kirchflow
+from kirchflow import cli
 from kirchflow.cli import main
 from kirchflow.config import load_config
+from kirchflow.constitutive import OutOfRangeError
+from kirchflow.recovery import pressure_field
+from kirchflow.stepper import run as march
 
 # small, fast problem reused by most invocations
 SMALL = {
@@ -100,6 +104,59 @@ def test_recover_snapshots_match_run(tmp_path, small_config):
                          "--stride", stride]) == 0
         fields = [",".join(line.split(",")[:3]) for line in rows(out / "fields.csv")]
         assert fields == rows(out / "states.csv")
+
+
+@pytest.fixture(scope="module")
+def reference_march():
+    """The default problem's column and trajectory, marched here."""
+    cfg = load_config(None)
+    table, column = cfg.transform_table(), cfg.build_column()
+    traj = march(cfg.initial_state(column), cfg.build_stepping(table.beta_bound()),
+                 table)
+    return column, traj
+
+
+def test_run_rows_equal_the_trajectory_formatted_here(tmp_path, reference_march):
+    # every state at stride 1, the fixed-point tail's repeats included,
+    # formatted value by value with repr
+    column, traj = reference_march
+    assert len({id(state) for state in traj.states}) < len(traj.states)
+    expected = [",".join(repr(v) for v in (float(t), z, u))
+                for t, state in zip(traj.times, traj.states)
+                for z, u in zip(column.nodes().tolist(), state.values.tolist())]
+    out = tmp_path / "artifacts"
+    assert main(["run", "--stride", "1", "--out", str(out)]) == 0
+    lines = [line for line in (out / "states.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "t,z,u"
+    assert lines[1:] == expected
+
+
+def test_recover_maps_each_distinct_state_once(tmp_path, monkeypatch, reference_march):
+    traj = reference_march[1]
+    seen = []
+
+    def counting(state, table):
+        seen.append(state)
+        return pressure_field(state, table)
+
+    monkeypatch.setattr(cli, "pressure_field", counting)
+    out = tmp_path / "artifacts"
+    assert main(["recover", "--stride", "1", "--out", str(out)]) == 0
+    assert len(seen) == len({id(state) for state in traj.states})
+    assert len({id(state) for state in seen}) == len(seen)
+
+
+def test_recover_failure_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys):
+    # the rows stream to the file, but every state is mapped before it opens
+    def failing(state, table):
+        raise OutOfRangeError("u below the table")
+
+    monkeypatch.setattr(cli, "pressure_field", failing)
+    out = tmp_path / "artifacts"
+    assert main(["recover", "--out", str(out)]) == 2
+    assert "u below the table" in capsys.readouterr().err
+    assert not (out / "fields.csv").exists()
 
 
 def test_diagnose_benchmark_passes(tmp_path, capsys):
@@ -250,10 +307,11 @@ def test_bad_stride_flag_exits_2(tmp_path, small_config, capsys):
     assert "--stride" in capsys.readouterr().err
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports kirchflow from this checkout."""
+def _python(*args, **env):
+    """Run a fresh interpreter that imports kirchflow from this checkout,
+    with ``env`` added to the environment."""
     src = str(Path(kirchflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True)
@@ -284,13 +342,42 @@ def test_solver_imports_no_unused_scipy_subpackage():
         "assert calls, 'the step made no LAPACK call'\n"
         "print(*sorted(name for name in ('scipy.interpolate', 'scipy.integrate',\n"
         "    'scipy.special', 'scipy.optimize', 'scipy.linalg', 'numpy.f2py',\n"
-        "    'numpy.testing', 'numpy.ma') if name in sys.modules))\n"
+        "    'numpy.testing', 'numpy.ma', 'numpy.polynomial') if name in sys.modules))\n"
         "import scipy.linalg\n"
         "assert scipy.linalg._flapack.dgbsv is lapack, 'a second dgbsv'\n"
     )
     done = _python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_table_and_artifacts_do_not_depend_on_blas_threads(tmp_path, small_config):
+    # the quadrature sums node by node instead of through BLAS, whose
+    # rounding follows the thread count: one and two threads give the same
+    # table bits and the same fields.csv bytes
+    code = (
+        "import dataclasses, hashlib\n"
+        "import numpy as np\n"
+        "from kirchflow.constitutive import ConstitutiveModel, build_table\n"
+        "table = build_table(ConstitutiveModel())\n"
+        "for f in dataclasses.fields(table):\n"
+        "    value = getattr(table, f.name)\n"
+        "    if isinstance(value, np.ndarray):\n"
+        "        value = hashlib.sha256(value.tobytes()).hexdigest()\n"
+        "    print(f.name, value)\n"
+    )
+    tables, fields = [], []
+    for threads in ("1", "2"):
+        done = _python("-c", code, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        tables.append(done.stdout)
+        out = tmp_path / threads
+        done = _python("-m", "kirchflow", "recover", "--config", small_config,
+                       "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        fields.append((out / "fields.csv").read_bytes())
+    assert "u_samples" in tables[0] and tables[0] == tables[1]
+    assert fields[0] == fields[1]
 
 
 def test_missing_lapack_extension_is_an_import_error():

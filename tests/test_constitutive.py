@@ -5,6 +5,7 @@ oracle in tests/oracles/constitutive_golden.py (mpmath, 50 digits); the
 default model is alpha_vg=2, n_vg=2, s_res=0.05, p_reg=-10, a_min=1e-3.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.interpolate import CubicHermiteSpline, PPoly
 from kirchflow import constitutive
 from kirchflow.constitutive import (
     P_MIN,
+    TOL_Q,
     ConstitutiveError,
     ConstitutiveModel,
     KirchhoffTable,
@@ -258,6 +260,52 @@ def test_default_table_fits_map_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_gauss_rule_is_the_three_point_legendre_rule():
+    # exact for polynomials up to degree 5, and numpy's own digits
+    nodes = np.array(constitutive._GAUSS_NODES)
+    weights = np.array(constitutive._GAUSS_WEIGHTS)
+    for k in range(6):
+        assert np.sum(weights * nodes**k) == pytest.approx((1 + (-1) ** k) / (k + 1),
+                                                           abs=1e-15)
+    leg_nodes, leg_weights = np.polynomial.legendre.leggauss(3)
+    np.testing.assert_array_max_ulp(nodes, leg_nodes, maxulp=1)
+    np.testing.assert_array_max_ulp(weights, leg_weights, maxulp=1)
+
+
+@pytest.mark.parametrize("params", [{}, {"n_vg": 1.2}, {"p_reg": -0.1}],
+                         ids=["default", "n_vg=1.2", "p_reg=-0.1"])
+def test_table_values_meet_tol_q_against_a_20_point_rule(params):
+    # the knot values agree with 20-point Gauss panels on the same grid to
+    # TOL_Q, relative beyond |u| = 1, on the soils where the table's 3-point
+    # rule errs most: a slope singular at saturation (n_vg < 2) and a steep
+    # dry tail just below p_reg.  A 2-point rule misses by 13x at p_reg = -0.1.
+    table = build_table(ConstitutiveModel(**params))
+    p = table.p_samples
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(p)
+    points = 0.5 * (p[:-1] + p[1:]) + half * nodes[:, None]
+    vals = table.model.conductivity_vs_pressure(points.ravel()).reshape(points.shape)
+    panels = half * (weights @ vals)
+    reference = np.append(-np.cumsum(panels[::-1].astype(np.longdouble))[::-1], 0.0)
+    reference = reference.astype(float)
+    error = np.abs(table.u_samples - reference)
+    assert np.all(error <= TOL_Q * np.maximum(1.0, np.abs(reference)))
+
+
+def test_build_peak_memory_within_twice_the_table():
+    # the build's transient arrays (quadrature points, probes, the fits of
+    # each pass) never outgrow the table it returns
+    tracemalloc.start()
+    try:
+        table = build_table(ConstitutiveModel())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(value.nbytes for value in vars(table).values()
+               if isinstance(value, np.ndarray))
+    assert peak <= 2 * held
+
+
 # ---------------------------------------------------------------------------
 # piecewise-cubic kernels, with scipy.interpolate as the oracle
 # ---------------------------------------------------------------------------
@@ -266,7 +314,7 @@ def test_default_table_fits_map_once(monkeypatch):
 @pytest.fixture(scope="module", params=[{}, {"n_vg": 1.6, "a_min": 1.0e-2}],
                 ids=["default", "refined"])
 def recorded_build(request):
-    """A table (the default one, and one that refines to 43,212 knots) and
+    """A table (the default one, and one that refines to 43,204 knots) and
     ``(x, y, d, coefficients)`` of every Hermite fit its build made."""
     fits = []
     hermite = constitutive._hermite

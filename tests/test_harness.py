@@ -4,6 +4,7 @@ and the dense reference step that cross-checks the banded solver."""
 import numpy as np
 import pytest
 
+from kirchflow.constitutive import ConstitutiveModel, build_table
 from kirchflow.grid import Column, Field
 from kirchflow.harness import (
     HarnessError,
@@ -52,22 +53,26 @@ def test_quadrature_cross_checks_transform_table(model, table):
     # piecewise curve (saturation onset, regularized tail) and stay short
     # enough that 1e-13 absolute certification clears the round-off floor
     # eps*|integral| — the oracle rightly refuses both an interior kink
-    # and a value too large to certify at that precision.
-    for pa, pb in [
-        (-50.0, -30.0),
-        (-30.0, -10.0),
-        (-10.0, -5.0),
-        (-5.0, 0.0),
-        (-1.0, 0.0),
-        (0.0, 5.0),
-        (5.0, 10.0),
-        (-50.0, -10.0),
-    ]:
-        val = quadrature_oracle(
-            lambda p: float(model.conductivity_vs_pressure(p)), pa, pb, tol=1e-12
-        )
-        diff = table.kirchhoff(np.array([pb]))[0] - table.kirchhoff(np.array([pa]))[0]
-        assert abs(val - diff) <= 1e-11
+    # and a value too large to certify at that precision.  Besides the
+    # default soil, a refined one whose slope diverges at saturation
+    # (n_vg < 2) certifies the table's Gauss order beyond the default.
+    refined = ConstitutiveModel(n_vg=1.6, a_min=1.0e-2)
+    for model, table in [(model, table), (refined, build_table(refined))]:
+        for pa, pb in [
+            (-50.0, -30.0),
+            (-30.0, -10.0),
+            (-10.0, -5.0),
+            (-5.0, 0.0),
+            (-1.0, 0.0),
+            (0.0, 5.0),
+            (5.0, 10.0),
+            (-50.0, -10.0),
+        ]:
+            val = quadrature_oracle(
+                lambda p: float(model.conductivity_vs_pressure(p)), pa, pb, tol=1e-12
+            )
+            diff = table.kirchhoff(np.array([pb]))[0] - table.kirchhoff(np.array([pa]))[0]
+            assert abs(val - diff) <= 1e-11
 
 
 # ---------------------------------------------------------------------------

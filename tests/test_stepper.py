@@ -458,7 +458,7 @@ def test_reference_run_newton_work_count(table):
     assert sum(traj.newton_iters) == 21
 
 
-@pytest.mark.parametrize("h, iters", [(2.5e-4, 255), (1.25e-4, 486), (6.25e-5, 945)])
+@pytest.mark.parametrize("h, iters", [(2.5e-4, 256), (1.25e-4, 486), (6.25e-5, 945)])
 def test_fine_step_newton_work_count(table, h, iters):
     # the three levels of acceptance criterion 10
     col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
