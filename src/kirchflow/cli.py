@@ -93,31 +93,31 @@ def _stride(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _snapshots(traj: Trajectory, stride: int) -> List[int]:
-    """Every ``stride``-th state index, and the last (always an artifact)."""
-    return sorted({*range(0, len(traj.states), stride), len(traj.states) - 1})
+    """Every ``stride``-th step, and the last (always an artifact)."""
+    return sorted({*range(0, traj.n_steps + 1, stride), traj.n_steps})
 
 
 def _snapshot_lines(
     traj: Trajectory,
-    column: Column,
     snapshots: Sequence[int],
     *extra: Callable[[Field], Field],
 ) -> Iterator[str]:
     """Lines ``t,z,u,*extra`` of the states at ``snapshots``.
 
-    Each of ``extra`` maps a state to one more nodal column.  The fixed-point
-    tail repeats one ``Field``, so each distinct state is mapped and formatted
-    once, before any file is opened: a map that raises leaves no partial
-    artifact.  The returned lines prefix that text with each snapshot's time.
+    Each of ``extra`` maps a state to one more nodal column.  Steps past a
+    fixed point share a row of ``traj.values``, so each row is mapped and
+    formatted once, before any file is opened: a map that raises leaves no
+    partial artifact.  The returned lines prefix that text with each
+    snapshot's time.
     """
-    z = column.nodes().tolist()
-    text = {}  # the "z,u,*extra" lines of each distinct state, by its id
-    for k in snapshots:
-        state = traj.states[k]
-        if id(state) not in text:
-            columns = [f(state).values.tolist() for f in extra]
-            text[id(state)] = list(_csv_lines(zip(z, state.values.tolist(), *columns)))
-    blocks = [(_fmt(float(traj.times[k])), text[id(traj.states[k])]) for k in snapshots]
+    z = traj.column.nodes().tolist()
+    rows = traj.rows[snapshots].tolist()
+    text = {}  # the "z,u,*extra" lines of each row
+    for r in dict.fromkeys(rows):
+        state = Field(traj.values[r], traj.column)
+        columns = [f(state).values.tolist() for f in extra]
+        text[r] = list(_csv_lines(zip(z, state.values.tolist(), *columns)))
+    blocks = [(_fmt(float(traj.times[k])), text[r]) for k, r in zip(snapshots, rows)]
     return (f"{t},{line}" for t, lines in blocks for line in lines)
 
 
@@ -138,7 +138,7 @@ def _cmd_run(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     traj = march(u0, stepping, table)
     snapshots = _snapshots(traj, stride)
     path = _write_csv(cfg, out, "states.csv", ("t", "z", "u"),
-                      _snapshot_lines(traj, column, snapshots), stride=stride)
+                      _snapshot_lines(traj, snapshots), stride=stride)
     print(f"wrote {path}: {len(snapshots)} snapshots "
           f"of {column.n_cells} nodes")
     return 0
@@ -185,10 +185,10 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
 
 def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     stride = _stride(cfg, args)
-    table, column, stepping, u0 = _problem(cfg)
+    table, _, stepping, u0 = _problem(cfg)
     traj = march(u0, stepping, table)
     lines = _snapshot_lines(
-        traj, column, _snapshots(traj, stride),
+        traj, _snapshots(traj, stride),
         lambda state: pressure_field(state, table),
         lambda state: saturation_field(state, table),
         lambda state: darcy_velocity(state, stepping.gamma, table),
@@ -231,6 +231,8 @@ def _cmd_mms(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_uniqueness(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0 (got {args.seed})")
     table, _, stepping, u0 = _problem(cfg)
     gap = uniqueness_probe(u0, stepping, table, seed=args.seed)
     bound = 10.0 * stepping.newton_tol

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 P_MIN = -1.0e6  # bottom of the table; below it the integrand is k_floor
-TOL_Q = 1.0e-12  # accuracy of the tabulated integral values
+TOL_Q = 1.0e-12  # tabulated integral accuracy: absolute for |u| <= 1, relative beyond
 
 
 class ConstitutiveError(ValueError):
@@ -557,7 +557,8 @@ class KirchhoffTable:
     margin : float
         Exclusion band above ``u_lower`` (1e-9 relative).
     tol_q : float
-        Quadrature tolerance the tabulated values honor (``TOL_Q``).
+        Quadrature tolerance the tabulated values honor (``TOL_Q``):
+        absolute for ``|u| <= 1``, relative to ``|u|`` beyond.
     """
 
     model: ConstitutiveModel

@@ -12,14 +12,14 @@ Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy uses the face-based seminorm — the discrete pairing the
 stepping scheme actually controls.
 
-Runs of one repeated ``Field`` object (a march past its fixed point) are
-evaluated once: the kernels are row-wise, and a repeated state adds exactly
-0.0 to the time-derivative energy, so the results are unchanged bit for bit.
+Each distinct state is evaluated once, as a row of ``Trajectory.values``:
+the kernels are row-wise, and the steps past a fixed point, which repeat the
+last row, add exactly 0.0 to the time-derivative energy and the compactness
+quantity.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +41,10 @@ __all__ = [
     "initial_condition_check",
 ]
 
-# Distinct states per stacked block in energy_report and regularity_monitor.
+# Rows of Trajectory.values per block in energy_report and regularity_monitor.
 # 128 rows amortize the per-call overhead of numpy and the table lookup as
-# well as 512 do, with 3 MB less peak memory; a trajectory is never stacked
-# whole, since a sourced march can hold tens of thousands of distinct states.
+# well as 512 do, with 3 MB less peak memory; the kernels never see a whole
+# trajectory, since a sourced march can hold tens of thousands of states.
 BLOCK_STATES = 128
 
 
@@ -116,31 +116,24 @@ class EnergyReport:
         )
 
 
-def _distinct(traj: Trajectory):
-    """One state per run of consecutive identical objects, and the run lengths."""
-    runs = [list(g) for _, g in itertools.groupby(traj.states, key=id)]
-    return [r[0] for r in runs], [len(r) for r in runs]
-
-
-def _blocks(states, overlap: int = 0):
-    """States stacked ``BLOCK_STATES`` rows at a time; each block after the
-    first starts with the last ``overlap`` states of the one before."""
-    for i in range(0, len(states), BLOCK_STATES):
-        yield np.stack([s.values for s in states[max(i - overlap, 0):i + BLOCK_STATES]])
+def _blocks(values: np.ndarray, overlap: int = 0):
+    """Views of ``BLOCK_STATES`` rows at a time; each block after the first
+    starts with the last ``overlap`` rows of the one before."""
+    for i in range(0, len(values), BLOCK_STATES):
+        yield values[max(i - overlap, 0):i + BLOCK_STATES]
 
 
 def energy_report(
     traj: Trajectory, cfg: StepConfig, table: KirchhoffTable
 ) -> EnergyReport:
     """Energy ledger of a trajectory produced under ``cfg``."""
-    col = traj.states[0].column
+    col = traj.column
     dz, b_int, grad_sq, lap_sq = col.dz, [], [], []
-    states, counts = _distinct(traj)
-    for block in _blocks(states):
+    for block in _blocks(traj.values):
         b_int.append(integrate_array(table.legendre_B(block), dz))
         grad_sq.append(libm_square(h1_seminorm_array(block, dz)))
         lap_sq.append(cfg.gamma * integrate_array(laplacian_array(block, dz) ** 2, dz))
-    b_int, grad_sq, lap_sq = (np.repeat(np.concatenate(a), counts)
+    b_int, grad_sq, lap_sq = (np.concatenate(a)[traj.rows]
                               for a in (b_int, grad_sq, lap_sq))
     cum = np.zeros(traj.times.size)
     cum[1:] = np.cumsum(cfg.h * (0.5 * grad_sq[1:] + lap_sq[1:]))
@@ -179,22 +172,21 @@ def time_quotient_check(traj: Trajectory, delta: float, table: KirchhoffTable) -
     Computes (1/delta) * sum_n h * integral of
     (b(u^n) - b(u^{n-k})) * (u^n - u^{n-k}); nonnegative because the
     storage coefficient is monotone, and bounded independently of h —
-    the discrete compactness quantity.  ``b`` is evaluated once per
-    distinct state, and a pair inside one run of a repeated state, whose
-    term is exactly 0.0, is skipped.
+    the discrete compactness quantity.  ``b`` is evaluated once per row of
+    ``traj.values``, and a pair of steps on one row, whose term is exactly
+    0.0, is skipped.
     """
     k = _lag_steps(traj, delta)
-    dz = traj.states[0].column.dz
+    dz = traj.column.dz
     h = float(traj.times[1] - traj.times[0])
-    states, counts = _distinct(traj)
-    b = [table.b_of_u(s.values) for s in states]
-    run_of = np.repeat(np.arange(len(states)), counts).tolist()
+    u = traj.values
+    b = [table.b_of_u(row) for row in u]
+    rows = traj.rows.tolist()
     total = 0.0
     for n in range(k, traj.times.size):
-        i, j = run_of[n], run_of[n - k]
+        i, j = rows[n], rows[n - k]
         if i != j:
-            du = states[i].values - states[j].values
-            total += h * float(integrate_array((b[i] - b[j]) * du, dz))
+            total += h * float(integrate_array((b[i] - b[j]) * (u[i] - u[j]), dz))
     return total / delta
 
 
@@ -206,10 +198,10 @@ def regularity_monitor(traj: Trajectory) -> float:
     """
     if traj.times.size < 2:
         return 0.0
-    dz = traj.states[0].column.dz
+    dz = traj.column.dz
     h = float(traj.times[1] - traj.times[0])
     total = 0.0
-    for block in _blocks(_distinct(traj)[0], overlap=1):
+    for block in _blocks(traj.values, overlap=1):
         quot = (block[1:] - block[:-1]) / h
         for term in (h * integrate_array(quot**2, dz)).tolist():
             total += term  # summed in step order
@@ -236,12 +228,13 @@ def uniqueness_probe(
     system = _System(col, cfg, table)
     v = project_initial(u0).values
     b = table.b_of_u(v)  # b(u_old), carried over as in run
+    base_rows = base.rows
     gap = 0.0
     for n in range(1, cfg.n_steps + 1):
         noise = perturbation * rng.standard_normal(col.n_cells)
         it, _, _ = _newton(system, b, system.start(v + noise), None, n)
         v, b = it.v, it.channels[0]
-        gap = max(gap, l2_norm(v - base.states[n].values, col.dz))
+        gap = max(gap, l2_norm(v - base.values[base_rows[n]], col.dz))
     return gap
 
 
@@ -252,9 +245,8 @@ def max_principle_check(traj: Trajectory) -> float:
     with the fourth-order term a positive value is the measured
     overshoot amplitude — reported, never asserted away.
     """
-    ceiling = max(float(np.max(traj.states[0].values)), 0.0)
-    peak = max(float(np.max(s.values)) for s in traj.states)
-    return max(0.0, peak - ceiling)
+    ceiling = max(float(np.max(traj.values[0])), 0.0)
+    return max(0.0, float(np.max(traj.values)) - ceiling)
 
 
 def initial_condition_check(
@@ -262,5 +254,5 @@ def initial_condition_check(
 ) -> float:
     """L2 distance between stored initial saturation and b(projected u0)."""
     projected = project_initial(u0)
-    db = table.b_of_u(traj.states[0].values) - table.b_of_u(projected.values)
+    db = table.b_of_u(traj.values[0]) - table.b_of_u(projected.values)
     return l2_norm(db, u0.column.dz)

@@ -90,9 +90,7 @@ class Column:
         if not (np.isfinite(self.length) and self.length > 0.0):
             raise GridError(f"length: must be positive (got {self.length!r})")
         n = self.n_cells
-        # non-finite first: int() of inf or nan raises without naming the field
-        non_finite = isinstance(n, numbers.Real) and not math.isfinite(n)
-        if non_finite or int(n) != n or n < 5:
+        if not isinstance(n, numbers.Integral) or n < 5:
             raise GridError(
                 f"n_cells: needs an integer >= 5 for the stencils (got {n!r})"
             )

@@ -21,6 +21,7 @@ import numpy as np
 
 from .constitutive import KirchhoffTable
 from .grid import Column, Field, l2_norm
+from .stepper import _BACKTRACK_LIMIT, _DAMPING, _GROWTH_CAP, _MAX_ITER
 from .stepper import StepConfig, project_initial, run
 
 __all__ = [
@@ -116,7 +117,7 @@ def _mms_error(n_cells: int, cfg: StepConfig, table: KirchhoffTable) -> float:
         source=ms.source_callable(cfg, table),
     )
     exact = ms.field(float(traj.times[-1]))
-    return l2_norm(traj.states[-1].values - exact.values, col.dz)
+    return l2_norm(traj.values[-1] - exact.values, col.dz)
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,9 @@ def dense_reference_step(
 
     Independent of the banded path: full matrices built by loops,
     gravity faces summed explicitly, Newton update by ``numpy.linalg``
-    dense factorization.  Agreement with ``stepper.step`` to
-    100*newton_tol is the dual-implementation contract.
+    dense factorization; only the Newton policy constants come from
+    ``stepper``.  Agreement with ``stepper.step`` to 100*newton_tol is the
+    dual-implementation contract.
     """
     col = u_old.column
     n = col.n_cells
@@ -236,7 +238,7 @@ def dense_reference_step(
     v = np.maximum(u_old.values.copy(), floor)
     r = dense_residual(v)
     best = float(np.max(np.abs(r)))
-    for _ in range(30):
+    for _ in range(_MAX_ITER):
         if np.max(np.abs(r)) <= cfg.newton_tol:
             return Field(v, col)
         jac = sys_mat + np.diag(table.b_prime(v) / cfg.h)
@@ -252,17 +254,17 @@ def dense_reference_step(
         jac[n - 1, n - 1] += half * dk[n - 1]
         delta = np.linalg.solve(jac, -r)
         lam = 1.0
-        for _ in range(50):
+        for _ in range(_BACKTRACK_LIMIT):
             cand = np.maximum(v + lam * delta, floor)
             cand_r = dense_residual(cand)
             cand_norm = float(np.max(np.abs(cand_r)))
             if np.isfinite(cand_norm) and cand_norm <= max(
-                1.0e3 * best, cfg.newton_tol
+                _GROWTH_CAP * best, cfg.newton_tol
             ):
                 v, r = cand, cand_r
                 best = min(best, cand_norm)
                 break
-            lam *= 0.5
+            lam *= _DAMPING
         else:
             raise HarnessError("dense reference line search stalled")
     if np.max(np.abs(r)) <= cfg.newton_tol:

@@ -37,10 +37,10 @@ constant ``-lap + gamma * bih`` bands in the band storage of ``dgbsv``, the
 routine ``scipy.linalg.solve_banded`` calls, on the same input; an iterate
 writes only its diagonal and the gravity bands.  ``run`` carries the record
 of each accepted iterate into the next step as its starting guess, and
-``b(u_old)`` with it, so only the first step evaluates a guess; only
-accepted states become ``Field``s.  ``step`` and ``run`` are the entry
-points: the residual and the Newton matrix belong to the private
-``_System`` of one march and have no ``Field`` form.
+``b(u_old)`` with it, so only the first step evaluates a guess; the
+accepted values are stacked once, at the end of the march.  ``step`` and
+``run`` are the entry points: the residual and the Newton matrix belong to
+the private ``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
 ``scipy.linalg`` package import would also load ``numpy.f2py``,
@@ -49,7 +49,7 @@ points: the residual and the Newton matrix belong to the private
 
 A sourceless step is a pure function of its input values and ``b``: once one
 returns its input byte for byte, so would every later step, so ``run`` stops
-there and the tail of ``Trajectory.states`` is one shared, read-only ``Field``.
+there and ``Trajectory.rows`` maps every later step to the last stored row.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ import scipy
 
 from .constitutive import KirchhoffTable
 from .grid import (
-    Column, Field, biharmonic_array, biharmonic_banded, gravity_divergence_array,
-    gravity_jacobian_array, laplacian_array, laplacian_banded,
+    Column, Field, GridError, biharmonic_array, biharmonic_banded,
+    gravity_divergence_array, gravity_jacobian_array, laplacian_array, laplacian_banded,
 )
 
 __all__ = [
@@ -172,11 +172,18 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted states u^0..u^N with per-step solver bookkeeping; after a
-    fixed point (see ``run``) consecutive states are one shared object."""
+    """Accepted states u^0..u^N on ``column`` with per-step solver bookkeeping.
+
+    ``values`` holds each distinct state once, one read-only row each, as a
+    view of the array passed in, not a copy.  A march that stops at a fixed
+    point (see ``run``) has ``m + 1 <= N + 1`` rows; state ``n`` is row
+    ``rows[n] = min(n, m)``.  ``newton_iters`` and ``residual_norms`` have one
+    entry per step, the tail's included.
+    """
 
     times: np.ndarray
-    states: Tuple[Field, ...]
+    values: np.ndarray
+    column: Column
     newton_iters: Tuple[int, ...]
     residual_norms: Tuple[float, ...]
 
@@ -184,10 +191,24 @@ class Trajectory:
         t = np.array(self.times, dtype=float, copy=True)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
+        vals = np.asarray(self.values, dtype=float).view()
+        n = self.column.n_cells
+        if vals.ndim != 2 or vals.shape[1] != n or not 1 <= len(vals) <= t.size:
+            raise GridError(f"trajectory needs 1 to {t.size} rows of {n} nodal "
+                            f"values, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise GridError("trajectory values must be finite")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
     def n_steps(self) -> int:
-        return len(self.states) - 1
+        return self.times.size - 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of ``values`` that holds each state u^0..u^N."""
+        return np.minimum(np.arange(self.times.size), len(self.values) - 1)
 
 
 def project_initial(u0: Field) -> Field:
@@ -217,7 +238,7 @@ class _Iterate(NamedTuple):
     channels: np.ndarray  # (b, K_f, b', K_f') at v, from one table lookup
     grav: np.ndarray  # gravity_divergence_array(K_f)
     lap: np.ndarray  # laplacian_array(v)
-    bih: Optional[np.ndarray]  # gamma * biharmonic_array(v); None at gamma = 0
+    bih: np.ndarray  # gamma * biharmonic_array(v)
 
 
 class _System:
@@ -230,15 +251,11 @@ class _System:
         # band storage, added term by term into zeros as (0 - lap) + gamma * bih;
         # summing -lap + gamma * bih ahead of time would round differently
         lap_ab = laplacian_banded(col)
+        bih_ab = cfg.gamma * biharmonic_banded(col)
         self.template = np.zeros((col.n_cells, 7)).T
-        ab = self.template[2:]
-        ab[1:4] -= lap_ab
-        self.lap_d = lap_ab[1]
-        self.bih_d = None
-        if cfg.gamma != 0.0:
-            bih_ab = cfg.gamma * biharmonic_banded(col)
-            ab += bih_ab
-            self.bih_d = bih_ab[2]
+        self.template[3:6] -= lap_ab
+        self.template[2:] += bih_ab
+        self.lap_d, self.bih_d = lap_ab[1], bih_ab[2]
 
     def start(self, guess: np.ndarray) -> _Iterate:
         """A Newton guess clamped strictly above the table floor, evaluated."""
@@ -247,24 +264,16 @@ class _System:
     def evaluate(self, v: np.ndarray) -> _Iterate:
         """One table lookup and one call of each stencil at ``v``."""
         channels = self.table.all_channels(v)
-        bih = None
-        if self.cfg.gamma != 0.0:
-            bih = self.cfg.gamma * biharmonic_array(v, self.dz)
         return _Iterate(v, channels,
                         gravity_divergence_array(channels[1], self.dz, self.sign),
-                        laplacian_array(v, self.dz), bih)
+                        laplacian_array(v, self.dz),
+                        self.cfg.gamma * biharmonic_array(v, self.dz))
 
     def residual(self, it: _Iterate, b_old: np.ndarray,
                  source: Optional[np.ndarray]) -> np.ndarray:
         """Residual at the evaluated iterate ``it`` for a step from ``b_old``."""
-        out = (it.channels[0] - b_old) / self.cfg.h
-        out = out + it.grav
-        out = out - it.lap
-        if it.bih is not None:
-            out = out + it.bih
-        if source is not None:
-            out = out - source
-        return out
+        out = (it.channels[0] - b_old) / self.cfg.h + it.grav - it.lap + it.bih
+        return out if source is None else out - source
 
     def jacobian(self, it: _Iterate) -> np.ndarray:
         """Newton matrix at ``it`` in ``dgbsv``'s Fortran ``(7, n)`` band
@@ -276,11 +285,7 @@ class _System:
         ``0.0 + b'/h == b'/h`` for ``b' >= a_min > 0``.
         """
         lu = self.template.copy(order="F")
-        diag = lu[4]
-        np.divide(it.channels[2], self.cfg.h, out=diag)
-        diag -= self.lap_d
-        if self.bih_d is not None:
-            diag += self.bih_d
+        lu[4] = it.channels[2] / self.cfg.h - self.lap_d + self.bih_d
         lu[3:6] += gravity_jacobian_array(it.channels[3], self.dz, self.sign)
         return lu
 
@@ -369,18 +374,18 @@ def run(
     nodes of ``u0.column``; it is evaluated at each step's target time (fully
     implicit right side, used by the manufactured-solution studies).  Solver
     failures carry the failing step index.  A sourceless step that returns
-    its input values and ``b`` byte for byte is a fixed point: later steps
-    repeat its ``Field``, iteration count and norm.
+    its input values and ``b`` byte for byte is a fixed point: the march
+    stops storing states there, and later steps repeat its iteration count
+    and norm.
 
     Each step starts from the evaluated iterate the previous step accepted,
     so only the first step evaluates its guess.
     """
     col = u0.column
-    state = project_initial(u0)
     system = _System(col, cfg, table)
     times = cfg.h * np.arange(cfg.n_steps + 1)
-    states, iters, norms = [state], [], []
-    v = state.values
+    v = project_initial(u0).values
+    values, iters, norms = [v], [], []
     b = table.b_of_u(v)  # b(u_old), carried over from each accepted iterate
     it = system.start(v)
     for k in range(1, cfg.n_steps + 1):
@@ -392,16 +397,11 @@ def run(
         v, b = it.v, it.channels[0]
         if source is None and v.tobytes() + b.tobytes() == key:
             tail = cfg.n_steps + 1 - k
-            states += [states[-1]] * tail
             iters += [n_it] * tail
             norms += [rnorm] * tail
             break
-        states.append(Field(v, col))
+        values.append(v)
         iters.append(n_it)
         norms.append(rnorm)
-    return Trajectory(
-        times=times,
-        states=tuple(states),
-        newton_iters=tuple(iters),
-        residual_norms=tuple(norms),
-    )
+    return Trajectory(times=times, values=np.stack(values), column=col,
+                      newton_iters=tuple(iters), residual_norms=tuple(norms))

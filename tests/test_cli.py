@@ -120,10 +120,10 @@ def test_run_rows_equal_the_trajectory_formatted_here(tmp_path, reference_march)
     # every state at stride 1, the fixed-point tail's repeats included,
     # formatted value by value with repr
     column, traj = reference_march
-    assert len({id(state) for state in traj.states}) < len(traj.states)
+    assert len(traj.values) < len(traj.times)
     expected = [",".join(repr(v) for v in (float(t), z, u))
-                for t, state in zip(traj.times, traj.states)
-                for z, u in zip(column.nodes().tolist(), state.values.tolist())]
+                for t, state in zip(traj.times, traj.values[traj.rows])
+                for z, u in zip(column.nodes().tolist(), state.tolist())]
     out = tmp_path / "artifacts"
     assert main(["run", "--stride", "1", "--out", str(out)]) == 0
     lines = [line for line in (out / "states.csv").read_text().splitlines()
@@ -143,8 +143,8 @@ def test_recover_maps_each_distinct_state_once(tmp_path, monkeypatch, reference_
     monkeypatch.setattr(cli, "pressure_field", counting)
     out = tmp_path / "artifacts"
     assert main(["recover", "--stride", "1", "--out", str(out)]) == 0
-    assert len(seen) == len({id(state) for state in traj.states})
-    assert len({id(state) for state in seen}) == len(seen)
+    assert [state.values.tobytes() for state in seen] == [
+        row.tobytes() for row in traj.values]
 
 
 def test_recover_failure_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys):
@@ -305,6 +305,19 @@ def test_bad_stride_flag_exits_2(tmp_path, small_config, capsys):
         ["run", "--config", small_config, "--out", str(tmp_path), "--stride", "0"]
     ) == 2
     assert "--stride" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2_before_marching(tmp_path, small_config, monkeypatch,
+                                               capsys):
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before refusing the seed")
+
+    monkeypatch.setattr(cli, "uniqueness_probe", no_march)
+    out = tmp_path / "artifacts"
+    assert main(["probe-uniqueness", "--config", small_config, "--out", str(out),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0 (got -1)\n"
+    assert not (out / "uniqueness.csv").exists()
 
 
 def _python(*args, **env):

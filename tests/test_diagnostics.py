@@ -36,11 +36,15 @@ def _lens(col, depth=0.2, width=0.15, center=0.5):
     return Field(-depth * np.exp(-(((z - center) / width) ** 2)), col)
 
 
-def _manual_trajectory(states, h):
+def _manual_trajectory(states, h, tail=0):
+    """Trajectory through the Fields ``states``; the last ``tail`` of them
+    repeat the one before and are left to ``rows``, as a march past its fixed
+    point leaves them."""
     n = len(states) - 1
     return Trajectory(
         times=h * np.arange(n + 1),
-        states=tuple(states),
+        values=np.stack([s.values for s in states[:len(states) - tail]]),
+        column=states[0].column,
         newton_iters=tuple([1] * n),
         residual_norms=tuple([0.0] * n),
     )
@@ -131,13 +135,12 @@ def _multi_block_trajectory(h, repeats=False):
         for _ in range(32 * BLOCK_STATES + 77)
     ]
     if repeats:
-        # shared objects, as a march past its fixed point stores them: a run
-        # across a block boundary and a final run; the equal-valued pair of
-        # distinct objects at 300/301 is not a repeat
+        # equal rows across a block boundary and at 300/301, and a final run
+        # stored once, as a march past its fixed point stores it
         states[BLOCK_STATES - 9:BLOCK_STATES + 20] = [states[BLOCK_STATES - 9]] * 29
         states[-150:] = [states[-150]] * 150
         states[301] = Field(states[300].values, col)
-    return col, states, _manual_trajectory(states, h)
+    return col, states, _manual_trajectory(states, h, tail=149 if repeats else 0)
 
 
 def test_blocked_energy_report_equals_per_state_definitions(table):
@@ -154,8 +157,8 @@ def test_blocked_energy_report_equals_per_state_definitions(table):
                                               col.dz))
             for s in states
         ]
-        # bitwise, not approximately: blocking and evaluating a repeated
-        # state once must not move a single rounding
+        # bitwise, not approximately: blocking and evaluating the stored
+        # tail state once must not move a single rounding
         assert np.array_equal(rep.b_integral, b_int)
         assert np.array_equal(rep.grad_sq, grad_sq)
         assert np.array_equal(rep.lap_sq, lap_sq)
@@ -195,8 +198,8 @@ def test_time_quotient_check_equals_per_step_definition(table):
                 du = states[n].values - states[n - k].values
                 db = table.b_of_u(states[n].values) - table.b_of_u(states[n - k].values)
                 total += h * float(integrate_array(db * du, col.dz))
-            # bitwise: one b per distinct state and the skipped zero terms
-            # inside a repeated run must not move a single rounding
+            # bitwise: one b per row and the skipped zero terms inside the
+            # tail must not move a single rounding
             assert time_quotient_check(traj, k * h, table) == total / (k * h)
 
 
@@ -282,8 +285,8 @@ def test_probe_scale_detects_distinct_dynamics(table):
     t1 = run(u0, StepConfig(h=0.01, gamma=0.1, t_end=0.2, newton_tol=1.0e-7), table)
     t0 = run(u0, StepConfig(h=0.01, gamma=0.0, t_end=0.2, newton_tol=1.0e-7), table)
     gaps = [
-        l2_norm(a.values - b.values, col.dz)
-        for a, b in zip(t1.states, t0.states)
+        l2_norm(a - b, col.dz)
+        for a, b in zip(t1.values[t1.rows], t0.values[t0.rows])
     ]
     assert max(gaps) > 1.0e-2
 
@@ -345,10 +348,12 @@ def test_initial_condition_check_flags_corruption(table):
     u0 = _lens(col)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.03, newton_tol=1.0e-7)
     traj = run(project_initial(u0), cfg, table)
-    bad = Field(traj.states[0].values - 0.05, col)
+    values = traj.values.copy()
+    values[0] -= 0.05
     corrupted = Trajectory(
         times=traj.times.copy(),
-        states=(bad,) + traj.states[1:],
+        values=values,
+        column=col,
         newton_iters=traj.newton_iters,
         residual_norms=traj.residual_norms,
     )

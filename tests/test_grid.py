@@ -36,6 +36,7 @@ from oracles.banded import dense_from_banded
         {"length": 1.0, "n_cells": 10, "gravity_sign": 0.0},
         {"length": 1.0, "n_cells": float("inf")},
         {"length": 1.0, "n_cells": float("nan")},
+        {"length": 1.0, "n_cells": 50.0},
     ],
 )
 def test_invalid_column_rejected(kwargs):

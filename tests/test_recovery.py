@@ -188,7 +188,8 @@ def test_mass_balance_on_benchmark_steps(table):
     traj, cfg = _short_run(table, gamma=0.1, n=200, h=0.01, tol=1.0e-7, t_end=0.05)
     for k in (1, 3, 5):
         defect = mass_balance_residual(
-            traj.states[k], traj.states[k - 1], cfg.h, cfg.gamma, table
+            Field(traj.values[k], traj.column), Field(traj.values[k - 1], traj.column),
+            cfg.h, cfg.gamma, table
         )
         assert defect <= 10.0 * cfg.newton_tol
 
@@ -197,7 +198,8 @@ def test_mass_balance_gamma_zero(table):
     traj, cfg = _short_run(table, gamma=0.0, n=100, h=0.01, tol=1.0e-11, t_end=0.05)
     for k in (1, 5):
         defect = mass_balance_residual(
-            traj.states[k], traj.states[k - 1], cfg.h, cfg.gamma, table
+            Field(traj.values[k], traj.column), Field(traj.values[k - 1], traj.column),
+            cfg.h, cfg.gamma, table
         )
         assert defect <= 10.0 * cfg.newton_tol
 
@@ -219,10 +221,10 @@ def _pressure_form_interior_l2(model, table, traj, cfg, col):
     the two formulations close the boundary differently, at an O(1)
     stencil-level disagreement that does not vanish under refinement.
     """
-    k = len(traj.states) - 1
+    u_old, u_new = traj.values[traj.rows[-2:]]
     dz = col.dz
-    p_new = table.kirchhoff_inverse(traj.states[k].values)
-    p_old = table.kirchhoff_inverse(traj.states[k - 1].values)
+    p_new = table.kirchhoff_inverse(u_new)
+    p_old = table.kirchhoff_inverse(u_old)
     rate = (model.saturation(p_new) - model.saturation(p_old)) / cfg.h
     kn = model.conductivity_vs_pressure(p_new)
     kbar = np.concatenate(([kn[0]], 0.5 * (kn[:-1] + kn[1:]), [kn[-1]]))
@@ -241,7 +243,7 @@ def _pressure_form_interior_l2(model, table, traj, cfg, col):
                     m[i, j] = c
         m[0, 0] = 7.0
         m[-1, -1] = 7.0
-        r = r + cfg.gamma * (m @ traj.states[k].values) / dz**4
+        r = r + cfg.gamma * (m @ u_new) / dz**4
     inner = r[2:-2]
     return float(np.sqrt(dz * np.sum(inner**2)))
 
@@ -253,7 +255,7 @@ def test_pressure_form_residual_contracts_under_refinement(table, model):
     errs = []
     for n, h in ((50, 4.0e-3), (101, 1.0e-3), (203, 2.5e-4)):
         traj, cfg = _short_run(table, gamma=0.0, n=n, h=h, tol=1.0e-11, t_end=0.02)
-        col = traj.states[0].column
+        col = traj.column
         errs.append(_pressure_form_interior_l2(model, table, traj, cfg, col))
     assert errs[0] / errs[1] >= 3.0
     assert errs[1] / errs[2] >= 3.0
@@ -264,6 +266,6 @@ def test_pressure_form_residual_with_fourth_order_term(table, model):
     # gamma that the state collapses toward the trivial root and the
     # contraction ratio measures decay, not consistency.
     traj, cfg = _short_run(table, gamma=0.1, n=50, h=4.0e-3, tol=1.0e-8, t_end=0.02)
-    col = traj.states[0].column
+    col = traj.column
     defect = _pressure_form_interior_l2(model, table, traj, cfg, col)
     assert defect <= 1.0e-5

@@ -11,12 +11,13 @@ from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 from kirchflow import stepper
 from kirchflow.config import load_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
-from kirchflow.grid import Column, Field
+from kirchflow.grid import Column, Field, GridError
 from kirchflow.harness import ManufacturedSolution
 from kirchflow.stepper import (
     NonconvergenceError,
     StepConfig,
     StepConfigError,
+    Trajectory,
     check_timestep,
     project_initial,
     run,
@@ -265,7 +266,7 @@ def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
 
     monkeypatch.setattr(stepper, "dgbsv", recording)
     floored = 0
-    for state in traj.states[:6]:
+    for state in (Field(v, traj.column) for v in traj.values[:6]):
         calls.clear()
         step(state, cfg, table)
         matrix, rhs, delta = calls[0]
@@ -413,8 +414,7 @@ def test_run_zero_initial_state(table):
     traj = run(Field.zeros(col), StepConfig(h=0.05, gamma=0.1, t_end=0.2), table)
     assert traj.n_steps == 4
     assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
-    for s in traj.states:
-        assert np.all(s.values == 0.0)
+    assert np.all(traj.values == 0.0)
     assert traj.newton_iters == (0, 0, 0, 0)
 
 
@@ -423,19 +423,20 @@ def test_run_projects_initial_condition(table):
     vals = -0.05 * np.ones(20)  # nonzero next to the walls
     traj = run(Field(vals, col), StepConfig(h=0.05, gamma=0.1, t_end=0.1,
                                             newton_tol=1e-8), table)
-    assert traj.states[0].values[0] == 0.0
-    assert traj.states[0].values[-1] == 0.0
-    assert np.all(traj.states[0].values[1:-1] == vals[1:-1])
+    assert traj.values[0][0] == 0.0
+    assert traj.values[0][-1] == 0.0
+    assert np.all(traj.values[0][1:-1] == vals[1:-1])
     proj = project_initial(Field(vals, col))
-    assert np.array_equal(traj.states[0].values, proj.values)
+    assert np.array_equal(traj.values[0], proj.values)
 
 
 def test_run_states_satisfy_residual_tolerance(table):
     col = Column(length=1.0, n_cells=100, gravity_sign=-1.0)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05, newton_tol=1e-7)
     traj = run(project_initial(_wet_lens(col)), cfg, table)
-    for k in range(1, len(traj.states)):
-        r, _ = newton_system(traj.states[k], traj.states[k - 1], cfg, table)
+    states = [Field(v, col) for v in traj.values[traj.rows]]
+    for k in range(1, len(states)):
+        r, _ = newton_system(states[k], states[k - 1], cfg, table)
         assert np.max(np.abs(r)) <= cfg.newton_tol
 
 
@@ -447,24 +448,55 @@ def test_run_newton_iteration_regression(table):
     assert max(traj.newton_iters) <= 8
 
 
-def test_reference_run_newton_work_count(table):
+def _counting_fields(monkeypatch):
+    """A list that gains one entry per ``Field`` constructed from now on."""
+    made = []
+    init = Field.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+    return made
+
+
+def _assert_stored_once(traj, stored, fields):
+    # one row per distinct state, every later step mapped to the last row,
+    # and no Field but the projected initial state
+    assert traj.values.shape == (stored, traj.column.n_cells)
+    assert traj.rows.tolist() == list(range(stored)) + [stored - 1] * (
+        traj.n_steps + 1 - stored)
+    assert len(fields) == 1
+    assert fields[0].values.tobytes() == traj.values[0].tobytes()
+
+
+def test_reference_run_newton_work_count(table, monkeypatch):
     # the reference problem of the command line (200 cells, h = 0.01,
     # 100 steps): the solver's total work is an exact, deterministic count
     cfg = load_config(None)
     col = cfg.build_column()
     stepping = cfg.build_stepping(beta=table.beta_bound())
-    traj = run(cfg.initial_state(col), stepping, table)
+    u0 = cfg.initial_state(col)
+    fields = _counting_fields(monkeypatch)
+    traj = run(u0, stepping, table)
     assert traj.n_steps == 100
     assert sum(traj.newton_iters) == 21
+    _assert_stored_once(traj, 7, fields)
 
 
 @pytest.mark.parametrize("h, iters", [(2.5e-4, 256), (1.25e-4, 486), (6.25e-5, 945)])
-def test_fine_step_newton_work_count(table, h, iters):
-    # the three levels of acceptance criterion 10
+def test_fine_step_newton_work_count(table, monkeypatch, h, iters):
+    # the three levels of acceptance criterion 10; each march reaches its
+    # fixed point near t = 0.02 and stores only the states before it
+    stored = {2.5e-4: 82, 1.25e-4: 158, 6.25e-5: 309}[h]
     col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
     cfg = StepConfig(h=h, gamma=0.1, t_end=1.0, newton_tol=1e-7)
-    traj = run(project_initial(_wet_lens(col)), cfg, table)
+    u0 = project_initial(_wet_lens(col))
+    fields = _counting_fields(monkeypatch)
+    traj = run(u0, cfg, table)
     assert sum(traj.newton_iters) == iters
+    _assert_stored_once(traj, stored, fields)
 
 
 def test_run_fixed_point_tail_equals_full_march(table):
@@ -476,14 +508,13 @@ def test_run_fixed_point_tail_equals_full_march(table):
     u0 = project_initial(_wet_lens(col))
     tail = run(u0, cfg, table)
     full = run(u0, cfg, table, source=lambda t: np.zeros(col.n_cells))
-    assert len(tail.states) == len(full.states) == 201
-    for a, b in zip(tail.states, full.states):
-        assert a.values.tobytes() == b.values.tobytes()
+    assert tail.n_steps == full.n_steps == 200
+    assert tail.values[tail.rows].tobytes() == full.values.tobytes()
     assert tail.newton_iters == full.newton_iters
     assert tail.residual_norms == full.residual_norms
-    assert all(s is tail.states[81] for s in tail.states[82:])
-    assert len({id(s) for s in tail.states}) == 82
-    assert len({id(s) for s in full.states}) == 201
+    assert tail.rows.tolist() == list(range(82)) + [81] * 119
+    assert len(tail.values) == 82
+    assert len(full.values) == 201
 
 
 def _fresh_march(u0, cfg, table, source=None):
@@ -506,9 +537,9 @@ def _fresh_march(u0, cfg, table, source=None):
 
 def _assert_march_equal(traj, fresh):
     states, iters, norms = fresh
-    assert len(traj.states) == len(states)
-    for a, b in zip(traj.states, states):
-        assert a.values.tobytes() == b.tobytes()
+    assert traj.n_steps + 1 == len(states)
+    for a, b in zip(traj.values[traj.rows], states):
+        assert a.tobytes() == b.tobytes()
     assert traj.newton_iters == tuple(iters)
     assert np.array(traj.residual_norms).tobytes() == np.array(norms).tobytes()
 
@@ -535,12 +566,12 @@ def test_run_gamma_zero_keeps_maximum_principle(table):
     )
     cfg = StepConfig(h=0.01, gamma=0.0, t_end=0.1, newton_tol=1e-11)
     traj = run(Field(vals, col), cfg, table)
-    u0 = traj.states[0].values
+    u0 = traj.values[0]
     hi = max(u0.max(), 0.0)
     lo = min(u0.min(), 0.0)
-    for s in traj.states[1:]:
-        assert s.values.max() <= hi + 1e-8
-        assert s.values.min() >= lo - 1e-8
+    for s in traj.values[1:]:
+        assert s.max() <= hi + 1e-8
+        assert s.min() >= lo - 1e-8
 
 
 def test_trajectory_times_read_only(table):
@@ -548,3 +579,20 @@ def test_trajectory_times_read_only(table):
     traj = run(Field.zeros(col), StepConfig(h=0.1, gamma=0.0, t_end=0.2), table)
     with pytest.raises(ValueError):
         traj.times[0] = 5.0
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("values, match", [
+    (np.zeros((2, 9)), r"1 to 3 rows of 10 nodal values, got shape \(2, 9\)"),
+    (np.zeros(10), r"1 to 3 rows of 10 nodal values, got shape \(10,\)"),
+    (np.zeros((4, 10)), r"1 to 3 rows of 10 nodal values, got shape \(4, 10\)"),
+    (np.zeros((0, 10)), r"1 to 3 rows of 10 nodal values, got shape \(0, 10\)"),
+    (np.full((2, 10), np.nan), "finite"),
+], ids=["short-rows", "one-dimensional", "too-many-rows", "no-rows", "non-finite"])
+def test_trajectory_rejects_inconsistent_values(values, match):
+    # the checks Field makes per state, made once for the whole array
+    with pytest.raises(GridError, match=match):
+        Trajectory(times=[0.0, 0.1, 0.2], values=values,
+                   column=Column(length=1.0, n_cells=10),
+                   newton_iters=(0, 0), residual_norms=(0.0, 0.0))
