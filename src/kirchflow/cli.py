@@ -1,7 +1,8 @@
 """Command-line front end: configured runs and CSV artifacts.
 
 Each subcommand is declared once, in ``_build_parser``; ``main`` loads
-the configuration and makes the output directory before calling it.
+the configuration before calling it.  The output directory is made when
+the first artifact is written, so a refused run leaves none behind.
 Exit code 0 means every check passed, 1 means a check failed, 2 means
 the solver or the configuration failed; diagnostics go to standard
 error.  Artifacts are CSV files with `#`-prefixed metadata (config hash,
@@ -71,11 +72,12 @@ def _write_csv(
     lines: Iterable[str],
     **meta: Any,
 ) -> str:
-    """Stream the metadata header and the data ``lines`` to ``out/name``;
-    return its path."""
+    """Stream the metadata header and the data ``lines`` to ``out/name``,
+    making ``out`` if needed; return its path."""
     header = {"kirchflow_version": __version__, "numpy_version": np.__version__,
               "scipy_version": scipy.__version__, "config_sha256": cfg.config_hash(),
               **meta, "schema": ",".join(schema)}
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {key}: {_fmt(value)}\n" for key, value in header.items())
@@ -346,7 +348,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         out = args.out if args.out is not None else cfg.output["directory"]
-        os.makedirs(out, exist_ok=True)
         return args.handler(cfg, out, args)
     except (ConfigError, NonconvergenceError, ConstitutiveError, HarnessError,
             OSError) as exc:

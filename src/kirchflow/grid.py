@@ -27,10 +27,14 @@ the dissipation bookkeeping in the diagnostics relies on.
 Each stencil lives once, as an array kernel (``*_array``) taking nodal
 values along the last axis and the spacing ``dz``: the stepper's Newton
 iteration runs on plain arrays, and the diagnostics pass stacked blocks
-of states, one per row.  ``Field`` is the API type at the boundary; it
-has no operators of its own, so callers hand its ``values`` and
-``column.dz`` to the kernels.  Everything here is pure and safe to call
-concurrently.
+of states, one per row.  Matrices are not written out separately:
+``banded`` reads the bands of a linear kernel off the kernel itself, by
+probing, so the Newton matrix of the stepper holds the very numbers its
+residual applies.  Gravity is linear in the conductivity, so its Jacobian
+in ``u`` is ``banded(gravity) * K'`` with the bands scaled column by
+column.  ``Field`` is the API type at the boundary; it has no operators of
+its own, so callers hand its ``values`` and ``column.dz`` to the kernels.
+Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +55,10 @@ __all__ = [
     "biharmonic_array",
     "face_values",
     "gravity_divergence_array",
-    "gravity_jacobian_array",
     "integrate_array",
     "h1_seminorm_array",
     "l2_norm",
-    "laplacian_banded",
-    "biharmonic_banded",
+    "banded",
 ]
 
 
@@ -187,21 +190,6 @@ def gravity_divergence_array(k: np.ndarray, dz: float, sign: float) -> np.ndarra
     return (flux[1:] - flux[:-1]) / dz
 
 
-def gravity_jacobian_array(dk: np.ndarray, dz: float, sign: float) -> np.ndarray:
-    """Jacobian of gravity_divergence_array for nodal slopes ``dk``, (1,1)-banded.
-
-    Interior diagonal entries vanish (the two face contributions cancel);
-    only the wall rows keep one.
-    """
-    g = sign / (2.0 * dz)
-    ab = np.zeros((3, dk.shape[0]))
-    ab[0, 1:] = g * dk[1:]      # superdiagonal: +K'(u_{i+1})/(2 dz)
-    ab[2, :-1] = -g * dk[:-1]   # subdiagonal:   -K'(u_{i-1})/(2 dz)
-    ab[1, 0] = -g * dk[0]       # wall rows: mirror face follows the node
-    ab[1, -1] = g * dk[-1]
-    return ab
-
-
 def integrate_array(u: np.ndarray, dz: float) -> np.ndarray:
     """Composite quadrature over [0, L] of each row; exact for constants."""
     return dz * (u.sum(axis=-1) + 0.5 * (u.T[0] + u.T[-1]))
@@ -238,27 +226,20 @@ def l2_norm(u: np.ndarray, dz: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def laplacian_banded(column: Column) -> np.ndarray:
-    """Clamped Laplacian as a (1,1)-banded matrix, solve_banded layout."""
-    n = column.n_cells
-    dz2 = column.dz ** 2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0 / dz2
-    ab[1, :] = -2.0 / dz2
-    ab[2, :-1] = 1.0 / dz2
+def banded(op: Callable[[np.ndarray], np.ndarray], n: int, width: int) -> np.ndarray:
+    """Matrix of the linear kernel ``op`` on ``n`` nodes, read off by probing,
+    as a ``(width, width)``-banded matrix in solve_banded layout.
+
+    Probe ``j`` is 1 on every ``(2*width + 1)``-th node from node ``j``, so an
+    output row within ``width`` of one probed node is beyond the reach of the
+    others, and each entry read is one matrix entry times 1.0: the bands are
+    the kernel's own numbers, exactly.
+    """
+    span = 2 * width + 1
+    probes = np.arange(n) % span == np.arange(span)[:, None]
+    outs = np.stack([op(p.astype(float)) for p in probes])
+    ab = np.zeros((span, n))
+    for d in range(-width, width + 1):  # entry (c + d, c) sits at ab[width + d, c]
+        c = np.arange(max(0, -d), n - max(0, d))
+        ab[width + d, c] = outs[c % span, c + d]
     return ab
-
-
-def biharmonic_banded(column: Column) -> np.ndarray:
-    """Clamped biharmonic as a (2,2)-banded matrix, solve_banded layout."""
-    n = column.n_cells
-    dz4 = column.dz ** 4
-    ab = np.zeros((5, n))
-    ab[0, 2:] = 1.0
-    ab[1, 1:] = -4.0
-    ab[2, :] = 6.0
-    ab[2, 0] = ab[2, -1] = 7.0
-    ab[3, :-1] = -4.0
-    ab[4, :-2] = 1.0
-    return ab / dz4
-

@@ -100,8 +100,7 @@ class ManufacturedSolution:
             out = b_prime * rate
             out += g * dk_du * (amp * d1)
             out -= amp * d2
-            if cfg.gamma != 0.0:
-                out += cfg.gamma * amp * d4
+            out += cfg.gamma * amp * d4
             return out
 
         return source

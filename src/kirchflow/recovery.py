@@ -75,7 +75,5 @@ def darcy_velocity(u: Field, gamma: float, table: KirchhoffTable) -> Field:
     dz = u.column.dz
     k = table.conductivity_of_u(u.values)
     v = u.column.gravity_sign * k - _nodal_gradient(u.values, dz)
-    if gamma != 0.0:
-        lap = laplacian_array(u.values, dz)
-        v = v + gamma * _nodal_gradient(lap, dz)
+    v = v + gamma * _nodal_gradient(laplacian_array(u.values, dz), dz)
     return Field(v, u.column)

@@ -35,12 +35,15 @@ an evaluated record, from which the residual and the Newton matrix are
 both read.  The Newton matrix starts from a per-run template of the
 constant ``-lap + gamma * bih`` bands in the band storage of ``dgbsv``, the
 routine ``scipy.linalg.solve_banded`` calls, on the same input; an iterate
-writes only its diagonal and the gravity bands.  ``run`` carries the record
-of each accepted iterate into the next step as its starting guess, and
-``b(u_old)`` with it, so only the first step evaluates a guess; the
-accepted values are stacked once, at the end of the march.  ``step`` and
-``run`` are the entry points: the residual and the Newton matrix belong to
-the private ``_System`` of one march and have no ``Field`` form.
+writes only its diagonal and adds the gravity bands times ``K'``.  All of
+these bands are read off the residual's own stencils once per run
+(``grid.banded``), so every linear term of the Newton matrix is the exact
+derivative of the residual's.  ``run`` carries the record of each
+accepted iterate into the next step as its starting guess, and ``b(u_old)``
+with it, so only the first step evaluates a guess; the accepted values are
+stacked once, at the end of the march.  ``step`` and ``run`` are the entry
+points: the residual and the Newton matrix belong to the private
+``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
 ``scipy.linalg`` package import would also load ``numpy.f2py``,
@@ -67,8 +70,8 @@ import scipy
 
 from .constitutive import KirchhoffTable
 from .grid import (
-    Column, Field, GridError, biharmonic_array, biharmonic_banded,
-    gravity_divergence_array, gravity_jacobian_array, laplacian_array, laplacian_banded,
+    Column, Field, GridError, banded, biharmonic_array, gravity_divergence_array,
+    laplacian_array,
 )
 
 __all__ = [
@@ -198,6 +201,10 @@ class Trajectory:
                             f"values, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise GridError("trajectory values must be finite")
+        for name in ("newton_iters", "residual_norms"):
+            if len(getattr(self, name)) != t.size - 1:
+                raise GridError(f"{name}: needs {t.size - 1} entries, one per step "
+                                f"(got {len(getattr(self, name))})")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -247,12 +254,16 @@ class _System:
     def __init__(self, col: Column, cfg: StepConfig, table: KirchhoffTable):
         self.cfg, self.table, self.dz, self.sign = cfg, table, col.dz, col.gravity_sign
         self.floor = table.u_lower + 2.0 * table.margin  # strictly invertible band
-        # the constant bands of the Newton matrix in dgbsv's Fortran (7, n)
-        # band storage, added term by term into zeros as (0 - lap) + gamma * bih;
-        # summing -lap + gamma * bih ahead of time would round differently
-        lap_ab = laplacian_banded(col)
-        bih_ab = cfg.gamma * biharmonic_banded(col)
-        self.template = np.zeros((col.n_cells, 7)).T
+        # the constant bands of the Newton matrix, read off the stencils, in
+        # dgbsv's Fortran (7, n) band storage, added term by term into zeros as
+        # (0 - lap) + gamma * bih; summing -lap + gamma * bih ahead of time
+        # would round differently.  Gravity is linear in K, so its Newton bands
+        # are grav_ab times K' at the iterate.
+        n, dz, sign = col.n_cells, col.dz, col.gravity_sign
+        lap_ab = banded(lambda v: laplacian_array(v, dz), n, 1)
+        bih_ab = cfg.gamma * banded(lambda v: biharmonic_array(v, dz), n, 2)
+        self.grav_ab = banded(lambda k: gravity_divergence_array(k, dz, sign), n, 1)
+        self.template = np.zeros((n, 7)).T
         self.template[3:6] -= lap_ab
         self.template[2:] += bih_ab
         self.lap_d, self.bih_d = lap_ab[1], bih_ab[2]
@@ -286,7 +297,7 @@ class _System:
         """
         lu = self.template.copy(order="F")
         lu[4] = it.channels[2] / self.cfg.h - self.lap_d + self.bih_d
-        lu[3:6] += gravity_jacobian_array(it.channels[3], self.dz, self.sign)
+        lu[3:6] += self.grav_ab * it.channels[3]
         return lu
 
 

@@ -1,17 +1,15 @@
-"""Dense expansion of banded matrices, for checking banded assembly against
-dense references, the stepper's Newton system evaluated at one state, and
-that system assembled term by term straight from the kernels, the order
-oracle for the stepper's evaluated iterates and per-run matrix template.
-Nothing in the solver uses any of them, so they live with the other test
-oracles.
+"""Conversions between dense and banded matrices, for checking banded
+assembly against dense references, the stepper's Newton system evaluated at
+one state, and that system assembled term by term from the kernels and the
+harness's loop-built dense operators, the order oracle for the stepper's
+evaluated iterates and per-run matrix template.  Nothing in the solver uses
+any of them, so they live with the other test oracles.
 """
 
 import numpy as np
 
-from kirchflow.grid import (
-    biharmonic_array, biharmonic_banded, gravity_divergence_array,
-    gravity_jacobian_array, laplacian_array, laplacian_banded,
-)
+from kirchflow.grid import biharmonic_array, gravity_divergence_array, laplacian_array
+from kirchflow.harness import _dense_operators
 from kirchflow.stepper import _System
 
 
@@ -26,6 +24,15 @@ def dense_from_banded(ab: np.ndarray, lower: int, upper: int) -> np.ndarray:
         else:
             out[np.arange(-d, n), np.arange(n + d)] = ab[row, : n + d]
     return out
+
+
+def banded_from_dense(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """Pack the bands of a dense matrix in solve_banded layout."""
+    n = a.shape[0]
+    ab = np.zeros((lower + upper + 1, n))
+    for d in range(-lower, upper + 1):
+        ab[upper - d, max(d, 0): n + min(d, 0)] = np.diagonal(a, d)
+    return ab
 
 
 def newton_system(u_new, u_old, cfg, table, source=None):
@@ -56,11 +63,16 @@ def term_by_term_jacobian(v, col, cfg, table):
     each term added into a zero matrix in turn: ``b'/h``, ``- lap``,
     ``+ gamma * bih``, ``+`` the gravity bands."""
     b_prime, dk = table.all_channels(v)[2:]
+    lap, bih = _dense_operators(col)
     lu = np.zeros((col.n_cells, 7)).T
     ab = lu[2:]
     ab[2] += b_prime / cfg.h
-    ab[1:4] -= laplacian_banded(col)
+    ab[1:4] -= banded_from_dense(lap, 1, 1)
     if cfg.gamma != 0.0:
-        ab += cfg.gamma * biharmonic_banded(col)
-    ab[1:4] += gravity_jacobian_array(dk, col.dz, col.gravity_sign)
+        ab += cfg.gamma * banded_from_dense(bih, 2, 2)
+    g = col.gravity_sign / (2.0 * col.dz)
+    ab[1, 1:] += g * dk[1:]      # superdiagonal: +K'(u_{i+1})/(2 dz)
+    ab[3, :-1] -= g * dk[:-1]    # subdiagonal:   -K'(u_{i-1})/(2 dz)
+    ab[2, 0] -= g * dk[0]        # wall rows: mirror face follows the node
+    ab[2, -1] += g * dk[-1]
     return lu

@@ -301,10 +301,12 @@ def test_solver_failure_exits_2(tmp_path, capsys):
 
 
 def test_bad_stride_flag_exits_2(tmp_path, small_config, capsys):
+    out = tmp_path / "artifacts"
     assert main(
-        ["run", "--config", small_config, "--out", str(tmp_path), "--stride", "0"]
+        ["run", "--config", small_config, "--out", str(out), "--stride", "0"]
     ) == 2
     assert "--stride" in capsys.readouterr().err
+    assert not out.exists()  # a refused run makes no output directory
 
 
 def test_negative_seed_exits_2_before_marching(tmp_path, small_config, monkeypatch,
@@ -317,7 +319,7 @@ def test_negative_seed_exits_2_before_marching(tmp_path, small_config, monkeypat
     assert main(["probe-uniqueness", "--config", small_config, "--out", str(out),
                  "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: --seed: must be >= 0 (got -1)\n"
-    assert not (out / "uniqueness.csv").exists()
+    assert not out.exists()
 
 
 def _python(*args, **env):

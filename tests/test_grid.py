@@ -7,18 +7,17 @@ from kirchflow.grid import (
     Column,
     Field,
     GridError,
+    banded,
     biharmonic_array,
-    biharmonic_banded,
     face_values,
     gravity_divergence_array,
-    gravity_jacobian_array,
     h1_seminorm_array,
     integrate_array,
     l2_norm,
     laplacian_array,
-    laplacian_banded,
 )
-from oracles.banded import dense_from_banded
+from kirchflow.harness import _dense_operators
+from oracles.banded import banded_from_dense, dense_from_banded
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +202,24 @@ def test_pairing_identity_is_h1_seminorm():
 
 
 def test_banded_matrices_match_operators():
-    col = Column(length=1.3, n_cells=12)
-    lap = dense_from_banded(laplacian_banded(col), 1, 1)
-    bih = dense_from_banded(biharmonic_banded(col), 2, 2)
-    for j in range(12):
-        e = np.zeros(12)
-        e[j] = 1.0
-        assert np.allclose(lap[:, j], laplacian_array(e, col.dz), rtol=0, atol=1e-12)
-        assert np.allclose(bih[:, j], biharmonic_array(e, col.dz), rtol=0, atol=1e-9)
+    # three implementations, one set of bits: the bands probed off the
+    # kernels, the kernels applied to unit vectors, and the harness's
+    # loop-built dense operators
+    for n in (5, 6, 7, 13, 200):
+        for length in (1.0, 1.3):
+            col = Column(length=length, n_cells=n)
+            lap, bih = _dense_operators(col)
+            for kernel, width, dense in ((laplacian_array, 1, lap),
+                                         (biharmonic_array, 2, bih)):
+                ab = banded(lambda v: kernel(v, col.dz), n, width)
+                assert ab.tobytes() == banded_from_dense(dense, width, width).tobytes()
+                assert kernel(np.eye(n), col.dz).T.tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("builder,width", [(laplacian_banded, 1), (biharmonic_banded, 2)])
-def test_assembled_matrices_symmetric(builder, width):
+@pytest.mark.parametrize("kernel,width", [(laplacian_array, 1), (biharmonic_array, 2)])
+def test_assembled_matrices_symmetric(kernel, width):
     col = Column(length=1.0, n_cells=25)
-    mat = dense_from_banded(builder(col), width, width)
+    mat = dense_from_banded(banded(lambda v: kernel(v, col.dz), 25, width), width, width)
     assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
 
 
@@ -277,10 +280,10 @@ def test_gravity_divergence_telescoping(table):
 def test_gravity_jacobian_matches_difference_quotient(table):
     col = Column(length=1.0, n_cells=9, gravity_sign=-1.0)
     base = -0.01 - 0.19 * np.linspace(0.1, 0.9, 9)
-    jac = dense_from_banded(
-        gravity_jacobian_array(table.dconductivity_du(base), col.dz, col.gravity_sign),
-        1, 1,
-    )
+    # gravity is linear in K: its bands times K' are the Jacobian in u
+    grav_ab = banded(lambda k: gravity_divergence_array(k, col.dz, col.gravity_sign),
+                     9, 1)
+    jac = dense_from_banded(grav_ab * table.dconductivity_du(base), 1, 1)
     eps = 1e-6
     for j in range(9):
         up, dn = base.copy(), base.copy()

@@ -309,6 +309,8 @@ def test_dgbsv_binding_matches_scipy_lapack_when_pivoting_or_singular():
 
 
 _STENCILS = ("laplacian_array", "biharmonic_array", "gravity_divergence_array")
+# calls of each stencil that read the Newton bands off it, once per march
+_PROBES = {"laplacian_array": 3, "biharmonic_array": 5, "gravity_divergence_array": 3}
 
 
 def _counting(monkeypatch):
@@ -332,7 +334,7 @@ def _counting(monkeypatch):
         return counted
 
     count(KirchhoffTable, "all_channels")
-    for name in ("evaluate", "residual", "jacobian"):
+    for name in ("__init__", "evaluate", "residual", "jacobian"):
         count(stepper._System, name)
     for name in ("_newton", "dgbsv") + _STENCILS:
         count(stepper, name)
@@ -347,14 +349,18 @@ def test_reference_run_evaluates_each_iterate_once(table, monkeypatch):
     # backtracks; each step starts from the iterate the one before accepted,
     # so only step 1 evaluates its guess: one lookup and one call of each
     # stencil per evaluated iterate, one trial residual and one LAPACK call
-    # per iteration
+    # per iteration; the march's _System probes each stencil a fixed number
+    # of times, once per run, to read the Newton matrix's bands off it
     assert (counts["_newton"], iters) == (7, 21)
     assert counts["evaluate"] == 1 + iters == 22
     assert counts["all_channels"] == 1 + counts["evaluate"] == 23
     assert counts["all_channels in run"] == 1  # b(u^0)
     assert counts["all_channels in evaluate"] == counts["evaluate"]
+    assert counts["__init__"] == 1
     for name in _STENCILS:
-        assert counts[name] == counts[f"{name} in evaluate"] == counts["evaluate"]
+        assert counts[f"{name} in evaluate"] == counts["evaluate"]
+        assert counts[f"{name} in __init__"] == _PROBES[name]
+        assert counts[name] == counts["evaluate"] + _PROBES[name]
     assert counts["residual"] == counts["_newton"] + iters
     assert counts["jacobian"] == counts["dgbsv"] == iters
     for name in ("residual", "jacobian"):
@@ -380,10 +386,16 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
     assert counts["evaluate"] == 1 + iters
     assert counts["all_channels in source"] == counts["source"]
     assert counts["all_channels"] == 1 + counts["evaluate"] + counts["source"]
+    assert counts["__init__"] == 1
     for name in _STENCILS:
-        assert counts[name] == counts[f"{name} in evaluate"] == counts["evaluate"]
+        assert counts[f"{name} in evaluate"] == counts["evaluate"]
+        assert counts[f"{name} in __init__"] == _PROBES[name]
+        assert counts[name] == counts["evaluate"] + _PROBES[name]
     assert counts["residual"] == counts["_newton"] + iters
     assert counts["jacobian"] == counts["dgbsv"] == iters
+    for name in ("residual", "jacobian"):
+        assert not any(counts[f"{inner} in {name}"]
+                       for inner in ("all_channels",) + _STENCILS)
 
 
 def test_step_rejects_out_of_domain_state(table):
@@ -583,16 +595,26 @@ def test_trajectory_times_read_only(table):
         traj.values[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("values, match", [
-    (np.zeros((2, 9)), r"1 to 3 rows of 10 nodal values, got shape \(2, 9\)"),
-    (np.zeros(10), r"1 to 3 rows of 10 nodal values, got shape \(10,\)"),
-    (np.zeros((4, 10)), r"1 to 3 rows of 10 nodal values, got shape \(4, 10\)"),
-    (np.zeros((0, 10)), r"1 to 3 rows of 10 nodal values, got shape \(0, 10\)"),
-    (np.full((2, 10), np.nan), "finite"),
-], ids=["short-rows", "one-dimensional", "too-many-rows", "no-rows", "non-finite"])
-def test_trajectory_rejects_inconsistent_values(values, match):
-    # the checks Field makes per state, made once for the whole array
+@pytest.mark.parametrize("fields, match", [
+    ({"values": np.zeros((2, 9))},
+     r"1 to 3 rows of 10 nodal values, got shape \(2, 9\)"),
+    ({"values": np.zeros(10)}, r"1 to 3 rows of 10 nodal values, got shape \(10,\)"),
+    ({"values": np.zeros((4, 10))},
+     r"1 to 3 rows of 10 nodal values, got shape \(4, 10\)"),
+    ({"values": np.zeros((0, 10))},
+     r"1 to 3 rows of 10 nodal values, got shape \(0, 10\)"),
+    ({"values": np.full((2, 10), np.nan)}, "finite"),
+    ({"newton_iters": (0,)}, r"^newton_iters: needs 2 entries, one per step \(got 1\)"),
+    ({"newton_iters": ()}, r"^newton_iters: needs 2 entries, one per step \(got 0\)"),
+    ({"residual_norms": (0.0, 0.0, 0.0)},
+     r"^residual_norms: needs 2 entries, one per step \(got 3\)"),
+], ids=["short-rows", "one-dimensional", "too-many-rows", "no-rows", "non-finite",
+        "short-iters", "no-iters", "long-norms"])
+def test_trajectory_rejects_inconsistent_values(fields, match):
+    # the checks Field makes per state, made once for the whole array, and
+    # one per-step record entry per step
+    consistent = {"values": np.zeros((2, 10)), "newton_iters": (0, 0),
+                  "residual_norms": (0.0, 0.0)}
     with pytest.raises(GridError, match=match):
-        Trajectory(times=[0.0, 0.1, 0.2], values=values,
-                   column=Column(length=1.0, n_cells=10),
-                   newton_iters=(0, 0), residual_norms=(0.0, 0.0))
+        Trajectory(times=[0.0, 0.1, 0.2], column=Column(length=1.0, n_cells=10),
+                   **{**consistent, **fields})
