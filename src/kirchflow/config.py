@@ -1,15 +1,18 @@
 """Run configuration: one JSON document mapped onto the solver objects.
 
 The document is a key tree with five blocks — constitutive, grid,
-stepping, ic, output — all optional, all keys defaulted.  Parsing checks
-each value as JSON (type, finiteness, no unknown keys) and then builds
-the ``ConstitutiveModel``, ``Column`` and ``StepConfig``: their
-constructors are the only place the numeric constraints of those three
-blocks live, and a violation is reported with its key path instead of
-surfacing later deep in a run.  The ``ic`` and ``output`` blocks belong
-to no solver type and are checked here.  Validation is first-error:
-parsing stops at the first offending key, and within a block the JSON
-checks come before the type's constraints.
+stepping, ic, output — all optional, all keys defaulted.  The three
+solver blocks are ``ConstitutiveModel``, ``Column`` and ``StepConfig``:
+each type's init fields and defaults are the block's keys and defaults
+(except ``StepConfig.beta``, the model's growth constant), and its
+constructor is the only place the block's numeric constraints live.
+Parsing checks each value as JSON (an integer where the default is one,
+else a finite number; no unknown keys) and then builds the type, so a
+violation is reported with its key path instead of surfacing later deep
+in a run.  The ``ic`` and ``output`` blocks belong to no solver type and
+are checked here.  Validation is first-error: parsing stops at the first
+offending key, and within a block the JSON checks come before the
+type's constraints.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from .constitutive import (
-    ConstitutiveError, ConstitutiveModel, KirchhoffTable, build_table,
+    BETA, ConstitutiveError, ConstitutiveModel, KirchhoffTable, build_table,
 )
 from .grid import Column, Field, GridError
 from .stepper import StepConfig, StepConfigError
@@ -34,18 +37,19 @@ class ConfigError(ValueError):
     """First configuration problem found, tagged with its key path."""
 
 
-# Defaults reproduce the reference problem end to end: unit column with
-# 200 nodes, first-order stepping at h = 0.01 to t = 1, fourth-order
-# term on, and the standard wetting lens.  An empty document is that run.
-# The soil is ConstitutiveModel's own defaults, in its field order.
+# The solver blocks, in parsing order, and the types that own them.
+_SOLVERS = (
+    ("constitutive", ConstitutiveModel), ("grid", Column), ("stepping", StepConfig),
+)
+
+# Defaults reproduce the reference problem end to end, so an empty
+# document is that run.  A solver block's defaults are its type's, in
+# field order; ``beta`` is the model's growth constant (``BETA``), not a
+# key.  The ic default is the standard wetting lens.
 _DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "constitutive": {f.name: f.default for f in fields(ConstitutiveModel) if f.init},
-    "grid": {"length": 1.0, "n_cells": 200, "gravity_sign": -1.0},
-    "stepping": {
-        "h": 0.01,
-        "gamma": 0.1,
-        "t_end": 1.0,
-        "newton_tol": 1.0e-7,
+    **{
+        name: {f.name: f.default for f in fields(cls) if f.init and f.name != "beta"}
+        for name, cls in _SOLVERS
     },
     "ic": {"profile": "gaussian_lens", "center": 0.5, "width": 0.15, "depth": 0.2},
     "output": {"directory": "out", "stride": 10},
@@ -98,16 +102,18 @@ def _merge_block(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
     block = doc.get(name, {})
     if not isinstance(block, dict):
         _fail(name, "must be an object", block)
-    known = set(_DEFAULTS[name])
+    merged = dict(_DEFAULTS[name])
+    known = set(merged)
     if name == "ic":
-        profile = block.get("profile", _DEFAULTS["ic"]["profile"])
-        known = {"profile"} | _IC_KEYS.get(profile, set())
+        profile = block.get("profile", merged["profile"])
+        if not (isinstance(profile, str) and profile in _IC_KEYS):
+            _fail("ic.profile", f"must be one of {', '.join(_IC_KEYS)}", profile)
+        known = {"profile"} | _IC_KEYS[profile]
+        if profile != merged["profile"]:
+            merged = {"profile": profile}
     for key in block:
         if key not in known:
             _fail(f"{name}.{key}", "unknown key", key)
-    merged = dict(_DEFAULTS[name])
-    if name == "ic" and block.get("profile", merged["profile"]) != merged["profile"]:
-        merged = {"profile": block["profile"]}
     merged.update(block)
     return merged
 
@@ -134,15 +140,9 @@ class RunConfig:
         return build_table(self.build_model())
 
     def build_column(self) -> Column:
-        return Column(
-            length=self.grid["length"],
-            n_cells=self.grid["n_cells"],
-            gravity_sign=self.grid["gravity_sign"],
-        )
+        return Column(**self.grid)
 
-    def build_stepping(self, beta: Optional[float] = None) -> StepConfig:
-        if beta is None:
-            beta = self.build_model().beta_bound()
+    def build_stepping(self, beta: float = BETA) -> StepConfig:
         return StepConfig(beta=beta, **self.stepping)
 
     def initial_state(self, column: Optional[Column] = None) -> Field:
@@ -159,14 +159,7 @@ class RunConfig:
         return Field(np.interp(z, self.ic["z"], self.ic["u"]), col)
 
     def canonical_json(self) -> str:
-        doc = {
-            "constitutive": self.constitutive,
-            "grid": self.grid,
-            "stepping": self.stepping,
-            "ic": self.ic,
-            "output": self.output,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -192,28 +185,17 @@ def parse_config(text: str) -> RunConfig:
         if key not in _DEFAULTS:
             _fail(key, "unknown block", key)
 
-    con = _merge_block(doc, "constitutive")
-    for key in con:
-        _number(con, "constitutive", key)
-    model = _build("constitutive", ConstitutiveModel, **con)
-
-    grid = _merge_block(doc, "grid")
-    length = _number(grid, "grid", "length")
-    _integer(grid, "grid", "n_cells")
-    _number(grid, "grid", "gravity_sign")
-    _build("grid", Column, **grid)
-
-    step = _merge_block(doc, "stepping")
-    for key in step:
-        _number(step, "stepping", key)
-    _build("stepping", StepConfig, beta=model.beta_bound(), **step)
+    solvers = {}
+    for name, cls in _SOLVERS:
+        block = solvers[name] = _merge_block(doc, name)
+        for key, default in _DEFAULTS[name].items():
+            (_integer if isinstance(default, int) else _number)(block, name, key)
+        _build(name, cls, **block)
 
     ic = _merge_block(doc, "ic")
-    profile = ic.get("profile")
-    if profile not in _IC_KEYS:
-        _fail("ic.profile", "must be one of zero, gaussian_lens, custom", profile)
+    profile = ic["profile"]
     if profile == "gaussian_lens":
-        if not 0.0 < _number(ic, "ic", "center") < length:
+        if not 0.0 < _number(ic, "ic", "center") < solvers["grid"]["length"]:
             _fail("ic.center", "must lie inside the column", ic["center"])
         if not _number(ic, "ic", "width") > 0.0:
             _fail("ic.width", "must be positive", ic["width"])
@@ -246,7 +228,7 @@ def parse_config(text: str) -> RunConfig:
     if _integer(out, "output", "stride") < 1:
         _fail("output.stride", "must be >= 1", out["stride"])
 
-    return RunConfig(constitutive=con, grid=grid, stepping=step, ic=ic, output=out)
+    return RunConfig(**solvers, ic=ic, output=out)
 
 
 def load_config(path: Optional[str]) -> RunConfig:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BETA",
     "ConstitutiveError",
     "OutOfRangeError",
     "ConstitutiveModel",
@@ -42,6 +43,7 @@ __all__ = [
 
 P_MIN = -1.0e6  # bottom of the table; below it the integrand is k_floor
 TOL_Q = 1.0e-12  # tabulated integral accuracy: absolute for |u| <= 1, relative beyond
+BETA = 1.0  # growth constant of every model (see ConstitutiveModel.beta_bound)
 
 
 class ConstitutiveError(ValueError):
@@ -324,9 +326,9 @@ class ConstitutiveModel:
         """Growth constant: ``K_f(b(z))^2 <= beta * (1 + B(z))`` for all z.
 
         Conductivity is capped at 1 and the potential B is nonnegative,
-        so ``beta = 1`` certifies the bound with no sampling required.
+        so ``beta = BETA = 1`` certifies the bound with no sampling required.
         """
-        return 1.0
+        return BETA
 
 
 # ---------------------------------------------------------------------------

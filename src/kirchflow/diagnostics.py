@@ -226,7 +226,7 @@ def uniqueness_probe(
     rng = np.random.default_rng(seed)
     col = u0.column
     system = _System(col, cfg, table)
-    v = project_initial(u0).values
+    v = base.values[0]  # the projected initial state
     b = table.b_of_u(v)  # b(u_old), carried over as in run
     base_rows = base.rows
     gap = 0.0

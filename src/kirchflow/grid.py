@@ -81,12 +81,14 @@ class Column:
         +1 or -1.  The sign convention is a modelling choice, so it is
         part of the run configuration rather than hard-coded.
 
-    A violated constraint raises ``GridError("<field>: <constraint> (got
-    <value>)")``; the run configuration reports it under ``grid.``.
+    The defaults are the reference column and the run configuration's
+    ``grid`` defaults.  A violated constraint raises ``GridError("<field>:
+    <constraint> (got <value>)")``; the run configuration reports it under
+    ``grid.``.
     """
 
-    length: float
-    n_cells: int
+    length: float = 1.0
+    n_cells: int = 200
     gravity_sign: float = -1.0
 
     def __post_init__(self) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .constitutive import KirchhoffTable
 from .grid import Column, Field, l2_norm
 from .stepper import _BACKTRACK_LIMIT, _DAMPING, _GROWTH_CAP, _MAX_ITER
-from .stepper import StepConfig, project_initial, run
+from .stepper import StepConfig, run
 
 __all__ = [
     "HarnessError",
@@ -109,12 +109,7 @@ class ManufacturedSolution:
 def _mms_error(n_cells: int, cfg: StepConfig, table: KirchhoffTable) -> float:
     col = Column(length=1.0, n_cells=n_cells, gravity_sign=-1.0)
     ms = ManufacturedSolution(column=col)
-    traj = run(
-        project_initial(ms.field(0.0)),
-        cfg,
-        table,
-        source=ms.source_callable(cfg, table),
-    )
+    traj = run(ms.field(0.0), cfg, table, source=ms.source_callable(cfg, table))
     exact = ms.field(float(traj.times[-1]))
     return l2_norm(traj.values[-1] - exact.values, col.dz)
 

@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy
 
-from .constitutive import KirchhoffTable
+from .constitutive import BETA, KirchhoffTable
 from .grid import (
     Column, Field, GridError, banded, biharmonic_array, gravity_divergence_array,
     laplacian_array,
@@ -138,17 +138,21 @@ def check_timestep(h: float, beta: float) -> bool:
 class StepConfig:
     """Step, fourth-order weight, horizon and Newton tolerance of a march.
 
+    The defaults are the reference problem's and the one definition of the
+    run configuration's ``stepping`` block.  ``newton_tol = 1e-7`` sits above
+    the round-off floor of the reference residual (about 3e-8 at 200 cells).
     ``beta`` is the growth constant of the constitutive package
-    (``table.beta_bound()``); construction refuses ``h > 1/beta``.  This is
-    the one place these constraints are checked; a violation is reported as
+    (``table.beta_bound()``, ``constitutive.BETA`` for every model), not a
+    config key; construction refuses ``h > 1/beta``.  This is the one place
+    these constraints are checked; a violation is reported as
     ``"<field>: <constraint> (got <value>)"``.
     """
 
-    h: float
+    h: float = 0.01
     gamma: float = 0.1
     t_end: float = 1.0
-    newton_tol: float = 1.0e-10
-    beta: float = 1.0
+    newton_tol: float = 1.0e-7
+    beta: float = BETA
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.h) and self.h > 0.0):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from kirchflow.config import gaussian_lens
 from kirchflow.diagnostics import (
     energy_report,
     initial_condition_check,
@@ -38,8 +39,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _lens(col, center=0.5, width=0.15, depth=0.2):
-    z = col.nodes()
-    return Field(-depth * np.exp(-(((z - center) / width) ** 2)), col)
+    return Field(gaussian_lens(col.nodes(), center, width, depth), col)
 
 
 @pytest.fixture(scope="module")

@@ -283,6 +283,15 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "h <= 1/beta" in capsys.readouterr().err
 
 
+def test_unhashable_ic_profile_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"ic": {"profile": ["zero"]}}')
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "error: ic.profile" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table_build_failure_exits_2(tmp_path, capsys):
     # accepted by the validator, but the map fit refuses the grid
     config = tmp_path / "steep.json"

@@ -105,6 +105,8 @@ def test_unknown_block_and_key_carry_paths():
         ('{"stepping": {"lag_gravity": 1}}', "stepping.lag_gravity"),
         ('{"stepping": {"h": true}}', "stepping.h"),
         ('{"ic": {"profile": "sideways"}}', "ic.profile"),
+        ('{"ic": {"profile": ["zero"]}}', "ic.profile"),
+        ('{"ic": {"profile": "gausian_lens", "center": 0.3}}', "ic.profile"),
         ('{"ic": {"center": 1.5}}', "ic.center"),
         ('{"ic": {"width": 0.0}}', "ic.width"),
         ('{"ic": {"depth": -0.1}}', "ic.depth"),

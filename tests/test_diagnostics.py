@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kirchflow.config import gaussian_lens
 from kirchflow.diagnostics import (
     BLOCK_STATES,
     DiagnosticsError,
@@ -32,8 +33,7 @@ def _bench_column(n=200):
 
 
 def _lens(col, depth=0.2, width=0.15, center=0.5):
-    z = col.nodes()
-    return Field(-depth * np.exp(-(((z - center) / width) ** 2)), col)
+    return Field(gaussian_lens(col.nodes(), center, width, depth), col)
 
 
 def _manual_trajectory(states, h, tail=0):

@@ -252,7 +252,7 @@ def test_dense_result_satisfies_banded_residual(table):
 
 def test_dense_rejects_oversized_grid(table):
     col = Column(length=1.0, n_cells=401, gravity_sign=-1.0)
-    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01)
+    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01, newton_tol=1.0e-10)
     with pytest.raises(HarnessError, match="n_cells"):
         dense_reference_step(Field.zeros(col), cfg, table)
 

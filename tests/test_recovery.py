@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kirchflow.config import gaussian_lens
 from kirchflow.constitutive import OutOfRangeError
 from kirchflow.grid import (
     Column,
@@ -17,8 +18,7 @@ from oracles.recovery import face_velocity, gradient_consistency, mass_balance_r
 
 
 def _lens(col, depth=0.2, width=0.15, center=0.5):
-    z = col.nodes()
-    return Field(-depth * np.exp(-(((z - center) / width) ** 2)), col)
+    return Field(gaussian_lens(col.nodes(), center, width, depth), col)
 
 
 def _short_run(table, gamma, n, h, tol, t_end):

@@ -9,7 +9,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 
 from kirchflow import stepper
-from kirchflow.config import load_config
+from kirchflow.config import gaussian_lens, load_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
 from kirchflow.grid import Column, Field, GridError
 from kirchflow.harness import ManufacturedSolution
@@ -29,8 +29,7 @@ from oracles.banded import (
 
 
 def _wet_lens(col, depth=0.2, center=0.5, width=0.15):
-    z = col.nodes()
-    return Field(-depth * np.exp(-(((z - center) / width) ** 2)), col)
+    return Field(gaussian_lens(col.nodes(), center, width, depth), col)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,7 @@ def test_newton_system_equals_term_by_term_assembly(table, model, gamma):
 def test_step_zero_fixed_point(table):
     col = Column(length=1.0, n_cells=20)
     zero = Field.zeros(col)
-    out = step(zero, StepConfig(h=0.01, gamma=0.1), table)
+    out = step(zero, StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
     assert np.all(out.values == 0.0)
 
 
@@ -238,7 +237,7 @@ def test_step_nonconvergence_reports_residual(table):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_run_refuses_a_non_finite_residual(table, bad):
     col = Column(length=1.0, n_cells=20)
-    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05)
+    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05, newton_tol=1.0e-10)
     with pytest.raises(NonconvergenceError,
                        match=r"residual not finite \(step 1\)") as exc:
         run(_wet_lens(col), cfg, table, source=lambda t: np.full(col.n_cells, bad))
@@ -403,7 +402,7 @@ def test_step_rejects_out_of_domain_state(table):
     vals = np.full(10, -0.1)
     vals[4] = table.u_lower - 1.0
     with pytest.raises(OutOfRangeError):
-        step(Field(vals, col), StepConfig(h=0.01, gamma=0.1), table)
+        step(Field(vals, col), StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
 
 
 def test_step_unique_root_from_distinct_guesses(table):
@@ -423,11 +422,24 @@ def test_step_unique_root_from_distinct_guesses(table):
 
 def test_run_zero_initial_state(table):
     col = Column(length=1.0, n_cells=20)
-    traj = run(Field.zeros(col), StepConfig(h=0.05, gamma=0.1, t_end=0.2), table)
+    cfg = StepConfig(h=0.05, gamma=0.1, t_end=0.2, newton_tol=1.0e-10)
+    traj = run(Field.zeros(col), cfg, table)
     assert traj.n_steps == 4
     assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
     assert np.all(traj.values == 0.0)
     assert traj.newton_iters == (0, 0, 0, 0)
+
+
+def test_library_defaults_march_the_reference_problem(table):
+    # Column() and StepConfig() are the config's reference run, and the
+    # default Newton tolerance sits above the residual's round-off floor
+    col, cfg = Column(), StepConfig()
+    traj = run(_wet_lens(col), cfg, table)
+    assert traj.n_steps == 100
+    assert traj.times[-1] == pytest.approx(cfg.t_end)
+    ref, stepping = _reference_run(table)
+    assert (col, cfg) == (ref.column, stepping)
+    assert traj.values.tobytes() == ref.values.tobytes()
 
 
 def test_run_projects_initial_condition(table):
@@ -588,7 +600,8 @@ def test_run_gamma_zero_keeps_maximum_principle(table):
 
 def test_trajectory_times_read_only(table):
     col = Column(length=1.0, n_cells=10)
-    traj = run(Field.zeros(col), StepConfig(h=0.1, gamma=0.0, t_end=0.2), table)
+    cfg = StepConfig(h=0.1, gamma=0.0, t_end=0.2, newton_tol=1.0e-10)
+    traj = run(Field.zeros(col), cfg, table)
     with pytest.raises(ValueError):
         traj.times[0] = 5.0
     with pytest.raises(ValueError):
