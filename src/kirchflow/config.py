@@ -17,8 +17,8 @@ type's constraints.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Optional
 
@@ -73,11 +73,20 @@ def _fail(path: str, constraint: str, value: Any) -> None:
     raise ConfigError(f"{path}: {constraint} (got {value!r})")
 
 
+def _finite(value: Any) -> bool:
+    """Whether a JSON number is a finite float; an integer too large for a
+    float is not (``math.isfinite`` raises on it, ``np.isfinite`` too)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(block: Dict[str, Any], path: str, key: str) -> float:
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "must be a number", value)
-    if not np.isfinite(value):
+    if not _finite(value):
         _fail(f"{path}.{key}", "must be finite", value)
     block[key] = float(value)  # normalize: 2 and 2.0 are the same document
     return block[key]
@@ -162,6 +171,12 @@ class RunConfig:
         return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
+        """SHA-256 of :meth:`canonical_json`.  ``hashlib`` is imported here,
+        not with the module: it maps libcrypto (about 3.5 MB resident) into
+        every process that loads the configuration, and solver runs that
+        never hash do not need it."""
+        import hashlib
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
@@ -177,7 +192,9 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text, parse_constant=_reject_nonfinite)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # malformed, or an integer literal past int's digit limit
         raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         _fail("<root>", "must be an object", type(doc).__name__)
@@ -209,9 +226,7 @@ def parse_config(text: str) -> RunConfig:
             if not isinstance(arr, list) or len(arr) < 2:
                 _fail(f"ic.{key}", "must be a list of at least 2 numbers", arr)
             if not all(
-                isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and np.isfinite(v)
+                isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
                 for v in arr
             ):
                 _fail(f"ic.{key}", "entries must be finite numbers", arr)

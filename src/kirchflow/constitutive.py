@@ -21,6 +21,11 @@ discrete inequalities relating them hold to rounding.  The fits are plain
 coefficient arrays whose kernels repeat scipy's ``CubicHermiteSpline`` and
 ``PPoly`` arithmetic in scipy's order, so they match it bit for bit.
 
+The build evaluates the model and sums the antiderivative in fixed-size
+slices and writes the slope channels in place, so its transient memory
+beyond the table is bounded by the working arrays of one full Hermite fit.
+A read gathers only the coefficient rows of the channels it returns.
+
 All public array operations accept scalars or ndarrays and are pure; a
 built table never mutates, so instances are safe to share across threads.
 """
@@ -346,12 +351,22 @@ def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise ConstitutiveError("cubic fit knots must be strictly increasing")
     slope = np.diff(y) / dx
     t = (d[:-1] + d[1:] - 2.0 * slope) / dx
-    return np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]))
+    # rows t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1], each computed
+    # in that order straight into the result, with no stacked temporaries
+    c = np.empty((4, dx.size))
+    np.divide(t, dx, out=c[0])
+    np.subtract(slope, d[:-1], out=c[1])
+    c[1] /= dx
+    c[1] -= t
+    c[2] = d[:-1]
+    c[3] = y[:-1]
+    return c
 
 
-def _derivative(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the piecewise derivative of a one-channel fit."""
-    return c[:-1] * np.arange(len(c) - 1, 0, -1.0)[:, None]
+def _derivative(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of the piecewise derivative of a one-channel fit, written
+    into ``out`` when given."""
+    return np.multiply(c[:-1], np.arange(len(c) - 1, 0, -1.0)[:, None], out=out)
 
 
 def _antiderivative(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -360,14 +375,22 @@ def _antiderivative(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     Each piece's constant is the previous piece's value at their shared
     knot, summed term by term in scipy's order: one sequential
     ``add.accumulate`` over ``[0, c3 h, c2 h^2, c1 h^3, c0 h^4, ...]``,
-    read at the end of every piece.
+    read at the end of every piece.  It runs ``_SLICE`` pieces at a time,
+    each slice starting from the running sum the one before ended on: the
+    same additions in the same order.
     """
-    scaled = c / np.arange(len(c), 0, -1.0)[:, None]
-    h = np.diff(x)[:-1]
-    powers = np.cumprod(np.broadcast_to(h, (len(c), h.size)), axis=0)  # h, h^2, ...
-    terms = (scaled[::-1, :-1] * powers).T.ravel()
-    const = np.add.accumulate(np.concatenate([[0.0], terms]))
-    return np.vstack([scaled, const[::len(c)]])
+    k, pieces = c.shape
+    out = np.empty((k + 1, pieces))
+    np.divide(c, np.arange(k, 0, -1.0)[:, None], out=out[:-1])
+    out[-1, 0] = 0.0
+    for lo in range(0, pieces - 1, _SLICE):
+        hi = min(lo + _SLICE, pieces - 1)
+        h = x[lo + 1:hi + 1] - x[lo:hi]
+        powers = np.cumprod(np.broadcast_to(h, (k, h.size)), axis=0)  # h, h^2, ...
+        terms = (out[k - 1::-1, lo:hi] * powers).T.ravel()
+        const = np.add.accumulate(np.concatenate([out[-1, lo:lo + 1], terms]))
+        out[-1, lo + 1:hi + 1] = const[k::k]
+    return out
 
 
 def _evaluate(x: np.ndarray, c: np.ndarray, u) -> np.ndarray:
@@ -375,12 +398,14 @@ def _evaluate(x: np.ndarray, c: np.ndarray, u) -> np.ndarray:
 
     Pieces are half-open ``[x[i], x[i+1])``, the last one closed, and the
     end pieces extrapolate.  The sum runs over ascending powers, as in
-    scipy's PPoly.
+    scipy's PPoly.  A contiguous ``c`` is gathered with ``take``; a strided
+    one (a channel view of ``_bk``) by fancy indexing, because ``take``
+    would first copy the whole view.  Either gathers only the pieces of ``u``.
     """
     u = np.asarray(u, dtype=float)
     i = x[1:-1].searchsorted(u, "right")
     s = u - x[i]
-    rows = c.take(i, axis=-1)
+    rows = c.take(i, axis=-1) if c.flags.c_contiguous else c[..., i]
     r = 0.0 + rows[-1] + rows[-2] * s  # scipy's sum starts at 0.0: -0.0 reads +0.0
     z = s
     for row in rows[-3::-1]:
@@ -401,17 +426,35 @@ _GAUSS_NODES = (-0.7745966692414834, 0.0, 0.7745966692414834)
 _GAUSS_WEIGHTS = (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)
 
 
+# points per slice when the build evaluates the model or sums the
+# antiderivative: the transient arrays stay this long, not table-long
+_SLICE = 4096
+
+
+def _sliced(f, *arrays, dtype=float) -> np.ndarray:
+    """``f(*arrays)`` for elementwise ``f`` on equal-length 1-D arrays,
+    evaluated ``_SLICE`` entries at a time into one output array."""
+    out = np.empty(arrays[0].shape, dtype=dtype)
+    for lo in range(0, out.size, _SLICE):
+        out[lo:lo + _SLICE] = f(*(a[lo:lo + _SLICE] for a in arrays))
+    return out
+
+
 def _gauss_panels(edges: np.ndarray, f) -> np.ndarray:
     """Gauss-Legendre integral of f over each edge interval, summed node by
     node in one fixed order: a BLAS product would round by thread count."""
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = mid + half * np.array(_GAUSS_NODES)[:, None]  # node x panel
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    acc = vals[0] * _GAUSS_WEIGHTS[0]
-    for row, weight in zip(vals[1:], _GAUSS_WEIGHTS[1:]):
-        acc = acc + row * weight
-    return half * acc
+
+    def panels(left, right):
+        half = 0.5 * (right - left)
+        mid = 0.5 * (left + right)
+        nodes = mid + half * np.array(_GAUSS_NODES)[:, None]  # node x panel
+        vals = f(nodes.ravel()).reshape(nodes.shape)
+        acc = vals[0] * _GAUSS_WEIGHTS[0]
+        for row, weight in zip(vals[1:], _GAUSS_WEIGHTS[1:]):
+            acc = acc + row * weight
+        return half * acc
+
+    return _sliced(panels, edges[:-1], edges[1:])
 
 
 def _sorted_union(parts) -> np.ndarray:
@@ -469,9 +512,8 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     suffix = np.cumsum(panels[::-1].astype(np.longdouble))[::-1]
     u = np.concatenate([-suffix, [np.longdouble(0.0)]]).astype(float)
     u[-1] = 0.0
-    # after the panels, so these arrays do not sit under their peak memory
-    s = np.clip(model.saturation(grid), model.s_res, 1.0)
-    deriv = model.conductivity(s)
+    s = _sliced(lambda p: np.clip(model.saturation(p), model.s_res, 1.0), grid)
+    deriv = _sliced(model.conductivity, s)
     delta = np.diff(u) / np.diff(grid)
     # cubic with positive endpoint slopes is monotone when both stay within
     # 3x the secant slope; the graded grid keeps the ratio near 1
@@ -496,7 +538,7 @@ def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray
     cap[0] = 3.0 * delta[0]
     cap[-1] = 3.0 * delta[-1]
     cap[1:-1] = 3.0 * np.minimum(delta[:-1], delta[1:])
-    return _hermite(x, y, np.clip(d, 0.0, cap))
+    return _hermite(x, y, np.clip(d, 0.0, cap, out=cap))
 
 
 def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
@@ -509,12 +551,16 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
         psi_d = _derivative(psi)
         if refinements == 8:
             break
-        bad = np.zeros(len(grid) - 1, dtype=bool)
-        for frac in (0.25, 0.5, 0.75):
-            probe = grid[:-1] + frac * np.diff(grid)
-            exact = model.conductivity_vs_pressure(probe)
-            err = np.abs(_evaluate(grid, psi_d, probe) - exact)
-            bad |= err > dtol
+
+        def missed(left, right):
+            out = np.zeros(left.size, dtype=bool)
+            for frac in (0.25, 0.5, 0.75):
+                probe = left + frac * (right - left)
+                exact = model.conductivity_vs_pressure(probe)
+                out |= np.abs(_evaluate(grid, psi_d, probe) - exact) > dtol
+            return out
+
+        bad = _sliced(missed, grid[:-1], grid[1:], dtype=bool)
         if not np.any(bad):
             break
         mids = 0.5 * (grid[:-1] + grid[1:])[bad]
@@ -532,7 +578,10 @@ class KirchhoffTable:
     and the conductivity composition ``K_f(b(u))``.  The ``b`` and ``K_f``
     fits and their derivatives share their knots, so they are stored as one
     four-channel piecewise polynomial: one interval search serves all four,
-    and each channel reads exactly what a separate fit would.
+    and each channel reads exactly what a separate fit would.  What a read
+    gathers is its own: :meth:`all_channels` takes all 16 coefficient rows
+    of the pieces it reads, a single-channel reader only that channel's 4,
+    and :meth:`legendre_B` the 4 of ``b`` and the 5 of its antiderivative.
 
     Each fit is a plain coefficient array of shape ``(degree + 1, pieces)``,
     highest power first, over the pressure knots (``_psi``, ``_psi_d``) or
@@ -687,16 +736,25 @@ class KirchhoffTable:
 
     def all_channels(self, u) -> np.ndarray:
         """``(b, K_f, max(b', a_min), dK_f/du)`` at ``u``, channel first, from
-        one range check and one interval lookup: what a Newton iterate reads."""
+        one range check and one interval lookup: what a Newton iterate reads.
+        Gathers all 16 coefficient rows of every piece read; each channel
+        equals its single-channel reader bit for bit."""
         out = self._channels(u, self._bk, self._bk_plateau)
         np.maximum(out[2], self.model.a_min, out=out[2])
         return out
 
+    def _channel(self, u, ch: int) -> np.ndarray:
+        """Channel ``ch`` of ``_bk`` alone at ``u``: the same range check,
+        clamp and power sum as :meth:`all_channels`, gathering only that
+        channel's 4 coefficient rows."""
+        return self._channels(u, self._bk[:, ch], self._bk_plateau[ch])
+
     # -- transformed saturation and potential ------------------------------------
 
     def b_of_u(self, u):
-        """Transformed saturation b(u) = S(psi^-1(u)); 1 on ``u >= 0``."""
-        return _unwrap(u, self.all_channels(u)[0])
+        """Transformed saturation b(u) = S(psi^-1(u)); 1 on ``u >= 0``.
+        Gathers channel ``b``'s 4 coefficient rows only."""
+        return _unwrap(u, self._channel(u, 0))
 
     def b_prime(self, u):
         """Capacity db/du with the regularization floor ``a_min``.
@@ -705,19 +763,21 @@ class KirchhoffTable:
         knot slopes are the exact quotients ``S'(p) / K_f(S(p))`` — floored
         at ``a_min``.  One consistent channel: a Jacobian built from
         ``b_prime`` linearizes the residual's ``b_of_u`` term exactly
-        wherever the floor is inactive.
+        wherever the floor is inactive.  Gathers channel ``b'``'s 4
+        coefficient rows only.
         """
-        return _unwrap(u, self.all_channels(u)[2])
+        return _unwrap(u, np.maximum(self._channel(u, 2), self.model.a_min))
 
     def legendre_B(self, z):
         """Convex potential ``B(z) = b(z) z - integral_0^z b``.
 
         Nonnegative, zero on the saturated branch, evaluated from the
         exact antiderivative of the same monotone cubic that represents
-        ``b``, so the pairing inequalities hold to rounding.
+        ``b``, so the pairing inequalities hold to rounding.  Gathers the 4
+        coefficient rows of channel ``b`` and the 5 of its antiderivative.
         """
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        b = self.all_channels(z_arr)[0]
+        b = self._channel(z_arr, 0)
         anti = self._channels(z_arr, self._b_anti, self._b_anti0)
         phi = anti - self._b_anti0
         zc = np.maximum(z_arr, self.u_samples[0])
@@ -730,18 +790,20 @@ class KirchhoffTable:
 
         Read from the tabulated conductivity-vs-u curve so that
         :meth:`dconductivity_du` is its exact derivative — residual and
-        Jacobian assembly then share one conductivity channel.
+        Jacobian assembly then share one conductivity channel.  Gathers
+        channel ``K_f``'s 4 coefficient rows only.
         """
-        return _unwrap(u, self.all_channels(u)[1])
+        return _unwrap(u, self._channel(u, 1))
 
     def dconductivity_du(self, u):
         """d/du of the tabulated conductivity composition.
 
         Bounded everywhere (unlike dK_f/ds at full saturation); the exact
         derivative of :meth:`conductivity_of_u`, intended for Jacobian
-        assembly.  Range-checked like every u-channel.
+        assembly.  Range-checked like every u-channel; gathers channel
+        ``K_f'``'s 4 coefficient rows only.
         """
-        return _unwrap(u, self.all_channels(u)[3])
+        return _unwrap(u, self._channel(u, 3))
 
     def beta_bound(self) -> float:
         """Growth constant for the stored model (see model docstring)."""
@@ -761,24 +823,25 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     """
     neg_grid, s_neg, k_neg, u_neg, psi, psi_d = _refine_grid(
         model, _pressure_grid(model), dtol=1.0e-8)
-    # db/du = S'(p) / K_f(S(p)) at the knots, exact by the inverse-function
-    # rule; interpolating b against u from values alone would amplify table
-    # rounding by 1/K^2
-    db_du = model.sat_slope_raw(neg_grid) / k_neg
     # coefficient x channel (b, K_f, b', K_f') x piece; the derivative
     # channels keep a zero cubic row (see KirchhoffTable)
     bk = np.zeros((4, 4, u_neg.size - 1))
-    bk[:, 0] = _monotone_hermite(u_neg, s_neg, db_du)
-    b_anti = _antiderivative(u_neg, bk[:, 0])
+    # db/du = S'(p) / K_f(S(p)) at the knots, exact by the inverse-function
+    # rule; interpolating b against u from values alone would amplify table
+    # rounding by 1/K^2
+    bk[:, 0] = _monotone_hermite(
+        u_neg, s_neg, _sliced(lambda p, k: model.sat_slope_raw(p) / k, neg_grid, k_neg))
 
     # dK/du = (dK/dp) / (du/dp) with du/dp = K; top knot takes the p -> 0-
     # limit (capped by the fit when the exponent family makes it infinite)
     with np.errstate(over="ignore"):
-        dk_du = model.conductivity_pressure_slope(neg_grid) / k_neg
+        dk_du = _sliced(lambda p, k: model.conductivity_pressure_slope(p) / k,
+                        neg_grid, k_neg)
     dk_du[-1] = model._conductivity_pressure_slope_limit()
     bk[:, 1] = _monotone_hermite(u_neg, k_neg, dk_du)
-    bk[1:, 2] = _derivative(bk[:, 0])
-    bk[1:, 3] = _derivative(bk[:, 1])
+    _derivative(bk[:, 0], out=bk[1:, 2])
+    _derivative(bk[:, 1], out=bk[1:, 3])
+    b_anti = _antiderivative(u_neg, bk[:, 0])
 
     u_bot = float(u_neg[0])
     u_lower = u_bot * (1.0 + 2.0e-9)

@@ -283,6 +283,16 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "h <= 1/beta" in capsys.readouterr().err
 
 
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text('{"stepping": {"h": 1%s}}' % ("0" * 400))
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: stepping.h: must be finite (got 1000" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_unhashable_ic_profile_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"ic": {"profile": ["zero"]}}')
@@ -352,7 +362,8 @@ def test_solver_imports_no_unused_scipy_subpackage():
     # and dgbsv is bound from scipy's LAPACK extension module by file: the
     # scipy.linalg package would bring in numpy.f2py, numpy.testing and more
     # through its array-API layer, and np.unique would bring in numpy.ma.  A
-    # later scipy.linalg import still gets its _flapack, with the same dgbsv
+    # later scipy.linalg import still gets its _flapack, with the same dgbsv.
+    # libcrypto (_hashlib) is loaded by config_hash alone, not by the import
     code = (
         "import sys\n"
         "import kirchflow.cli, kirchflow.harness\n"
@@ -366,7 +377,10 @@ def test_solver_imports_no_unused_scipy_subpackage():
         "assert calls, 'the step made no LAPACK call'\n"
         "print(*sorted(name for name in ('scipy.interpolate', 'scipy.integrate',\n"
         "    'scipy.special', 'scipy.optimize', 'scipy.linalg', 'numpy.f2py',\n"
-        "    'numpy.testing', 'numpy.ma', 'numpy.polynomial') if name in sys.modules))\n"
+        "    'numpy.testing', 'numpy.ma', 'numpy.polynomial', '_hashlib')\n"
+        "    if name in sys.modules))\n"
+        "cfg.config_hash()\n"
+        "assert '_hashlib' in sys.modules, 'config_hash loaded no libcrypto'\n"
         "import scipy.linalg\n"
         "assert scipy.linalg._flapack.dgbsv is lapack, 'a second dgbsv'\n"
     )

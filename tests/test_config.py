@@ -60,6 +60,9 @@ def test_van_genuchten_exponent_rejected():
 def test_parse_error_reported():
     with pytest.raises(ConfigError, match="parse error"):
         parse_config("{not json")
+    # an integer literal past Python's int digit limit fails in json itself
+    with pytest.raises(ConfigError, match="parse error"):
+        parse_config('{"stepping": {"h": 1%s}}' % ("0" * 5000))
 
 
 def test_non_finite_literal_rejected():
@@ -112,6 +115,11 @@ def test_unknown_block_and_key_carry_paths():
         ('{"ic": {"depth": -0.1}}', "ic.depth"),
         ('{"output": {"directory": ""}}', "output.directory"),
         ('{"output": {"stride": 0}}', "output.stride"),
+        # integers too large for a float are not finite numbers
+        pytest.param('{"stepping": {"h": 1%s}}' % ("0" * 400), "stepping.h",
+                     id="stepping.h-1e400"),
+        pytest.param('{"ic": {"profile": "custom", "z": [0, 1%s], "u": [0, 0]}}'
+                     % ("0" * 400), "ic.z", id="ic.z-1e400"),
     ],
 )
 def test_constraint_violations_name_the_key(doc, path):

@@ -292,18 +292,37 @@ def test_table_values_meet_tol_q_against_a_20_point_rule(params):
     assert np.all(error <= TOL_Q * np.maximum(1.0, np.abs(reference)))
 
 
-def test_build_peak_memory_within_twice_the_table():
-    # the build's transient arrays (quadrature points, probes, the fits of
-    # each pass) never outgrow the table it returns
+def _table_arrays(table):
+    return {name: value for name, value in vars(table).items()
+            if isinstance(value, np.ndarray)}
+
+
+def test_build_transient_memory_stays_bounded():
+    # the model is evaluated, the probes checked and the antiderivative
+    # summed slice by slice, and the slope channels are written into _bk in
+    # place: what the build holds beyond the table it returns is the full
+    # Hermite fits' working arrays, 0.234 x the table (2.43 of 10.36 MB);
+    # whole-table temporaries took it to 0.667 x
     tracemalloc.start()
     try:
         table = build_table(ConstitutiveModel())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(value.nbytes for value in vars(table).values()
-               if isinstance(value, np.ndarray))
-    assert peak <= 2 * held
+    held = sum(value.nbytes for value in _table_arrays(table).values())
+    assert peak - held <= 0.28 * held
+
+
+def test_build_slice_size_leaves_every_table_array_bitwise(table, monkeypatch):
+    # the slices only bound memory: elementwise evaluation and the running
+    # sum of the antiderivative give the same bits at any slice size
+    monkeypatch.setattr(constitutive, "_SLICE", 257)
+    sliced = build_table(ConstitutiveModel())
+    ours, theirs = _table_arrays(sliced), _table_arrays(table)
+    assert ours.keys() == theirs.keys()
+    for name, value in ours.items():
+        assert _same_bits(value, theirs[name]), name
+    assert (sliced.u_lower, sliced._b_anti0) == (table.u_lower, table._b_anti0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +425,62 @@ def test_cubic_fits_refuse_bad_data_as_constitutive_errors():
         constitutive._monotone_hermite(x, y, np.array([1.0, np.nan, 1.0]))
     with pytest.raises(ConstitutiveError, match="strictly increasing"):
         constitutive._hermite(np.array([0.0, 1.0, 1.0]), y, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# single-channel reads
+# ---------------------------------------------------------------------------
+
+
+def _channel_probes(table):
+    """u on the plateau, at and between the knots, just below the lowest
+    knot (inside the invertible range) and as a (128, 201) block."""
+    u_bot = table.u_samples[0]
+    rng = np.random.default_rng(11)
+    knots = table.u_samples
+    return [
+        np.array([0.0, 1.0e-300, 0.5, 3.0]),
+        knots,
+        0.5 * (knots[:-1] + knots[1:]),
+        np.array([np.nextafter(u_bot, -np.inf), u_bot * (1.0 + 0.5e-9)]),
+        rng.uniform(u_bot, 0.5, (128, 201)),
+        np.float64(-0.1),
+    ]
+
+
+def test_single_channel_readers_equal_their_all_channels_row(table):
+    readers = (table.b_of_u, table.conductivity_of_u, table.b_prime,
+               table.dconductivity_du)
+    for u in _channel_probes(table):
+        rows = table.all_channels(u)
+        for row, reader in zip(rows, readers):
+            assert _same_bits(np.asarray(reader(u)), row.reshape(np.shape(u)))
+        # legendre_B's formula, computed from channel 0 of all_channels
+        z = np.atleast_1d(u)
+        phi = table._channels(z, table._b_anti, table._b_anti0) - table._b_anti0
+        zc = np.maximum(z, table.u_samples[0])
+        b = rows[0].reshape(z.shape)
+        formula = np.where(z < 0.0, np.maximum(b * zc - phi, 0.0), 0.0)
+        assert _same_bits(np.asarray(table.legendre_B(u)), formula.reshape(np.shape(u)))
+
+
+def test_single_channel_readers_gather_only_their_rows(table):
+    # a single-channel reader peaks at 11-12x the bytes of its argument and
+    # legendre_B at 13-14x, where gathering all 16 coefficient rows takes
+    # 28-33x and a take on the strided view _bk[:, ch], which copies the
+    # whole 1.4 MB channel first, 870x at 200 points
+    rng = np.random.default_rng(12)
+    for u in (np.linspace(-0.3, 0.1, 200),
+              rng.uniform(table.u_samples[0], 0.5, (128, 201))):
+        for reader in (table.b_of_u, table.conductivity_of_u, table.b_prime,
+                       table.dconductivity_du, table.legendre_B):
+            tracemalloc.start()
+            try:
+                reader(u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * u.nbytes, (reader.__name__, u.shape)
 
 
 # ---------------------------------------------------------------------------
