@@ -1,17 +1,16 @@
 """Constitutive relations and the Kirchhoff transformation.
 
 Saturation and relative conductivity follow the van Genuchten / Mualem
-closed forms, regularized so that every coefficient the solver touches is
-bounded away from degeneracy:
+closed forms, regularized in two places:
 
 * saturation approaches the residual value ``s_res`` exponentially below
   the regularization pressure ``p_reg`` (C1 joint) instead of flattening
   out at an infinite dry limit;
-* the transformed capacity ``b_prime`` carries a floor ``a_min`` so
-  implicit steps and uniqueness arguments see a strictly positive
-  capacity everywhere, including the saturated plateau;
 * relative conductivity gets an affine floor ``k_floor = a_min`` so the
   transform is bi-Lipschitz and invertible to working precision.
+
+The capacity ``b_prime`` has no floor: it is the exact slope of the
+solved storage ``b(u)``, nonnegative and 0 on the plateau ``u >= 0``.
 
 The Kirchhoff map ``u = psi(p)`` integrates conductivity over pressure.
 It is fitted once, with a monotone cubic on a graded pressure grid down
@@ -97,18 +96,15 @@ class ConstitutiveModel:
         replaced by a C1 exponential approach to ``s_res``; the curve must
         still lie above ``s_res`` there.
     a_min : float
-        Regularization floor in (0, 1): lower bound enforced on the
-        transformed capacity ``b'`` (:meth:`KirchhoffTable.b_prime`), and
-        reused as the relative conductivity floor ``k_floor``.
+        Relative conductivity floor ``k_floor`` in (0, 1); it bounds the
+        Kirchhoff map's slope from below, not the capacity ``b'``.
 
     Notes
     -----
     ``saturation`` equals the closed-form retention curve on
     ``[p_reg, 0)``, is exactly 1 for ``p >= 0``, and decays to ``s_res``
-    below ``p_reg`` with value and slope continuous at the joint.  The
-    floor ``a_min`` applies to the transformed capacity ``b_prime``, not
-    to the saturation values or ``sat_slope_raw``, so the range invariant
-    ``s_res <= S <= 1`` is kept exactly.
+    below ``p_reg`` with value and slope continuous at the joint, so the
+    range invariant ``s_res <= S <= 1`` is kept exactly.
 
     A violated constraint raises ``ConstitutiveError("<field>: <constraint>
     (got <value>)")``; the run configuration reports it under ``constitutive.``.
@@ -568,6 +564,11 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
     return grid, s, k, u, psi, psi_d
 
 
+# the channels (b, K_f, b', K_f') on the saturated branch u >= 0, one column
+_PLATEAU = np.array([[1.0], [1.0], [0.0], [0.0]])
+_PLATEAU.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class KirchhoffTable:
     """Tabulated Kirchhoff transform and transformed-variable relations.
@@ -623,7 +624,6 @@ class KirchhoffTable:
     _bk: np.ndarray = field(repr=False)  # channels (b, K_f, db/du, dK_f/du) along u
     _b_anti: np.ndarray = field(repr=False)  # integral of b along u
     _b_anti0: float = field(repr=False)  # that integral at u = 0
-    _bk_plateau: np.ndarray = field(repr=False)  # _bk's channels on u >= 0, (4, 1)
 
     # -- forward map ---------------------------------------------------------
 
@@ -735,19 +735,18 @@ class KirchhoffTable:
         return out.reshape(out.shape[:-1] + u_arr.shape)
 
     def all_channels(self, u) -> np.ndarray:
-        """``(b, K_f, max(b', a_min), dK_f/du)`` at ``u``, channel first, from
-        one range check and one interval lookup: what a Newton iterate reads.
-        Gathers all 16 coefficient rows of every piece read; each channel
-        equals its single-channel reader bit for bit."""
-        out = self._channels(u, self._bk, self._bk_plateau)
-        np.maximum(out[2], self.model.a_min, out=out[2])
-        return out
+        """``(b, K_f, b', dK_f/du)`` at ``u``, channel first, from one range
+        check and one interval lookup: what a Newton iterate reads, so its
+        matrix holds the exact slope of the residual's ``b``.  Gathers all 16
+        coefficient rows of every piece read; each channel equals its
+        single-channel reader bit for bit."""
+        return self._channels(u, self._bk, _PLATEAU)
 
     def _channel(self, u, ch: int) -> np.ndarray:
         """Channel ``ch`` of ``_bk`` alone at ``u``: the same range check,
         clamp and power sum as :meth:`all_channels`, gathering only that
         channel's 4 coefficient rows."""
-        return self._channels(u, self._bk[:, ch], self._bk_plateau[ch])
+        return self._channels(u, self._bk[:, ch], _PLATEAU[ch])
 
     # -- transformed saturation and potential ------------------------------------
 
@@ -757,16 +756,16 @@ class KirchhoffTable:
         return _unwrap(u, self._channel(u, 0))
 
     def b_prime(self, u):
-        """Capacity db/du with the regularization floor ``a_min``.
+        """Capacity db/du: the exact derivative of :meth:`b_of_u`.
 
-        The derivative of the same fit that backs :meth:`b_of_u` — whose
-        knot slopes are the exact quotients ``S'(p) / K_f(S(p))`` — floored
-        at ``a_min``.  One consistent channel: a Jacobian built from
-        ``b_prime`` linearizes the residual's ``b_of_u`` term exactly
-        wherever the floor is inactive.  Gathers channel ``b'``'s 4
-        coefficient rows only.
+        The derivative of the same monotone fit that backs :meth:`b_of_u`,
+        whose knot slopes are the exact quotients ``S'(p) / K_f(S(p))``.
+        Nonnegative, with no floor: exactly 0 on the saturated branch and
+        where the dry tail's slope underflows.  A Jacobian built from it
+        linearizes the residual's ``b_of_u`` term exactly.  Gathers channel
+        ``b'``'s 4 coefficient rows only.
         """
-        return _unwrap(u, np.maximum(self._channel(u, 2), self.model.a_min))
+        return _unwrap(u, self._channel(u, 2))
 
     def legendre_B(self, z):
         """Convex potential ``B(z) = b(z) z - integral_0^z b``.
@@ -859,5 +858,4 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
         _bk=bk,
         _b_anti=b_anti,
         _b_anti0=float(_evaluate(u_neg, b_anti, 0.0)),
-        _bk_plateau=np.array([[1.0], [1.0], [model.a_min], [0.0]]),
     )

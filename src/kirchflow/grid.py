@@ -95,9 +95,9 @@ class Column:
         if not (np.isfinite(self.length) and self.length > 0.0):
             raise GridError(f"length: must be positive (got {self.length!r})")
         n = self.n_cells
-        if not isinstance(n, numbers.Integral) or n < 5:
+        if not isinstance(n, numbers.Integral) or not 5 <= n <= 2**53:
             raise GridError(
-                f"n_cells: needs an integer >= 5 for the stencils (got {n!r})"
+                f"n_cells: needs an integer from 5 to 2**53 (got {n!r})"
             )
         if self.gravity_sign not in (1.0, -1.0):
             raise GridError(

@@ -75,8 +75,8 @@ class ManufacturedSolution:
 
         f = b'(u*) du*/dt + g K'(u*) du*/dz - d2u*/dz2 + gamma d4u*/dz4,
         spatial derivatives in closed form, constitutive factors from
-        the same tabulated channels the stepper trusts — the measured
-        error of a sourced run is then pure discretization error.
+        the same tabulated channels the stepper trusts, ``b'`` the exact
+        slope of ``b`` — a sourced run's error is pure discretization error.
 
         The returned ``source(t)`` gives ``f`` at time ``t`` on this
         solution's column nodes, the form ``stepper.run`` takes.  The shape

@@ -24,10 +24,11 @@ growth constant ``beta`` of the constitutive package; the energy
 estimates are unconditional only under that restriction, so a config
 violating it is refused rather than warned about.
 
-The gravity block is linearized exactly (the conductivity channel and its
-tabulated derivative), giving quadratic local convergence.  The iteration
-cap, the line-search factor and the growth cap are module constants: they
-choose how the root is found, not which root, so they are not settings.
+The storage and gravity terms are linearized exactly (the slope ``b'`` of
+the solved ``b`` and the tabulated ``K'``), giving quadratic local
+convergence.  The iteration cap, the line-search factor and the growth cap
+are module constants: they choose how the root is found, not which root,
+so they are not settings.
 
 Newton runs on plain arrays, and each iterate is evaluated once: one table
 lookup for ``b``, ``K``, ``b'`` and ``K'`` and one call of each stencil make
@@ -297,7 +298,7 @@ class _System:
 
         The diagonal is written as ``(b'/h - lap) + gamma * bih``: adding the
         three terms into a zero diagonal in turn gives the same bits, because
-        ``0.0 + b'/h == b'/h`` for ``b' >= a_min > 0``.
+        ``0.0 + b'/h == b'/h`` for ``b' >= 0`` (``0.0 + 0.0`` is ``0.0``).
         """
         lu = self.template.copy(order="F")
         lu[4] = it.channels[2] / self.cfg.h - self.lap_d + self.bih_d

@@ -251,7 +251,8 @@ def test_dump_constitutive_tables(tmp_path):
     assert np.all(np.diff(data_p[:, 3]) > 0)  # transform strictly increasing
     _, header_u, data_u = _read_csv(out / "constitutive_transformed.csv")
     assert header_u == ["u", "b", "b_prime", "legendre_B", "conductivity"]
-    assert np.all(data_u[:, 2] >= 1.0e-3)  # capacity floor visible
+    assert np.all(data_u[:, 2] >= 0.0)  # the exact capacity, no floor
+    assert np.all(data_u[data_u[:, 0] >= 0.0, 2] == 0.0)  # flat plateau
 
 
 def test_dump_constitutive_matches_pointwise_evaluation(tmp_path):
@@ -285,12 +286,16 @@ def test_config_error_exits_2(tmp_path, capsys):
 
 def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     config = tmp_path / "huge.json"
-    config.write_text('{"stepping": {"h": 1%s}}' % ("0" * 400))
     out = tmp_path / "artifacts"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: stepping.h: must be finite (got 1000" in err
-    assert "Traceback" not in err and not out.exists()
+    for doc, message in (
+        ('{"stepping": {"h": 1%s}}', "error: stepping.h: must be finite (got 1000"),
+        ('{"grid": {"n_cells": 1%s}}', "error: grid.n_cells: needs an integer from 5"),
+    ):
+        config.write_text(doc % ("0" * 400))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_unhashable_ic_profile_exits_2(tmp_path, capsys):

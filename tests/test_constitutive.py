@@ -519,22 +519,25 @@ def test_b_prime_golden_value(table):
 
 
 def test_b_prime_positive_everywhere(table):
+    # no floor: b' is the slope of the monotone b, so it is never negative,
+    # and it is strictly positive across the working band
     rng = np.random.default_rng(11)
     u = rng.uniform(table.u_lower + 2 * table.margin, 8.0, 10000)
-    bp = table.b_prime(u)
-    assert np.all(bp >= table.model.a_min)
-    assert np.all(bp > 0.0)
+    assert np.all(table.b_prime(u) >= 0.0)
+    band = np.linspace(table.kirchhoff(-100.0), -2.0e-6, 10000)
+    assert np.all(table.b_prime(band) > 0.0)
 
 
-def test_b_prime_plateau_floor(table):
-    assert table.b_prime(5.0) == table.model.a_min
+def test_b_prime_plateau_is_flat(table):
+    assert table.b_prime(5.0) == 0.0
 
 
 def test_b_prime_consistent_with_b_of_u(table):
-    # central FD of b against b_prime where the floor is inactive; the
-    # grid knots make the FD itself good to ~1e-6 only, hence the loose
-    # tolerance (b_prime carries the exact slopes)
-    u = np.linspace(table.kirchhoff(-8.0), -1e-3, 500)
+    # central FD of b against b_prime, also near saturation where b' drops
+    # below a_min; the grid knots make the FD itself good to ~1e-6 only,
+    # hence the loose tolerance (b_prime carries the exact slopes)
+    u = np.concatenate([np.linspace(table.kirchhoff(-8.0), -1e-3, 500),
+                        np.linspace(-1e-3, -2e-6, 500)])
     step = 1e-6
     fd = (table.b_of_u(u + step) - table.b_of_u(u - step)) / (2 * step)
     bp = table.b_prime(u)
