@@ -488,10 +488,7 @@ def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
     gap = np.diff(grid)
     keep = np.concatenate([[True], gap > 1.0e-9 * np.maximum(1.0, np.abs(grid[1:]))])
     keep[-1] = True
-    grid = grid[keep]
-    if grid[-1] != 0.0:
-        grid = np.append(grid[grid < 0.0], 0.0)
-    return grid
+    return grid[keep]
 
 
 def _fit_map(model: ConstitutiveModel, grid: np.ndarray):

@@ -104,8 +104,6 @@ class EnergyReport:
 
     def energy_inequality_ok(self) -> bool:
         """Per-step inequality with slack 10*newton_tol*n."""
-        if self.times.size == 1:
-            return True
         slack = 10.0 * self.newton_tol * np.arange(1, self.times.size)
         return bool(np.all(self.inequality_defect() <= slack))
 

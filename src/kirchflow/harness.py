@@ -21,7 +21,7 @@ import numpy as np
 
 from .constitutive import KirchhoffTable
 from .grid import Column, Field, l2_norm
-from .stepper import _BACKTRACK_LIMIT, _DAMPING, _GROWTH_CAP, _MAX_ITER
+from .stepper import _GROWTH_CAP, _MAX_ITER
 from .stepper import StepConfig, run
 
 __all__ = [
@@ -203,9 +203,10 @@ def dense_reference_step(
 
     Independent of the banded path: full matrices built by loops,
     gravity faces summed explicitly, Newton update by ``numpy.linalg``
-    dense factorization; only the Newton policy constants come from
-    ``stepper``.  Agreement with ``stepper.step`` to 100*newton_tol is the
-    dual-implementation contract.
+    dense factorization.  Each iterate takes the full step, clamped at the
+    table floor; only the iteration cap and the growth cap that calls a
+    step divergent come from ``stepper``.  Agreement with ``stepper.step``
+    to 100*newton_tol is the dual-implementation contract.
     """
     col = u_old.column
     n = col.n_cells
@@ -231,9 +232,9 @@ def dense_reference_step(
 
     v = np.maximum(u_old.values.copy(), floor)
     r = dense_residual(v)
-    best = float(np.max(np.abs(r)))
+    rnorm = best = float(np.max(np.abs(r)))
     for _ in range(_MAX_ITER):
-        if np.max(np.abs(r)) <= cfg.newton_tol:
+        if rnorm <= cfg.newton_tol:
             return Field(v, col)
         jac = sys_mat + np.diag(table.b_prime(v) / cfg.h)
         # d(grav)/du: interior diagonals cancel between the two faces;
@@ -247,23 +248,13 @@ def dense_reference_step(
         jac[0, 0] -= half * dk[0]
         jac[n - 1, n - 1] += half * dk[n - 1]
         delta = np.linalg.solve(jac, -r)
-        lam = 1.0
-        for _ in range(_BACKTRACK_LIMIT):
-            cand = np.maximum(v + lam * delta, floor)
-            cand_r = dense_residual(cand)
-            cand_norm = float(np.max(np.abs(cand_r)))
-            if np.isfinite(cand_norm) and cand_norm <= max(
-                _GROWTH_CAP * best, cfg.newton_tol
-            ):
-                v, r = cand, cand_r
-                best = min(best, cand_norm)
-                break
-            lam *= _DAMPING
-        else:
-            raise HarnessError("dense reference line search stalled")
-    if np.max(np.abs(r)) <= cfg.newton_tol:
+        v = np.maximum(v + delta, floor)
+        r = dense_residual(v)
+        rnorm = float(np.max(np.abs(r)))
+        cap = max(_GROWTH_CAP * best, cfg.newton_tol)
+        if not (np.isfinite(rnorm) and rnorm <= cap):
+            raise HarnessError(f"dense reference Newton diverged: residual {rnorm:.3e}")
+        best = min(best, rnorm)
+    if rnorm <= cfg.newton_tol:
         return Field(v, col)
-    raise HarnessError(
-        f"dense reference Newton did not converge: residual "
-        f"{np.max(np.abs(r)):.3e}"
-    )
+    raise HarnessError(f"dense reference Newton did not converge: residual {rnorm:.3e}")

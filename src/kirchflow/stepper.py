@@ -5,19 +5,19 @@ Each step solves the nodal system
     (b(u_new) - b(u_old))/h + div(K(u_new) g e3) - lap(u_new)
         + gamma * bih(u_new) = source
 
-by damped Newton iteration on the banded Jacobian
+by Newton iteration on the banded Jacobian
 
     diag(b'(u_new)/h) + d(gravity flux)/du - lap + gamma * bih,
 
-with pentadiagonal bandwidth, one LAPACK ``dgbsv`` factor-and-solve per
-iterate, and a backtracking line search on the sup-norm of the residual.
-Acceptance is deliberately non-monotone (bounded by a fixed growth cap over
-the best norm seen): crossing a joint of the piecewise constitutive curves often
-bumps the residual up for one iterate before quadratic collapse, and a
-strict-decrease rule stalls there.  Iterates are clamped to stay
-strictly above the invertible floor of the transform table, which
-doubles as the domain-recovery damping: a trial step that would leave
-the domain is projected back and then judged like any other trial.
+with pentadiagonal bandwidth and one LAPACK ``dgbsv`` factor-and-solve per
+iterate.  Every iterate takes the full Newton step, clamped to stay strictly
+above the invertible floor of the transform table, so a step that would
+leave the domain is projected back.  Acceptance is deliberately non-monotone:
+the sup-norm of the new residual may exceed the best norm seen by up to a
+fixed growth cap, because crossing a joint of the piecewise constitutive
+curves often bumps the residual up for one iterate before quadratic
+collapse, and a strict-decrease rule stalls there.  A residual that is not
+finite or exceeds the cap ends the step as divergent.
 
 The step size is guarded at construction by ``h <= 1/beta`` with the
 growth constant ``beta`` of the constitutive package; the energy
@@ -26,9 +26,8 @@ violating it is refused rather than warned about.
 
 The storage and gravity terms are linearized exactly (the slope ``b'`` of
 the solved ``b`` and the tabulated ``K'``), giving quadratic local
-convergence.  The iteration cap, the line-search factor and the growth cap
-are module constants: they choose how the root is found, not which root,
-so they are not settings.
+convergence.  The iteration cap and the growth cap are module constants:
+they choose how the root is found, not which root, so they are not settings.
 
 Newton runs on plain arrays, and each iterate is evaluated once: one table
 lookup for ``b``, ``K``, ``b'`` and ``K'`` and one call of each stencil make
@@ -108,10 +107,8 @@ def _load_flapack():
 dgbsv = _load_flapack().dgbsv
 
 _MAX_ITER = 30
-_DAMPING = 0.5  # line-search step shrink factor
-_BACKTRACK_LIMIT = 50
-# iterate-to-iterate residual growth allowed before the line search calls
-# the step divergent; joint crossings measure ~10x, blowups grow without
+# residual growth over the best iterate's allowed before Newton calls the
+# step divergent; joint crossings measure ~10x, blowups grow without
 # bound, so three decades separates them cleanly
 _GROWTH_CAP = 1.0e3
 
@@ -318,7 +315,7 @@ def _newton(system: _System, b_old: np.ndarray, guess: _Iterate,
 
     ``guess`` is evaluated already, at values on or above the floor: a fresh
     guess goes through ``_System.start``, and the iterate returned here (the
-    guess or a clamped trial) can start the next step as it is.
+    guess or a clamped Newton step) can start the next step as it is.
     """
     cfg = system.cfg
     where = "" if step_index is None else f" (step {step_index})"
@@ -336,22 +333,15 @@ def _newton(system: _System, b_old: np.ndarray, guess: _Iterate,
         if info != 0:
             raise NonconvergenceError(f"banded factorization failed (LAPACK info "
                                       f"{info}){where}", step_index, rnorm)
-        lam = 1.0
-        for _ in range(_BACKTRACK_LIMIT):
-            cand = system.evaluate(np.maximum(it.v + lam * delta, system.floor))
-            cand_r = system.residual(cand, b_old, source)
-            cand_norm = float(np.abs(cand_r).max())
-            if math.isfinite(cand_norm) and cand_norm <= max(
-                _GROWTH_CAP * best, cfg.newton_tol
-            ):
-                it, r, rnorm = cand, cand_r, cand_norm
-                best = min(best, cand_norm)
-                break
-            lam *= _DAMPING
-        else:
+        it = system.evaluate(np.maximum(it.v + delta, system.floor))
+        r = system.residual(it, b_old, source)
+        rnorm = float(np.abs(r).max())
+        cap = max(_GROWTH_CAP * best, cfg.newton_tol)
+        if not (math.isfinite(rnorm) and rnorm <= cap):
             raise NonconvergenceError(
-                f"line search stalled at residual {rnorm:.3e}{where}", step_index, rnorm
-            )
+                f"Newton diverged: residual {rnorm:.3e} > {_GROWTH_CAP:g} x best "
+                f"{best:.3e}{where}", step_index, rnorm)
+        best = min(best, rnorm)
     if rnorm <= cfg.newton_tol:
         return it, _MAX_ITER, rnorm
     raise NonconvergenceError(

@@ -80,8 +80,8 @@ def test_unknown_block_and_key_carry_paths():
         parse_config('{"steppin": {}}')
     with pytest.raises(ConfigError, match=r"grid\.n_cellz.*unknown key"):
         parse_config('{"grid": {"n_cellz": 10}}')
-    # Newton's iteration cap, line-search factor and gravity lagging are
-    # solver constants, not settings
+    # Newton's iteration cap is a solver constant, and Newton neither damps
+    # its steps nor lags gravity: none of the three is a setting
     for key in ("newton_max_iter", "damping", "lag_gravity"):
         with pytest.raises(ConfigError, match=rf"stepping\.{key}: unknown key"):
             parse_config(json.dumps({"stepping": {key: 1}}))
@@ -95,6 +95,7 @@ def test_unknown_block_and_key_carry_paths():
         ('{"constitutive": {"p_reg": 1.0}}', "constitutive.p_reg"),
         ('{"constitutive": {"p_reg": -2000000.0}}', "constitutive.p_reg"),
         ('{"constitutive": {"a_min": 1.5}}', "constitutive.a_min"),
+        ('{"grid": []}', "grid"),
         ('{"grid": {"length": -1.0}}', "grid.length"),
         ('{"grid": {"n_cells": 4}}', "grid.n_cells"),
         ('{"grid": {"n_cells": 10.5}}', "grid.n_cells"),
@@ -113,6 +114,7 @@ def test_unknown_block_and_key_carry_paths():
         ('{"ic": {"center": 1.5}}', "ic.center"),
         ('{"ic": {"width": 0.0}}', "ic.width"),
         ('{"ic": {"depth": -0.1}}', "ic.depth"),
+        ('{"ic": {"profile": "custom", "z": [0, 0.5, 1], "u": [0, 0]}}', "ic.u"),
         ('{"output": {"directory": ""}}', "output.directory"),
         ('{"output": {"stride": 0}}', "output.stride"),
         # integers too large for a float are not finite numbers

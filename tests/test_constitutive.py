@@ -272,13 +272,15 @@ def test_gauss_rule_is_the_three_point_legendre_rule():
     np.testing.assert_array_max_ulp(weights, leg_weights, maxulp=1)
 
 
-@pytest.mark.parametrize("params", [{}, {"n_vg": 1.2}, {"p_reg": -0.1}],
-                         ids=["default", "n_vg=1.2", "p_reg=-0.1"])
+@pytest.mark.parametrize("params", [{}, {"n_vg": 1.2}, {"p_reg": -0.1}, {"n_vg": 3.0}],
+                         ids=["default", "n_vg=1.2", "p_reg=-0.1", "n_vg=3.0"])
 def test_table_values_meet_tol_q_against_a_20_point_rule(params):
     # the knot values agree with 20-point Gauss panels on the same grid to
     # TOL_Q, relative beyond |u| = 1, on the soils where the table's 3-point
     # rule errs most: a slope singular at saturation (n_vg < 2) and a steep
     # dry tail just below p_reg.  A 2-point rule misses by 13x at p_reg = -0.1.
+    # With n_vg > 2 the composition is flat at saturation, and the fitted
+    # slope reads 0 inside the last knot interval.
     table = build_table(ConstitutiveModel(**params))
     p = table.p_samples
     nodes, weights = np.polynomial.legendre.leggauss(20)
@@ -290,6 +292,8 @@ def test_table_values_meet_tol_q_against_a_20_point_rule(params):
     reference = reference.astype(float)
     error = np.abs(table.u_samples - reference)
     assert np.all(error <= TOL_Q * np.maximum(1.0, np.abs(reference)))
+    if table.model.n_vg > 2.0:
+        assert table.dconductivity_du(0.5 * table.u_samples[-2:-1]) == 0.0
 
 
 def _table_arrays(table):

@@ -1,5 +1,6 @@
 """Backward-difference stepper: residual, Jacobian, Newton, trajectories."""
 
+import json
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 
 from kirchflow import stepper
-from kirchflow.config import gaussian_lens, load_config
+from kirchflow.config import gaussian_lens, load_config, parse_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
 from kirchflow.grid import Column, Field, GridError
 from kirchflow.harness import ManufacturedSolution
@@ -244,6 +245,37 @@ def test_run_refuses_a_non_finite_residual(table, bad):
     assert exc.value.step_index == 1
 
 
+def test_run_stops_a_diverging_step_at_once():
+    # a validator-accepted coarse, dry, sourceless column: the first full
+    # Newton step lands three decades and more above the best residual, so
+    # the step fails there with the divergence message
+    cfg = parse_config(json.dumps({
+        "constitutive": {"alpha_vg": 0.1, "n_vg": 1.2, "p_reg": -1.0, "a_min": 0.03},
+        "grid": {"n_cells": 50, "gravity_sign": 1.0, "length": 0.37},
+        "stepping": {"h": 0.8, "gamma": 0.0, "t_end": 0.8},
+        "ic": {"center": 0.173, "width": 0.043, "depth": 0.00166},
+    }))
+    table = cfg.transform_table()
+    stepping = cfg.build_stepping(beta=table.beta_bound())
+    with pytest.raises(NonconvergenceError,
+                       match=r"^Newton diverged: residual 3\.835e-01 > 1000 x best "
+                             r"9\.900e-05 \(step 1\)$") as exc:
+        run(cfg.initial_state(cfg.build_column()), stepping, table)
+    assert exc.value.step_index == 1
+    assert exc.value.residual_norm > 1000.0 * 9.9e-5
+
+
+def test_run_reports_a_failed_banded_factorization(table, monkeypatch):
+    monkeypatch.setattr(stepper, "dgbsv", lambda kl, ku, ab, b, **kw: (ab, None, b, 1))
+    col = Column(length=1.0, n_cells=20)
+    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05)
+    with pytest.raises(NonconvergenceError,
+                       match=r"^banded factorization failed \(LAPACK info 1\) "
+                             r"\(step 1\)$") as exc:
+        run(_wet_lens(col), cfg, table)
+    assert exc.value.step_index == 1
+
+
 def _reference_run(table):
     cfg = load_config(None)
     stepping = cfg.build_stepping(beta=table.beta_bound())
@@ -296,7 +328,7 @@ def test_overshoot_lens_small_step_converges_quadratically(table, monkeypatch):
     assert traj.n_steps == 3
     assert all(norm <= cfg.newton_tol for norm in traj.residual_norms)
     first = [norm for key, norm in norms if key == norms[0][0]]
-    # no backtracking: every recorded norm is an accepted iterate's
+    # one residual per iterate: the guess's and each Newton step's
     assert len(first) == traj.newton_iters[0] + 1
     r1, r2 = first[-2:]
     assert r2 <= 10.0 * r1 ** 2
@@ -371,12 +403,12 @@ def test_reference_run_evaluates_each_iterate_once(table, monkeypatch):
     counts, _ = _counting(monkeypatch)
     traj, _ = _reference_run(table)
     iters = sum(traj.newton_iters)
-    # seven solved steps (then the fixed-point tail), 21 iterations, no
-    # backtracks; each step starts from the iterate the one before accepted,
-    # so only step 1 evaluates its guess: one lookup and one call of each
-    # stencil per evaluated iterate, one trial residual and one LAPACK call
-    # per iteration; the march's _System probes each stencil a fixed number
-    # of times, once per run, to read the Newton matrix's bands off it
+    # seven solved steps (then the fixed-point tail), 21 iterations; each
+    # step starts from the iterate the one before accepted, so only step 1
+    # evaluates its guess: one lookup and one call of each stencil per
+    # evaluated iterate, one residual and one LAPACK call per iteration;
+    # the march's _System probes each stencil a fixed number of times, once
+    # per run, to read the Newton matrix's bands off it
     assert (counts["_newton"], iters) == (7, 21)
     assert counts["evaluate"] == 1 + iters == 22
     assert counts["_channels"] == 1 + counts["evaluate"] == 23
@@ -536,10 +568,11 @@ def test_reference_run_newton_work_count(table, monkeypatch):
     _assert_stored_once(traj, 7, fields)
 
 
-@pytest.mark.parametrize("h, iters", [(2.5e-4, 251), (1.25e-4, 476), (6.25e-5, 929)])
-def test_fine_step_newton_work_count(table, monkeypatch, h, iters):
+@pytest.mark.parametrize("h", [2.5e-4, 1.25e-4, 6.25e-5])
+def test_fine_step_newton_work_count(table, monkeypatch, h):
     # the three levels of acceptance criterion 10; each march reaches its
     # fixed point near t = 0.02 and stores only the states before it
+    iters = {2.5e-4: 251, 1.25e-4: 476, 6.25e-5: 929}[h]
     stored = {2.5e-4: 82, 1.25e-4: 158, 6.25e-5: 309}[h]
     col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
     cfg = StepConfig(h=h, gamma=0.1, t_end=1.0, newton_tol=1e-7)
