@@ -20,10 +20,12 @@ discrete inequalities relating them hold to rounding.  The fits are plain
 coefficient arrays whose kernels repeat scipy's ``CubicHermiteSpline`` and
 ``PPoly`` arithmetic in scipy's order, so they match it bit for bit.
 
-The build evaluates the model and sums the antiderivative in fixed-size
-slices and writes the slope channels in place, so its transient memory
-beyond the table is bounded by the working arrays of one full Hermite fit.
-A read gathers only the coefficient rows of the channels it returns.
+Only the cubics are stored; slopes and the antiderivative of ``b`` are
+derived on read from the cubic rows a read gathers, and a read gathers only
+the rows of the channels it returns.  The build evaluates the model, fits
+the cubics and sums the antiderivative in fixed-size slices straight into
+the table, so its transient memory beyond the table is about the knot
+saturations and conductivities.
 
 All public array operations accept scalars or ndarrays and are pure; a
 built table never mutates, so instances are safe to share across threads.
@@ -60,7 +62,7 @@ class OutOfRangeError(ConstitutiveError):
 
 def _unwrap(x, out: np.ndarray):
     """``out`` as a float when the input ``x`` was a scalar."""
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return out.item() if np.ndim(x) == 0 else out
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -337,77 +339,129 @@ class ConstitutiveModel:
 # ---------------------------------------------------------------------------
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Coefficients of the cubic Hermite fit of values ``y`` and slopes ``d``;
-    refuses non-finite data and knots ``x`` that do not strictly increase."""
+def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of the cubic Hermite fit of values ``y`` and slopes ``d``,
+    written into ``out`` when given; refuses non-finite data and knots ``x``
+    that do not strictly increase."""
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(d).all()):
         raise ConstitutiveError("cubic fit data must be finite")
-    dx = np.diff(x)
-    if np.any(dx <= 0.0):
-        raise ConstitutiveError("cubic fit knots must be strictly increasing")
-    slope = np.diff(y) / dx
-    t = (d[:-1] + d[1:] - 2.0 * slope) / dx
-    # rows t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1], each computed
-    # in that order straight into the result, with no stacked temporaries
-    c = np.empty((4, dx.size))
-    np.divide(t, dx, out=c[0])
-    np.subtract(slope, d[:-1], out=c[1])
-    c[1] /= dx
-    c[1] -= t
-    c[2] = d[:-1]
-    c[3] = y[:-1]
+    c = np.empty((4, x.size - 1)) if out is None else out
+    # rows t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1], each computed in
+    # that order straight into the result, _SLICE pieces at a time
+    for lo in range(0, x.size - 1, _SLICE):
+        hi = min(lo + _SLICE, x.size - 1)
+        dx = np.diff(x[lo:hi + 1])
+        if np.any(dx <= 0.0):
+            raise ConstitutiveError("cubic fit knots must be strictly increasing")
+        slope = np.diff(y[lo:hi + 1]) / dx
+        d0 = d[lo:hi]
+        t = (d0 + d[lo + 1:hi + 1] - 2.0 * slope) / dx
+        np.divide(t, dx, out=c[0, lo:hi])
+        np.subtract(slope, d0, out=c[1, lo:hi])
+        c[1, lo:hi] /= dx
+        c[1, lo:hi] -= t
+        c[2, lo:hi] = d0
+        c[3, lo:hi] = y[lo:hi]
     return c
 
 
-def _derivative(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of the piecewise derivative of a one-channel fit, written
-    into ``out`` when given."""
-    return np.multiply(c[:-1], np.arange(len(c) - 1, 0, -1.0)[:, None], out=out)
+# Power sums of a cubic's rows c0..c3 (highest power first) at the offsets
+# s of their pieces: ascending, from +0.0 as in scipy's PPoly, so -0.0 reads
+# +0.0 and no sum is ever -0.0.  The derivative's rows 3 c0, 2 c1, c2 and
+# the antiderivative's c0/4, c1/3, c2/2, c3 are derived from the cubic's on
+# read, one rounding each as in PPoly.derivative and PPoly.antiderivative.
+
+
+def _cubic(c, s):
+    """Values of the cubic rows ``c`` at ``s``."""
+    r = 0.0 + c[3]
+    r += c[2] * s
+    z = s * s
+    r += c[1] * z
+    z *= s
+    r += c[0] * z
+    return r
+
+
+def _slope(c, s):
+    """Values of the derivative of the cubic rows ``c`` at ``s``, reading only
+    ``c[:3]``.  A quadratic: a stored derivative's zero cubic row would only
+    add ``0 * s**3``, a signed zero, to a sum that is never -0.0."""
+    r = 0.0 + c[2]
+    r += 2.0 * c[1] * s
+    r += 3.0 * c[0] * (s * s)
+    return r
+
+
+def _integral(c, const, s):
+    """Values at ``s`` of the antiderivative of the cubic rows ``c`` that is
+    ``const`` at each piece's left knot."""
+    r = 0.0 + const
+    r += c[3] * s
+    z = s * s
+    r += c[2] / 2.0 * z
+    z *= s
+    r += c[1] / 3.0 * z
+    z *= s
+    r += c[0] / 4.0 * z
+    return r
+
+
+def _values_and_slopes(c, s):
+    """``(b, K_f, b', K_f')`` from the gathered rows ``c`` of ``_bk``, by the
+    single-channel kernels.  The offsets are doubled first, so that every
+    operand has the rows' shape: at 200 points numpy broadcasts (n,) against
+    (2, n) at about twice the cost of a same-shape operation."""
+    s = np.array((s, s))
+    return np.concatenate((_cubic(c, s), _slope(c, s)))
+
+
+def _value_and_integral(c, const, s):
+    """``(b, integral of b)`` from the gathered rows of channel ``b`` and of
+    the antiderivative's constants."""
+    return np.stack((_cubic(c, s), _integral(c, const, s)))
 
 
 def _antiderivative(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Coefficients of the antiderivative of a one-channel fit, 0 at ``x[0]``.
+    """Constants of the antiderivative of the cubic ``c`` over the knots ``x``
+    that is 0 at ``x[0]``: its value at every knot, the last one included.
 
-    Each piece's constant is the previous piece's value at their shared
-    knot, summed term by term in scipy's order: one sequential
-    ``add.accumulate`` over ``[0, c3 h, c2 h^2, c1 h^3, c0 h^4, ...]``,
-    read at the end of every piece.  It runs ``_SLICE`` pieces at a time,
-    each slice starting from the running sum the one before ended on: the
-    same additions in the same order.
+    Each is the previous piece's value at their shared knot, summed term by
+    term in scipy's order: one sequential ``add.accumulate`` over ``[0, c3
+    h, c2/2 h^2, c1/3 h^3, c0/4 h^4, ...]``, read at the end of every piece.
+    It runs ``_SLICE`` pieces at a time, each slice starting from the running
+    sum the one before ended on: the same additions in the same order.
     """
-    k, pieces = c.shape
-    out = np.empty((k + 1, pieces))
-    np.divide(c, np.arange(k, 0, -1.0)[:, None], out=out[:-1])
-    out[-1, 0] = 0.0
-    for lo in range(0, pieces - 1, _SLICE):
-        hi = min(lo + _SLICE, pieces - 1)
+    pieces = c.shape[-1]
+    const = np.empty(pieces + 1)
+    const[0] = 0.0
+    for lo in range(0, pieces, _SLICE):
+        hi = min(lo + _SLICE, pieces)
         h = x[lo + 1:hi + 1] - x[lo:hi]
-        powers = np.cumprod(np.broadcast_to(h, (k, h.size)), axis=0)  # h, h^2, ...
-        terms = (out[k - 1::-1, lo:hi] * powers).T.ravel()
-        const = np.add.accumulate(np.concatenate([out[-1, lo:lo + 1], terms]))
-        out[-1, lo + 1:hi + 1] = const[k::k]
-    return out
+        powers = np.cumprod(np.broadcast_to(h, (4, h.size)), axis=0)  # h, ..., h^4
+        rows = c[::-1, lo:hi] / np.array([[1.0], [2.0], [3.0], [4.0]])
+        terms = (rows * powers).T.ravel()
+        sums = np.add.accumulate(np.concatenate([const[lo:lo + 1], terms]))
+        const[lo + 1:hi + 1] = sums[4::4]
+    return const
 
 
-def _evaluate(x: np.ndarray, c: np.ndarray, u) -> np.ndarray:
-    """Values at ``u`` of the fit ``(x, c)``, of shape ``channels + u.shape``.
+def _evaluate(x: np.ndarray, u, read, *fits) -> np.ndarray:
+    """``read(*rows, s)`` at ``u`` for fits over the knots ``x``: the
+    coefficient rows of each fit in ``fits`` gathered at the pieces of
+    ``u``, and ``s`` the offsets of ``u`` from their left knots.
 
-    Pieces are half-open ``[x[i], x[i+1])``, the last one closed, and the
-    end pieces extrapolate.  The sum runs over ascending powers, as in
-    scipy's PPoly.  A contiguous ``c`` is gathered with ``take``; a strided
-    one (a channel view of ``_bk``) by fancy indexing, because ``take``
+    Pieces are half-open ``[x[i], x[i+1])``; the last of a fit with one
+    piece fewer than ``x`` has knots is closed, and the end pieces
+    extrapolate.  A contiguous fit is gathered with ``take``; a strided one
+    (a channel or row view of ``_bk``) by fancy indexing, because ``take``
     would first copy the whole view.  Either gathers only the pieces of ``u``.
     """
     u = np.asarray(u, dtype=float)
-    i = x[1:-1].searchsorted(u, "right")
-    s = u - x[i]
-    rows = c.take(i, axis=-1) if c.flags.c_contiguous else c[..., i]
-    r = 0.0 + rows[-1] + rows[-2] * s  # scipy's sum starts at 0.0: -0.0 reads +0.0
-    z = s
-    for row in rows[-3::-1]:
-        z = z * s
-        r = r + row * z
-    return r
+    i = x[1:fits[0].shape[-1]].searchsorted(u, "right")
+    rows = (c.take(i, axis=-1) if c.flags.c_contiguous else c[..., i] for c in fits)
+    return read(*rows, u - x[i])
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +481,11 @@ _GAUSS_WEIGHTS = (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)
 _SLICE = 4096
 
 
-def _sliced(f, *arrays, dtype=float) -> np.ndarray:
+def _sliced(f, *arrays, dtype=float, out: np.ndarray | None = None) -> np.ndarray:
     """``f(*arrays)`` for elementwise ``f`` on equal-length 1-D arrays,
-    evaluated ``_SLICE`` entries at a time into one output array."""
-    out = np.empty(arrays[0].shape, dtype=dtype)
+    evaluated ``_SLICE`` entries at a time into one output array, ``out``
+    when given (it may be one of ``arrays``)."""
+    out = np.empty(arrays[0].shape, dtype=dtype) if out is None else out
     for lo in range(0, out.size, _SLICE):
         out[lo:lo + _SLICE] = f(*(a[lo:lo + _SLICE] for a in arrays))
     return out
@@ -516,32 +571,34 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     return s, deriv, u, _hermite(grid, u, deriv)
 
 
-def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Cubic Hermite coefficients of nondecreasing data with supplied slopes.
+def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Cubic Hermite coefficients of nondecreasing data with supplied slopes,
+    written into ``out`` when given.
 
     Slopes are capped at three times the neighboring secants (the classic
     sufficient condition), which only bites where the data has gone flat
     relative to the grid; there the cap preserves monotonicity at the cost
-    of slope accuracy nobody reads.
+    of slope accuracy nobody reads.  The slopes ``d`` are capped in place.
     """
-    delta = np.diff(y) / np.diff(x)
+    delta = _sliced(lambda x0, x1, y0, y1: (y1 - y0) / (x1 - x0),
+                    x[:-1], x[1:], y[:-1], y[1:])
     if np.any(delta < 0.0):
         raise ConstitutiveError("data for a monotone fit must be nondecreasing")
-    cap = np.empty_like(np.asarray(d, dtype=float))
-    cap[0] = 3.0 * delta[0]
-    cap[-1] = 3.0 * delta[-1]
-    cap[1:-1] = 3.0 * np.minimum(delta[:-1], delta[1:])
-    return _hermite(x, y, np.clip(d, 0.0, cap, out=cap))
+    d[0] = np.clip(d[0], 0.0, 3.0 * delta[0])
+    d[-1] = np.clip(d[-1], 0.0, 3.0 * delta[-1])
+    _sliced(lambda di, left, right: np.clip(di, 0.0, 3.0 * np.minimum(left, right)),
+            d[1:-1], delta[:-1], delta[1:], out=d[1:-1])
+    return _hermite(x, y, d, out)
 
 
 def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
     """Split intervals until the fitted map's derivative error against the
     exactly evaluable integrand drops below ``dtol`` everywhere, refining at
     most 8 times.  Returns the last pass: the grid, its knot saturations and
-    conductivities, ``u``, and the coefficients of the map and its slope."""
+    conductivities, ``u``, and the coefficients of the map."""
     for refinements in range(9):
         s, k, u, psi = _fit_map(model, grid)
-        psi_d = _derivative(psi)
         if refinements == 8:
             break
 
@@ -550,7 +607,7 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
             for frac in (0.25, 0.5, 0.75):
                 probe = left + frac * (right - left)
                 exact = model.conductivity_vs_pressure(probe)
-                out |= np.abs(_evaluate(grid, psi_d, probe) - exact) > dtol
+                out |= np.abs(_evaluate(grid, probe, _slope, psi[:3]) - exact) > dtol
             return out
 
         bad = _sliced(missed, grid[:-1], grid[1:], dtype=bool)
@@ -558,40 +615,41 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
             break
         mids = 0.5 * (grid[:-1] + grid[1:])[bad]
         grid = _sorted_union([grid, mids])
-    return grid, s, k, u, psi, psi_d
+    return grid, s, k, u, psi
 
 
-# the channels (b, K_f, b', K_f') on the saturated branch u >= 0, one column
-_PLATEAU = np.array([[1.0], [1.0], [0.0], [0.0]])
-_PLATEAU.setflags(write=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KirchhoffTable:
     """Tabulated Kirchhoff transform and transformed-variable relations.
 
     Built once per model by :func:`build_table`.  Holds the pressure grid,
     the transformed values ``u = psi(p)``, and monotone cubic interpolants
     for the map, its inverse support, the transformed saturation ``b(u)``
-    and the conductivity composition ``K_f(b(u))``.  The ``b`` and ``K_f``
-    fits and their derivatives share their knots, so they are stored as one
-    four-channel piecewise polynomial: one interval search serves all four,
-    and each channel reads exactly what a separate fit would.  What a read
-    gathers is its own: :meth:`all_channels` takes all 16 coefficient rows
-    of the pieces it reads, a single-channel reader only that channel's 4,
-    and :meth:`legendre_B` the 4 of ``b`` and the 5 of its antiderivative.
+    and the conductivity composition ``K_f(b(u))``.  Only the cubics are
+    stored: every slope (``psi'``, ``b'``, ``dK_f/du``) and the antiderivative
+    of ``b`` are derived on read from the cubic rows gathered for it, with
+    the one rounding per row that scipy's ``PPoly.derivative`` and
+    ``antiderivative`` make, so each reads exactly what a stored derived fit
+    would.  The ``b`` and ``K_f`` fits share their knots and are stored as one
+    two-channel cubic: one interval search serves all four channels.  What a
+    read gathers is its own: :meth:`all_channels` takes the 8 cubic rows of
+    the pieces it reads, a single-channel reader that channel's 4 (3 for a
+    slope), and :meth:`legendre_B` the 4 of ``b`` and the antiderivative's
+    constant, from one search.
 
-    Each fit is a plain coefficient array of shape ``(degree + 1, pieces)``,
-    highest power first, over the pressure knots (``_psi``, ``_psi_d``) or
-    their images in ``u`` (the rest).  The four-channel ``_bk`` has shape
-    ``(4, 4, pieces)``: coefficient, channel ``(b, K_f, b', K_f')``, piece.
-    The two quadratic derivative channels carry a zero cubic row; the power
-    sum never holds -0.0 and its argument is finite, so adding ``0 * s**3``
-    leaves every value bitwise equal to the quadratic's.  Every read goes
-    through ``_evaluate`` in one fixed order (interval search, then the power
-    sum from the constant term up), so a value depends only on the table and
-    its argument, never on which channel or how many points were asked for
-    together.
+    Each fit is a plain coefficient array of shape ``(4, pieces)``, highest
+    power first, over the pressure knots (``_psi``) or their images in ``u``
+    (``_bk``, of shape ``(4, 2, pieces)``: coefficient, channel ``(b, K_f)``,
+    piece).  ``_bk`` has one piece more than its knots span: the constant
+    saturated branch from ``u = 0`` on, where ``b = K_f = 1`` and the slopes
+    are 0.  ``_b_anti`` holds the antiderivative of ``b`` at every knot, 0 at
+    the lowest; its last entry, the integral up to ``u = 0``, is the constant
+    of the saturated piece.  Every read goes through ``_evaluate`` in one
+    fixed order (interval search, then the power sum from the constant term
+    up), so a value depends only on the table and its argument, never on
+    which channel or how many points were asked for together.
+
+    Tables compare and hash by identity.
 
     Attributes
     ----------
@@ -617,10 +675,8 @@ class KirchhoffTable:
     margin: float
     tol_q: float
     _psi: np.ndarray = field(repr=False)  # u along p
-    _psi_d: np.ndarray = field(repr=False)  # du/dp along p
-    _bk: np.ndarray = field(repr=False)  # channels (b, K_f, db/du, dK_f/du) along u
-    _b_anti: np.ndarray = field(repr=False)  # integral of b along u
-    _b_anti0: float = field(repr=False)  # that integral at u = 0
+    _bk: np.ndarray = field(repr=False)  # channels (b, K_f) along u, then the plateau
+    _b_anti: np.ndarray = field(repr=False)  # integral of b from u_samples[0] to each knot
 
     # -- forward map ---------------------------------------------------------
 
@@ -633,8 +689,8 @@ class KirchhoffTable:
         """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         p_bot, u_bot = self.p_samples[0], self.u_samples[0]
-        fit = _evaluate(self.p_samples, self._psi,
-                        np.minimum(np.maximum(p_arr, p_bot), 0.0))
+        fit = _evaluate(self.p_samples, np.minimum(np.maximum(p_arr, p_bot), 0.0),
+                        _cubic, self._psi)
         below = u_bot + self.model.k_floor * (p_arr - p_bot)
         return _unwrap(p, np.where(p_arr >= 0.0, p_arr,
                                    np.where(p_arr >= p_bot, fit, below)))
@@ -697,13 +753,13 @@ class KirchhoffTable:
         # evaluation noise scales with it.
         tol = np.maximum(3.0e-15, 4.0e-15 * np.abs(u))
         for _ in range(80):
-            f = _evaluate(self.p_samples, self._psi, p) - u
+            f = _evaluate(self.p_samples, p, _cubic, self._psi) - u
             done = np.abs(f) <= tol
             if np.all(done):
                 break
             hi = np.where(f > 0.0, p, hi)
             lo = np.where(f <= 0.0, p, lo)
-            d = np.maximum(_evaluate(self.p_samples, self._psi_d, p),
+            d = np.maximum(_evaluate(self.p_samples, p, _slope, self._psi[:3]),
                            self.model.k_floor * 1.0e-3)
             step = f / d
             p_new = p - step
@@ -714,43 +770,35 @@ class KirchhoffTable:
 
     # -- channels along the transformed variable ---------------------------------
 
-    def _channels(self, u, fit: np.ndarray, plateau) -> np.ndarray:
-        """Values of a (multi-channel) fit along ``u``, channel first.
+    def _channels(self, u, read, *fits) -> np.ndarray:
+        """``read(*rows, s)`` along ``u``, channel first (see ``_evaluate``).
 
-        The one place that range-checks ``u``, clamps it into the tabulated
-        branch ``[u_samples[0], 0]`` and masks ``u < 0``: there the fit is
-        read, on the saturated branch each channel takes its ``plateau``
-        constant.  The fit is read along the flattened ``u``, so ``plateau``
-        is a scalar or one ``(channels, 1)`` column.
+        The one place that range-checks ``u`` and clamps it into the
+        tabulated branch ``[u_samples[0], 0]``, whose last point, ``u = 0``,
+        falls in the constant saturated piece.  The fits are read along the
+        flattened ``u``, so ``read`` returns one channel or a stack of them
+        along it.
         """
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+        u_arr = np.asarray(u, dtype=float)
         self._check_invertible(u_arr)
-        flat = u_arr.ravel()
-        vals = _evaluate(self.u_samples, fit,
-                         np.minimum(np.maximum(flat, self.u_samples[0]), 0.0))
-        out = np.where(flat < 0.0, vals, plateau)
+        flat = np.minimum(np.maximum(u_arr.ravel(), self.u_samples[0]), 0.0)
+        out = _evaluate(self.u_samples, flat, read, *fits)
         return out.reshape(out.shape[:-1] + u_arr.shape)
 
     def all_channels(self, u) -> np.ndarray:
-        """``(b, K_f, b', dK_f/du)`` at ``u``, channel first, from one range
-        check and one interval lookup: what a Newton iterate reads, so its
-        matrix holds the exact slope of the residual's ``b``.  Gathers all 16
-        coefficient rows of every piece read; each channel equals its
-        single-channel reader bit for bit."""
-        return self._channels(u, self._bk, _PLATEAU)
-
-    def _channel(self, u, ch: int) -> np.ndarray:
-        """Channel ``ch`` of ``_bk`` alone at ``u``: the same range check,
-        clamp and power sum as :meth:`all_channels`, gathering only that
-        channel's 4 coefficient rows."""
-        return self._channels(u, self._bk[:, ch], _PLATEAU[ch])
+        """``(b, K_f, b', dK_f/du)`` at ``u``, of shape ``(4,) + shape(u)``,
+        from one range check and one interval lookup: what a Newton iterate
+        reads, so its matrix holds the exact slope of the residual's ``b``.
+        Gathers the 8 cubic rows of every piece read and derives both slopes
+        from them; each channel equals its single-channel reader bit for bit."""
+        return self._channels(u, _values_and_slopes, self._bk)
 
     # -- transformed saturation and potential ------------------------------------
 
     def b_of_u(self, u):
         """Transformed saturation b(u) = S(psi^-1(u)); 1 on ``u >= 0``.
         Gathers channel ``b``'s 4 coefficient rows only."""
-        return _unwrap(u, self._channel(u, 0))
+        return _unwrap(u, self._channels(u, _cubic, self._bk[:, 0]))
 
     def b_prime(self, u):
         """Capacity db/du: the exact derivative of :meth:`b_of_u`.
@@ -759,23 +807,23 @@ class KirchhoffTable:
         whose knot slopes are the exact quotients ``S'(p) / K_f(S(p))``.
         Nonnegative, with no floor: exactly 0 on the saturated branch and
         where the dry tail's slope underflows.  A Jacobian built from it
-        linearizes the residual's ``b_of_u`` term exactly.  Gathers channel
-        ``b'``'s 4 coefficient rows only.
+        linearizes the residual's ``b_of_u`` term exactly.  Gathers the 3
+        rows of channel ``b`` its slope is derived from.
         """
-        return _unwrap(u, self._channel(u, 2))
+        return _unwrap(u, self._channels(u, _slope, self._bk[:3, 0]))
 
     def legendre_B(self, z):
         """Convex potential ``B(z) = b(z) z - integral_0^z b``.
 
         Nonnegative, zero on the saturated branch, evaluated from the
         exact antiderivative of the same monotone cubic that represents
-        ``b``, so the pairing inequalities hold to rounding.  Gathers the 4
-        coefficient rows of channel ``b`` and the 5 of its antiderivative.
+        ``b``, so the pairing inequalities hold to rounding.  One interval
+        search gathers the 4 coefficient rows of channel ``b`` and the
+        antiderivative's constant; ``b`` and its integral both come from them.
         """
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        b = self._channel(z_arr, 0)
-        anti = self._channels(z_arr, self._b_anti, self._b_anti0)
-        phi = anti - self._b_anti0
+        z_arr = np.asarray(z, dtype=float)
+        b, anti = self._channels(z_arr, _value_and_integral, self._bk[:, 0], self._b_anti)
+        phi = anti - self._b_anti[-1]
         zc = np.maximum(z_arr, self.u_samples[0])
         return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * zc - phi, 0.0), 0.0))
 
@@ -789,17 +837,17 @@ class KirchhoffTable:
         Jacobian assembly then share one conductivity channel.  Gathers
         channel ``K_f``'s 4 coefficient rows only.
         """
-        return _unwrap(u, self._channel(u, 1))
+        return _unwrap(u, self._channels(u, _cubic, self._bk[:, 1]))
 
     def dconductivity_du(self, u):
         """d/du of the tabulated conductivity composition.
 
         Bounded everywhere (unlike dK_f/ds at full saturation); the exact
         derivative of :meth:`conductivity_of_u`, intended for Jacobian
-        assembly.  Range-checked like every u-channel; gathers channel
-        ``K_f'``'s 4 coefficient rows only.
+        assembly.  Range-checked like every u-channel; gathers the 3 rows
+        of channel ``K_f`` its slope is derived from.
         """
-        return _unwrap(u, self._channel(u, 3))
+        return _unwrap(u, self._channels(u, _slope, self._bk[:3, 1]))
 
     def beta_bound(self) -> float:
         """Growth constant for the stored model (see model docstring)."""
@@ -817,16 +865,19 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     ConstitutiveError
         If the pressure grid is too coarse for a monotone fit of the map.
     """
-    neg_grid, s_neg, k_neg, u_neg, psi, psi_d = _refine_grid(
+    neg_grid, s_neg, k_neg, u_neg, psi = _refine_grid(
         model, _pressure_grid(model), dtol=1.0e-8)
-    # coefficient x channel (b, K_f, b', K_f') x piece; the derivative
-    # channels keep a zero cubic row (see KirchhoffTable)
-    bk = np.zeros((4, 4, u_neg.size - 1))
+    # coefficient x channel (b, K_f) x piece; the fits go straight into their
+    # slots, and the last piece is the saturated branch: b = K_f = 1 from u = 0
+    bk = np.zeros((4, 2, u_neg.size))
+    bk[3, :, -1] = 1.0
     # db/du = S'(p) / K_f(S(p)) at the knots, exact by the inverse-function
     # rule; interpolating b against u from values alone would amplify table
     # rounding by 1/K^2
-    bk[:, 0] = _monotone_hermite(
-        u_neg, s_neg, _sliced(lambda p, k: model.sat_slope_raw(p) / k, neg_grid, k_neg))
+    _monotone_hermite(
+        u_neg, s_neg, _sliced(lambda p, k: model.sat_slope_raw(p) / k, neg_grid, k_neg),
+        out=bk[:, 0, :-1])
+    del s_neg
 
     # dK/du = (dK/dp) / (du/dp) with du/dp = K; top knot takes the p -> 0-
     # limit (capped by the fit when the exponent family makes it infinite)
@@ -834,10 +885,8 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
         dk_du = _sliced(lambda p, k: model.conductivity_pressure_slope(p) / k,
                         neg_grid, k_neg)
     dk_du[-1] = model._conductivity_pressure_slope_limit()
-    bk[:, 1] = _monotone_hermite(u_neg, k_neg, dk_du)
-    _derivative(bk[:, 0], out=bk[1:, 2])
-    _derivative(bk[:, 1], out=bk[1:, 3])
-    b_anti = _antiderivative(u_neg, bk[:, 0])
+    _monotone_hermite(u_neg, k_neg, dk_du, out=bk[:, 1, :-1])
+    del k_neg, dk_du
 
     u_bot = float(u_neg[0])
     u_lower = u_bot * (1.0 + 2.0e-9)
@@ -851,8 +900,6 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
         margin=margin,
         tol_q=TOL_Q,
         _psi=psi,
-        _psi_d=psi_d,
         _bk=bk,
-        _b_anti=b_anti,
-        _b_anti0=float(_evaluate(u_neg, b_anti, 0.0)),
+        _b_anti=_antiderivative(u_neg, bk[:, 0, :-1]),
     )

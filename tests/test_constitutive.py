@@ -5,8 +5,10 @@ oracle in tests/oracles/constitutive_golden.py (mpmath, 50 digits); the
 default model is alpha_vg=2, n_vg=2, s_res=0.05, p_reg=-10, a_min=1e-3.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -242,7 +244,8 @@ def test_default_table_meets_slope_tolerance(table):
     for frac in (0.25, 0.5, 0.75):
         probe = grid[:-1] + frac * np.diff(grid)
         exact = table.model.conductivity_vs_pressure(probe)
-        slope = constitutive._evaluate(table.p_samples, table._psi_d, probe)
+        slope = constitutive._evaluate(table.p_samples, probe, constitutive._slope,
+                                       table._psi[:3])
         assert np.max(np.abs(slope - exact)) <= 1.0e-8
 
 
@@ -302,11 +305,11 @@ def _table_arrays(table):
 
 
 def test_build_transient_memory_stays_bounded():
-    # the model is evaluated, the probes checked and the antiderivative
-    # summed slice by slice, and the slope channels are written into _bk in
-    # place: what the build holds beyond the table it returns is the full
-    # Hermite fits' working arrays, 0.234 x the table (2.43 of 10.36 MB);
-    # whole-table temporaries took it to 0.667 x
+    # the model is evaluated, the probes checked, the Hermite pieces fitted
+    # and the antiderivative summed slice by slice, straight into the table's
+    # slots: what the build holds beyond the table it returns is 0.240 x the
+    # table (1.25 of 5.18 MB), 0.69 MB of it the knot saturations and
+    # conductivities; whole-table temporaries took it to 0.667 x
     tracemalloc.start()
     try:
         table = build_table(ConstitutiveModel())
@@ -318,15 +321,36 @@ def test_build_transient_memory_stays_bounded():
 
 
 def test_build_slice_size_leaves_every_table_array_bitwise(table, monkeypatch):
-    # the slices only bound memory: elementwise evaluation and the running
-    # sum of the antiderivative give the same bits at any slice size
+    # the slices only bound memory: elementwise evaluation, the Hermite fits
+    # and the running sum of the antiderivative give the same bits at any
+    # slice size
     monkeypatch.setattr(constitutive, "_SLICE", 257)
     sliced = build_table(ConstitutiveModel())
     ours, theirs = _table_arrays(sliced), _table_arrays(table)
     assert ours.keys() == theirs.keys()
     for name, value in ours.items():
         assert _same_bits(value, theirs[name]), name
-    assert (sliced.u_lower, sliced._b_anti0) == (table.u_lower, table._b_anti0)
+    assert sliced.u_lower == table.u_lower
+
+
+def test_default_table_stores_each_cubic_once(table):
+    # knots, the map cubic, the two-channel (b, K_f) cubic with its saturated
+    # piece and one antiderivative constant per knot: 15 K - 4 floats, with
+    # no slope or antiderivative polynomial rows (they are derived on read)
+    knots = table.u_samples.size
+    arrays = _table_arrays(table)
+    assert arrays.keys() == {"p_samples", "u_samples", "_psi", "_bk", "_b_anti"}
+    assert table._psi.shape == (4, knots - 1)
+    assert table._bk.shape == (4, 2, knots)
+    assert table._b_anti.shape == (knots,)
+    assert sum(value.nbytes for value in arrays.values()) <= 8 * (15 * knots - 4)
+
+
+def test_table_compares_and_hashes_by_identity(table):
+    twin = dataclasses.replace(table)  # the same arrays in a second table
+    assert table == table and table != twin and not (table == twin)
+    assert hash(table) != hash(twin)
+    assert len({table, twin, table}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +366,8 @@ def recorded_build(request):
     fits = []
     hermite = constitutive._hermite
 
-    def recording(x, y, d):
-        fits.append((x, y, d, hermite(x, y, d)))
+    def recording(x, y, d, out=None):
+        fits.append((x, y, d, hermite(x, y, d, out)))
         return fits[-1][-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -366,32 +390,32 @@ def test_table_fits_equal_scipy_fits(recorded_build):
     assert _same_bits(table.p_samples, psi.x) and _same_bits(table.u_samples, b.x)
     assert _same_bits(table.u_samples, k.x)
     assert _same_bits(table._psi, psi.c)
-    assert _same_bits(table._psi_d, psi.derivative().c)
-    # channel-major (b, K_f, b', K_f'); the quadratic slopes sit under a
-    # zero (+0.0) cubic row
-    assert table._bk.shape == (4, 4, b.c.shape[1])
-    assert _same_bits(table._bk[:, 0], b.c) and _same_bits(table._bk[:, 1], k.c)
-    assert _same_bits(table._bk[1:, 2], b.derivative().c)
-    assert _same_bits(table._bk[1:, 3], k.derivative().c)
-    assert _same_bits(table._bk[0, 2:], np.zeros((2, b.c.shape[1])))
+    # channels (b, K_f), then the saturated piece from u = 0: b = K_f = 1
+    # and zero slopes, so a read of u >= 0 gives the plateau bit for bit
+    assert table._bk.shape == (4, 2, b.c.shape[1] + 1)
+    assert _same_bits(table._bk[:, 0, :-1], b.c) and _same_bits(table._bk[:, 1, :-1], k.c)
+    assert _same_bits(table._bk[:, :, -1], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    # the antiderivative's constants, and its value at u = 0 for the plateau
     b_anti = b.antiderivative()
-    assert _same_bits(table._b_anti, b_anti.c)
-    assert table._b_anti0 == float(b_anti(0.0))
+    assert _same_bits(table._b_anti[:-1], b_anti.c[-1])
+    assert table._b_anti[-1] == float(b_anti(0.0))
 
 
 def test_evaluate_equals_ppoly_call(recorded_build):
     table = recorded_build[0]
     rng = np.random.default_rng(6)
-    knots, bk = table.u_samples, table._bk
-    # each channel of the four-channel fit against its own PPoly, the two
-    # slopes against the derivative of the fit they belong to
-    b, k = PPoly(bk[:, 0], knots), PPoly(bk[:, 1], knots)
-    channels = (b, k, b.derivative(), k.derivative())
-    for knots, coef, fits in [
-        (table.p_samples, table._psi, None),
-        (table.p_samples, table._psi_d, None),
-        (table.u_samples, bk, channels),
-        (table.u_samples, table._b_anti, None),
+    # each stored cubic and each row derived from it on read, against its
+    # own PPoly, over the tabulated pieces only (the end pieces extrapolate)
+    psi = PPoly(table._psi, table.p_samples)
+    bk, anti = table._bk[..., :-1], table._b_anti[:-1]
+    b, k = PPoly(bk[:, 0], table.u_samples), PPoly(bk[:, 1], table.u_samples)
+    for knots, read, fits, ppolys in [
+        (table.p_samples, constitutive._cubic, (table._psi,), (psi,)),
+        (table.p_samples, constitutive._slope, (table._psi[:3],), (psi.derivative(),)),
+        (table.u_samples, constitutive._values_and_slopes, (bk,),
+         (b, k, b.derivative(), k.derivative())),
+        (table.u_samples, constitutive._value_and_integral, (bk[:, 0], anti),
+         (b, b.antiderivative())),
     ]:
         lo, hi = knots[0], knots[-1]
         width = hi - lo
@@ -404,13 +428,67 @@ def test_evaluate_equals_ppoly_call(recorded_build):
             rng.uniform(lo, hi, (128, 201)),
         ]
         for u in probes:
-            ours = constitutive._evaluate(knots, coef, u)
-            if fits is None:
-                assert _same_bits(ours, PPoly(coef, knots)(u))
+            ours = constitutive._evaluate(knots, u, read, *fits)
+            if len(ppolys) == 1:
+                assert _same_bits(ours, ppolys[0](u))
             else:
-                assert ours.shape == (4,) + u.shape
-                for channel, fit in zip(ours, fits):
+                assert ours.shape == (len(ppolys),) + u.shape
+                for channel, fit in zip(ours, ppolys):
                     assert _same_bits(channel, fit(u))
+
+
+def test_derived_rows_round_like_scipy():
+    # each cubic row alone, read at s = 1 where every power of s is 1: the
+    # read is then the derived row itself (3 c0, 2 c1, c2; c0/4, c1/3, c2/2,
+    # c3), so its one rounding shows, where in a table read the constant
+    # term swamps it; against scipy's derivative() and antiderivative()
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(4000) * 10.0 ** rng.uniform(-200.0, 200.0, 4000)
+    knots, at_one = np.array([0.0, 2.0]), np.ones(1)
+    for row in range(4):
+        ours = np.zeros((4, values.size, 1))  # coefficient, channel, piece
+        ours[row, :, 0] = values
+        theirs = PPoly(np.moveaxis(ours, 2, 1), knots)  # coefficient, piece, channel
+        slope = constitutive._evaluate(knots, at_one, constitutive._slope, ours)
+        assert _same_bits(slope[:, 0], theirs.derivative()(1.0))
+        integral = constitutive._evaluate(knots, at_one, constitutive._value_and_integral,
+                                          ours, np.zeros((values.size, 1)))[1]
+        assert _same_bits(integral[:, 0], theirs.antiderivative()(1.0))
+        both = constitutive._evaluate(knots, at_one, constitutive._values_and_slopes,
+                                      ours[:, :2])
+        assert _same_bits(both[2:, 0], theirs.derivative()(1.0)[:2])
+
+
+def test_derived_reads_equal_scipy_derivative_and_antiderivative(recorded_build):
+    # what the table reads through its slope and antiderivative rows, derived
+    # from the cubic rows it gathered, against scipy's derivative() and
+    # antiderivative() of the fits the build made: bit for bit at the knots,
+    # between them, on the saturated branch (where a u-side read is the
+    # plateau constant) and just below the lowest knot (clamped onto it)
+    table, fits = recorded_build
+    psi, b, k = (CubicHermiteSpline(*fit[:3]) for fit in fits[-3:])
+    b_anti = b.antiderivative()
+    edge = [0.0, -0.0, 1.0e-300, 3.0]
+    for knots, fit in ((table.p_samples, psi), (table.u_samples, b)):
+        below = np.nextafter(knots[0], -np.inf)
+        for part in (knots, 0.5 * (knots[:-1] + knots[1:]), np.array(edge + [below])):
+            if fit is psi:
+                ours = constitutive._evaluate(knots, part, constitutive._slope,
+                                              table._psi[:3])
+                assert _same_bits(ours, psi.derivative()(part))
+                continue
+            inside = np.clip(part, knots[0], 0.0)
+            on_table = part < 0.0
+            for reader, ref in ((table.b_prime, b.derivative()),
+                                (table.dconductivity_du, k.derivative())):
+                assert _same_bits(reader(part), np.where(on_table, ref(inside), 0.0))
+            b_and_integral = table._channels(part, constitutive._value_and_integral,
+                                             table._bk[:, 0], table._b_anti)
+            integral = np.where(on_table, b_anti(inside), b_anti(0.0))
+            assert _same_bits(b_and_integral[1], integral)
+            potential = np.maximum(b(inside) * np.maximum(part, knots[0])
+                                   - (integral - b_anti(0.0)), 0.0)
+            assert _same_bits(table.legendre_B(part), np.where(on_table, potential, 0.0))
 
 
 def test_evaluate_starts_its_sum_at_zero_like_ppoly():
@@ -418,7 +496,7 @@ def test_evaluate_starts_its_sum_at_zero_like_ppoly():
     knots = np.array([0.0, 1.0])
     coef = constitutive._hermite(knots, np.array([-0.0, -1.0]), np.array([-0.0, -2.5]))
     u = np.zeros(1)
-    ours = constitutive._evaluate(knots, coef, u)
+    ours = constitutive._evaluate(knots, u, constitutive._cubic, coef)
     assert _same_bits(ours, PPoly(coef, knots)(u)) and not np.signbit(ours[0])
 
 
@@ -457,11 +535,14 @@ def test_single_channel_readers_equal_their_all_channels_row(table):
                table.dconductivity_du)
     for u in _channel_probes(table):
         rows = table.all_channels(u)
+        assert rows.shape == (4,) + np.shape(u)  # (4,) for the scalar probe
         for row, reader in zip(rows, readers):
-            assert _same_bits(np.asarray(reader(u)), row.reshape(np.shape(u)))
+            assert _same_bits(np.asarray(reader(u)), row)
         # legendre_B's formula, computed from channel 0 of all_channels
         z = np.atleast_1d(u)
-        phi = table._channels(z, table._b_anti, table._b_anti0) - table._b_anti0
+        anti = table._channels(z, constitutive._value_and_integral,
+                               table._bk[:, 0], table._b_anti)[1]
+        phi = anti - table._b_anti[-1]
         zc = np.maximum(z, table.u_samples[0])
         b = rows[0].reshape(z.shape)
         formula = np.where(z < 0.0, np.maximum(b * zc - phi, 0.0), 0.0)
@@ -469,10 +550,10 @@ def test_single_channel_readers_equal_their_all_channels_row(table):
 
 
 def test_single_channel_readers_gather_only_their_rows(table):
-    # a single-channel reader peaks at 11-12x the bytes of its argument and
-    # legendre_B at 13-14x, where gathering all 16 coefficient rows takes
-    # 28-33x and a take on the strided view _bk[:, ch], which copies the
-    # whole 1.4 MB channel first, 870x at 200 points
+    # a single-channel reader peaks at 10-11x the bytes of its argument and
+    # legendre_B at 13-14x, where all_channels, gathering all 8 cubic rows,
+    # takes 21-24x and a take on the strided view _bk[:, ch], which copies
+    # the whole 1.4 MB channel first, 870x at 200 points
     rng = np.random.default_rng(12)
     for u in (np.linspace(-0.3, 0.1, 200),
               rng.uniform(table.u_samples[0], 0.5, (128, 201))):
@@ -627,6 +708,29 @@ def test_growth_condition_sampled(table):
 # ---------------------------------------------------------------------------
 # misc table behavior
 # ---------------------------------------------------------------------------
+
+
+def test_legendre_B_searches_the_table_once(table, monkeypatch):
+    # b and the integral of b come from one lookup: one range check and
+    # clamp (_channels), one interval search (_evaluate), as all_channels
+    calls = Counter()
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(KirchhoffTable, "_channels")
+    counting(constitutive, "_evaluate")
+    for z in (np.float64(-0.1), np.linspace(-0.3, 0.1, 200), np.full((128, 201), -0.05)):
+        for read in (table.legendre_B, table.all_channels, table.b_of_u):
+            calls.clear()
+            read(z)
+            assert calls == {"_channels": 1, "_evaluate": 1}, read.__name__
 
 
 def test_table_is_frozen(table):
