@@ -6,7 +6,7 @@ closed forms, regularized in two places:
 * saturation approaches the residual value ``s_res`` exponentially below
   the regularization pressure ``p_reg`` (C1 joint) instead of flattening
   out at an infinite dry limit;
-* relative conductivity gets an affine floor ``k_floor = a_min`` so the
+* relative conductivity gets an affine floor ``a_min`` so the
   transform is bi-Lipschitz and invertible to working precision.
 
 The capacity ``b_prime`` has no floor: it is the exact slope of the
@@ -47,7 +47,7 @@ __all__ = [
     "build_table",
 ]
 
-P_MIN = -1.0e6  # bottom of the table; below it the integrand is k_floor
+P_MIN = -1.0e6  # bottom of the table; below it the integrand is a_min
 TOL_Q = 1.0e-12  # tabulated integral accuracy: absolute for |u| <= 1, relative beyond
 BETA = 1.0  # growth constant of every model (see ConstitutiveModel.beta_bound)
 
@@ -57,7 +57,7 @@ class ConstitutiveError(ValueError):
 
 
 class OutOfRangeError(ConstitutiveError):
-    """Transformed variable below the invertible range of the table, or NaN."""
+    """Transformed variable below the lowest knot of the table, or NaN."""
 
 
 def _unwrap(x, out: np.ndarray):
@@ -98,7 +98,7 @@ class ConstitutiveModel:
         replaced by a C1 exponential approach to ``s_res``; the curve must
         still lie above ``s_res`` there.
     a_min : float
-        Relative conductivity floor ``k_floor`` in (0, 1); it bounds the
+        Relative conductivity floor in (0, 1); it bounds the
         Kirchhoff map's slope from below, not the capacity ``b'``.
 
     Notes
@@ -169,11 +169,6 @@ class ConstitutiveModel:
     @property
     def m_vg(self) -> float:
         return 1.0 - 1.0 / self.n_vg
-
-    @property
-    def k_floor(self) -> float:
-        """Relative conductivity at ``s_res``; the affine floor constant."""
-        return self.a_min
 
     # -- retention curve -----------------------------------------------------
 
@@ -249,8 +244,8 @@ class ConstitutiveModel:
     def conductivity(self, s):
         """Relative conductivity K_f(s) on ``[s_res, 1]``.
 
-        Affine-floored Mualem form ``k_floor + (1 - k_floor) * kr(Se)``;
-        equals ``k_floor`` at ``s_res`` and exactly 1 at full saturation.
+        Affine-floored Mualem form ``a_min + (1 - a_min) * kr(Se)``;
+        equals ``a_min`` at ``s_res`` and exactly 1 at full saturation.
 
         Raises
         ------
@@ -262,7 +257,7 @@ class ConstitutiveModel:
         if bad.size:
             raise ConstitutiveError(f"saturation {bad[0]!r} outside [{self.s_res}, 1]")
         se = np.clip(self.effective_saturation(s_arr), 0.0, 1.0)
-        out = self.k_floor + (1.0 - self.k_floor) * self._mualem_kr(se)
+        out = self.a_min + (1.0 - self.a_min) * self._mualem_kr(se)
         return _unwrap(s, out)
 
     def conductivity_vs_pressure(self, p):
@@ -289,7 +284,7 @@ class ConstitutiveModel:
             inv1pt2 = np.exp(-2.0 * log_1pt)  # (1+t)^-2
             dsqrt_se = -0.5 * m * np.exp(-(0.5 * m + 1.0) * log_1pt)
             dkr_dt = wet * wet * dsqrt_se - 2.0 * m * sqrt_se * wet * tau_pow * inv1pt2
-            return (1.0 - self.k_floor) * (dkr_dt * (n * t / pm))
+            return (1.0 - self.a_min) * (dkr_dt * (n * t / pm))
 
         def dry(pd):
             tail = self._tail(pd)
@@ -305,7 +300,7 @@ class ConstitutiveModel:
             with np.errstate(divide="ignore", over="ignore"):
                 edge = np.exp((m - 1.0) * np.log1p(-x))  # (1-x)^(m-1), inf at x=1
                 dkr[pos] = wet * wet / (2.0 * root) + 2.0 * wet * x * edge / root
-            dk_ds = (1.0 - self.k_floor) / (1.0 - self.s_res) * dkr
+            dk_ds = (1.0 - self.a_min) / (1.0 - self.s_res) * dkr
             return dk_ds * (self._tail_amp * self._tail_rate * tail)
 
         return self._branches(p, 0.0, mid, dry)
@@ -320,7 +315,7 @@ class ConstitutiveModel:
         if nm > 1.0 + 1e-12:
             return 0.0
         if abs(nm - 1.0) <= 1e-12:
-            return (1.0 - self.k_floor) * 2.0 * self.m_vg * self.n_vg * self.alpha_vg
+            return (1.0 - self.a_min) * 2.0 * self.m_vg * self.n_vg * self.alpha_vg
         return np.inf
 
     # -- growth certificate ------------------------------------------------------
@@ -657,23 +652,15 @@ class KirchhoffTable:
         The closed-form package the table was built from.
     p_samples, u_samples : ndarray
         The knots: pressures on ``[P_MIN, 0]`` and their images ``u = psi(p)``,
-        strictly increasing and ending at ``p = u = 0``.
-    u_lower : float
-        Certified bound strictly below every tabulated ``u``; inversion is
-        refused at or below ``u_lower + margin``.
-    margin : float
-        Exclusion band above ``u_lower`` (1e-9 relative).
-    tol_q : float
-        Quadrature tolerance the tabulated values honor (``TOL_Q``):
-        absolute for ``|u| <= 1``, relative to ``|u|`` beyond.
+        strictly increasing and ending at ``p = u = 0``.  The lowest knot
+        ``u_samples[0]`` is the table's one boundary: every u-side read and
+        the inverse accept ``u >= u_samples[0]`` and refuse anything below
+        it, or NaN.  The values carry quadrature error ``TOL_Q``.
     """
 
     model: ConstitutiveModel
     p_samples: np.ndarray
     u_samples: np.ndarray
-    u_lower: float
-    margin: float
-    tol_q: float
     _psi: np.ndarray = field(repr=False)  # u along p
     _bk: np.ndarray = field(repr=False)  # channels (b, K_f) along u, then the plateau
     _b_anti: np.ndarray = field(repr=False)  # integral of b from u_samples[0] to each knot
@@ -684,37 +671,29 @@ class KirchhoffTable:
         """Transformed variable u = psi(p); identity on ``p >= 0``.
 
         Total on the reals: below the tabulated range the map continues
-        linearly with slope ``k_floor`` (the integrand is constant there
+        linearly with slope ``a_min`` (the integrand is constant there
         to machine precision).  NaN maps to NaN.
         """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         p_bot, u_bot = self.p_samples[0], self.u_samples[0]
         fit = _evaluate(self.p_samples, np.minimum(np.maximum(p_arr, p_bot), 0.0),
                         _cubic, self._psi)
-        below = u_bot + self.model.k_floor * (p_arr - p_bot)
+        below = u_bot + self.model.a_min * (p_arr - p_bot)
         return _unwrap(p, np.where(p_arr >= 0.0, p_arr,
                                    np.where(p_arr >= p_bot, fit, below)))
 
     # -- inverse map -----------------------------------------------------------
 
     def _check_invertible(self, u_arr: np.ndarray) -> None:
-        floor = self.u_lower + self.margin
-        inside = u_arr > floor  # False at NaN
+        inside = u_arr >= self.u_samples[0]  # False at NaN
         if inside.all():
             return
-        bad = u_arr.flat[int(np.argmin(inside))]
-        if np.isnan(bad):
-            raise OutOfRangeError(
-                f"u=nan is not a number, outside the invertible range "
-                f"(u > u_lower + margin = {floor!r})"
-            )
-        raise OutOfRangeError(
-            f"u={bad!r} at or below invertible range "
-            f"(u_lower + margin = {floor!r}): pressure diverges"
-        )
+        i = int(np.argmin(inside))  # the first refused entry, flat index
+        raise OutOfRangeError(f"u[{i}]={float(u_arr.flat[i])!r} below the table "
+                              f"(lowest knot u = {float(self.u_samples[0])!r})")
 
     def kirchhoff_inverse(self, u):
-        """Pressure p with ``kirchhoff(p) = u``, for ``u > u_lower + margin``.
+        """Pressure p with ``kirchhoff(p) = u``, for ``u >= u_samples[0]``.
 
         Bisection-safeguarded Newton on the monotone table; the returned
         pressure reproduces ``u`` through :meth:`kirchhoff` to a few 1e-15
@@ -724,7 +703,7 @@ class KirchhoffTable:
         Raises
         ------
         OutOfRangeError
-            If any entry is at or below ``u_lower + margin``, or NaN.
+            If any entry is below the lowest knot ``u_samples[0]``, or NaN.
         """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         self._check_invertible(u_arr)
@@ -737,16 +716,13 @@ class KirchhoffTable:
     def _invert_negative(self, u: np.ndarray) -> np.ndarray:
         us = self.u_samples
         ps = self.p_samples
-        # below-table queries sit in the 1e-9 exclusion slack; extend the
-        # bottom bracket slightly so they resolve by extrapolation
+        # the bracketing knots; u = us[0] takes the lowest piece
         idx = np.clip(np.searchsorted(us, u), 1, len(us) - 1)
-        lo = np.where(u < us[0], ps[0] - 1.0, ps[idx - 1]).astype(float)
-        hi = ps[idx].astype(float)
-        ulo = np.where(u < us[0], u - 1.0, us[idx - 1])
-        uhi = us[idx]
+        lo, hi = ps[idx - 1], ps[idx]
+        ulo, uhi = us[idx - 1], us[idx]
         # linear seed inside the bracket
         p = lo + (u - ulo) * (hi - lo) / np.maximum(uhi - ulo, 1.0e-300)
-        # the residual tolerance has to be far below tol_q: a slack of t
+        # the residual tolerance has to be far below TOL_Q: a slack of t
         # here surfaces as b'(u) * t in every recovered-saturation value,
         # and b' reaches ~1e2.  3e-15 is reachable in the working band;
         # the relative term covers the deep tail where |u| is large and
@@ -760,7 +736,7 @@ class KirchhoffTable:
             hi = np.where(f > 0.0, p, hi)
             lo = np.where(f <= 0.0, p, lo)
             d = np.maximum(_evaluate(self.p_samples, p, _slope, self._psi[:3]),
-                           self.model.k_floor * 1.0e-3)
+                           self.model.a_min * 1.0e-3)
             step = f / d
             p_new = p - step
             bad = (p_new <= lo) | (p_new >= hi)
@@ -773,15 +749,15 @@ class KirchhoffTable:
     def _channels(self, u, read, *fits) -> np.ndarray:
         """``read(*rows, s)`` along ``u``, channel first (see ``_evaluate``).
 
-        The one place that range-checks ``u`` and clamps it into the
-        tabulated branch ``[u_samples[0], 0]``, whose last point, ``u = 0``,
-        falls in the constant saturated piece.  The fits are read along the
+        The one place that range-checks ``u``, refusing it below the lowest
+        knot, and clamps it from above at ``u = 0``, which falls in the
+        constant saturated piece.  The fits are read along the
         flattened ``u``, so ``read`` returns one channel or a stack of them
         along it.
         """
         u_arr = np.asarray(u, dtype=float)
         self._check_invertible(u_arr)
-        flat = np.minimum(np.maximum(u_arr.ravel(), self.u_samples[0]), 0.0)
+        flat = np.minimum(u_arr.ravel(), 0.0)
         out = _evaluate(self.u_samples, flat, read, *fits)
         return out.reshape(out.shape[:-1] + u_arr.shape)
 
@@ -824,8 +800,7 @@ class KirchhoffTable:
         z_arr = np.asarray(z, dtype=float)
         b, anti = self._channels(z_arr, _value_and_integral, self._bk[:, 0], self._b_anti)
         phi = anti - self._b_anti[-1]
-        zc = np.maximum(z_arr, self.u_samples[0])
-        return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * zc - phi, 0.0), 0.0))
+        return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * z_arr - phi, 0.0), 0.0))
 
     # -- conductivity along the transformed variable ----------------------------
 
@@ -888,17 +863,10 @@ def build_table(model: ConstitutiveModel) -> KirchhoffTable:
     _monotone_hermite(u_neg, k_neg, dk_du, out=bk[:, 1, :-1])
     del k_neg, dk_du
 
-    u_bot = float(u_neg[0])
-    u_lower = u_bot * (1.0 + 2.0e-9)
-    margin = 1.0e-9 * abs(u_lower)
-
     return KirchhoffTable(
         model=model,
         p_samples=neg_grid,
         u_samples=u_neg,
-        u_lower=u_lower,
-        margin=margin,
-        tol_q=TOL_Q,
         _psi=psi,
         _bk=bk,
         _b_anti=_antiderivative(u_neg, bk[:, 0, :-1]),

@@ -52,7 +52,7 @@ class DiagnosticsError(ValueError):
     """Invalid diagnostic request (as opposed to a solver failure)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyReport:
     """Per-step energy ledger plus the closed-form growth bound.
 
@@ -62,7 +62,8 @@ class EnergyReport:
     ``sum_{k<=n} h*(grad_sq[k]/2 + lap_sq[k])``.  ``gronwall_bound`` is
     ``(b_integral[0] + beta*omega*T) * exp(beta*T)`` — the explicit
     constant the growth argument produces; every ``b_integral`` entry
-    and the final cumulative dissipation must sit below it.
+    and the final cumulative dissipation must sit below it.  Reports
+    compare and hash by identity.
     """
 
     times: np.ndarray

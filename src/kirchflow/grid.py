@@ -113,9 +113,12 @@ class Column:
         return self.dz * np.arange(1, self.n_cells + 1, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
-    """Nodal values on a column's interior nodes; a value-semantic snapshot."""
+    """Nodal values on a column's interior nodes; a read-only snapshot.
+
+    Fields compare and hash by identity; compare values with ``np.array_equal``.
+    """
 
     values: np.ndarray
     column: Column

@@ -204,7 +204,7 @@ def dense_reference_step(
     Independent of the banded path: full matrices built by loops,
     gravity faces summed explicitly, Newton update by ``numpy.linalg``
     dense factorization.  Each iterate takes the full step, clamped at the
-    table floor; only the iteration cap and the growth cap that calls a
+    table's lowest knot; only the iteration cap and the growth cap that calls a
     step divergent come from ``stepper``.  Agreement with ``stepper.step``
     to 100*newton_tol is the dual-implementation contract.
     """
@@ -216,7 +216,7 @@ def dense_reference_step(
     g = col.gravity_sign
     lap, bih = _dense_operators(col)
     sys_mat = -lap + cfg.gamma * bih
-    floor = table.u_lower + 2.0 * table.margin
+    floor = table.u_samples[0]
     b_old = table.b_of_u(u_old.values)
     rhs = np.zeros(n) if source is None else np.asarray(source, dtype=float)
 

@@ -12,13 +12,17 @@ the nodes (central differences, second-order one-sided at the walls):
 what you plot and export.  The conservative face flux and the chain-rule
 and mass-balance defects that check these fields are test instruments and
 live with the test oracles.
+
+Every field is read from the table, whose readers refuse a value below its
+lowest knot, or NaN, with an ``OutOfRangeError`` that names the first
+offending node as ``u[i]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constitutive import KirchhoffTable, OutOfRangeError
+from .constitutive import KirchhoffTable
 from .grid import Field, laplacian_array
 
 __all__ = [
@@ -26,17 +30,6 @@ __all__ = [
     "saturation_field",
     "darcy_velocity",
 ]
-
-
-def _check_domain(f: Field, table: KirchhoffTable) -> None:
-    floor = table.u_lower + table.margin
-    bad = np.nonzero(f.values <= floor)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise OutOfRangeError(
-            f"node {i} (z={f.column.nodes()[i]:.6g}): u={f.values[i]!r} at or "
-            f"below the invertible range (u_lower + margin = {floor!r})"
-        )
 
 
 def _nodal_gradient(values: np.ndarray, dz: float) -> np.ndarray:
@@ -56,22 +49,19 @@ def _nodal_gradient(values: np.ndarray, dz: float) -> np.ndarray:
 def pressure_field(u: Field, table: KirchhoffTable) -> Field:
     """Nodewise inverse transform; p = u on the saturated branch.
 
-    Raises OutOfRangeError naming the first offending node when a value
-    sits at or below the invertible floor.
+    Raises OutOfRangeError naming the first offending node, as ``u[i]``,
+    when a value lies below the table's lowest knot or is NaN.
     """
-    _check_domain(u, table)
     return Field(table.kirchhoff_inverse(u.values), u.column)
 
 
 def saturation_field(u: Field, table: KirchhoffTable) -> Field:
     """Transformed saturation b(u), in [s_res, 1]."""
-    _check_domain(u, table)
     return Field(table.b_of_u(u.values), u.column)
 
 
 def darcy_velocity(u: Field, gamma: float, table: KirchhoffTable) -> Field:
     """Nodal flux K(u)*g - grad(u) + gamma*grad(lap(u))."""
-    _check_domain(u, table)
     dz = u.column.dz
     k = table.conductivity_of_u(u.values)
     v = u.column.gravity_sign * k - _nodal_gradient(u.values, dz)

@@ -10,9 +10,9 @@ by Newton iteration on the banded Jacobian
     diag(b'(u_new)/h) + d(gravity flux)/du - lap + gamma * bih,
 
 with pentadiagonal bandwidth and one LAPACK ``dgbsv`` factor-and-solve per
-iterate.  Every iterate takes the full Newton step, clamped to stay strictly
-above the invertible floor of the transform table, so a step that would
-leave the domain is projected back.  Acceptance is deliberately non-monotone:
+iterate.  Every iterate takes the full Newton step, clamped from below at the lowest knot
+of the transform table, so a step that would leave the domain is projected
+back onto it.  Acceptance is deliberately non-monotone:
 the sup-norm of the new residual may exceed the best norm seen by up to a
 fixed growth cap, because crossing a joint of the piecewise constitutive
 curves often bumps the residual up for one iterate before quadratic
@@ -175,7 +175,7 @@ class StepConfig:
         return int(math.ceil(self.t_end / self.h - 1.0e-12))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Accepted states u^0..u^N on ``column`` with per-step solver bookkeeping.
 
@@ -183,7 +183,8 @@ class Trajectory:
     view of the array passed in, not a copy.  A march that stops at a fixed
     point (see ``run``) has ``m + 1 <= N + 1`` rows; state ``n`` is row
     ``rows[n] = min(n, m)``.  ``newton_iters`` and ``residual_norms`` have one
-    entry per step, the tail's included.
+    entry per step, the tail's included.  Trajectories compare and hash by
+    identity.
     """
 
     times: np.ndarray
@@ -255,7 +256,7 @@ class _System:
 
     def __init__(self, col: Column, cfg: StepConfig, table: KirchhoffTable):
         self.cfg, self.table, self.dz, self.sign = cfg, table, col.dz, col.gravity_sign
-        self.floor = table.u_lower + 2.0 * table.margin  # strictly invertible band
+        self.floor = table.u_samples[0]  # the table's one boundary
         # the constant bands of the Newton matrix, read off the stencils, in
         # dgbsv's Fortran (7, n) band storage, added term by term into zeros as
         # (0 - lap) + gamma * bih; summing -lap + gamma * bih ahead of time
@@ -271,7 +272,7 @@ class _System:
         self.lap_d, self.bih_d = lap_ab[1], bih_ab[2]
 
     def start(self, guess: np.ndarray) -> _Iterate:
-        """A Newton guess clamped strictly above the table floor, evaluated."""
+        """A Newton guess clamped onto the table from below, evaluated."""
         return self.evaluate(np.maximum(guess, self.floor))
 
     def evaluate(self, v: np.ndarray) -> _Iterate:

@@ -17,7 +17,7 @@ import numpy as np
 
 from kirchflow.constitutive import KirchhoffTable
 from kirchflow.grid import Field, face_values, l2_norm, laplacian_array
-from kirchflow.recovery import _check_domain, _nodal_gradient
+from kirchflow.recovery import _nodal_gradient
 
 
 def gradient_consistency(u: Field, table: KirchhoffTable) -> float:
@@ -28,7 +28,6 @@ def gradient_consistency(u: Field, table: KirchhoffTable) -> float:
     whose gradient disagrees with the transformed gradient at O(1)
     signals a broken inverse, not discretization error.
     """
-    _check_domain(u, table)
     dz = u.column.dz
     p = table.kirchhoff_inverse(u.values)
     k = table.conductivity_of_u(u.values)
@@ -43,7 +42,6 @@ def face_velocity(u: Field, gamma: float, table: KirchhoffTable) -> np.ndarray:
     wall-ghost Laplacian is 2*u_1/dz^2 — so the difference quotient of
     this array reproduces the stepper's operator terms exactly.
     """
-    _check_domain(u, table)
     col = u.column
     dz = col.dz
     vals = u.values

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kirchflow.config import gaussian_lens
+from kirchflow.constitutive import TOL_Q
 from kirchflow.diagnostics import (
     energy_report,
     initial_condition_check,
@@ -56,12 +57,12 @@ def bench(table):
 def test_criterion_01_convex_energy_bracket(table):
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    lo = table.u_lower + 2 * table.margin
+    lo = table.u_samples[0]
     z = rng.uniform(lo, 5.0, 10_000)
     z0 = rng.uniform(lo, 5.0, 10_000)
     bz, bz0 = table.b_of_u(z), table.b_of_u(z0)
     Bz, Bz0 = table.legendre_B(z), table.legendre_B(z0)
-    slack = 10.0 * table.tol_q
+    slack = 10.0 * TOL_Q
     lower_defect = float(np.max((bz - bz0) * z0 - (Bz - Bz0)))
     upper_defect = float(np.max((Bz - Bz0) - (bz - bz0) * z))
     elapsed = time.perf_counter() - start
@@ -101,7 +102,7 @@ def test_criterion_02_transform_round_trip(model, table):
 
 def test_criterion_03_growth_certificate_and_step_guard(table):
     rng = np.random.default_rng(202)
-    z = rng.uniform(table.u_lower + 2 * table.margin, 8.0, 10_000)
+    z = rng.uniform(table.u_samples[0], 8.0, 10_000)
     beta = table.beta_bound()
     certificate_defect = float(
         np.max(table.conductivity_of_u(z) ** 2 - beta * (1.0 + table.legendre_B(z)))

@@ -6,6 +6,7 @@ default model is alpha_vg=2, n_vg=2, s_res=0.05, p_reg=-10, a_min=1e-3.
 """
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -114,8 +115,8 @@ def test_saturation_c1_at_regularization_joint(model):
 
 def test_conductivity_endpoints(model):
     assert model.conductivity(1.0) == 1.0
-    assert model.conductivity(model.s_res) == model.k_floor
-    assert model.k_floor > 0.0
+    assert model.conductivity(model.s_res) == model.a_min
+    assert model.a_min > 0.0
 
 
 def test_conductivity_golden_value(model):
@@ -194,24 +195,44 @@ def test_round_trip_property(table):
 
 
 def test_inverse_out_of_range(table):
+    u_bot = table.u_samples[0]
     with pytest.raises(OutOfRangeError):
-        table.kirchhoff_inverse(table.u_lower - 0.01)
+        table.kirchhoff_inverse(u_bot - 0.01)
+    # 1e-9 relative below the lowest knot: a band once read by extrapolation
     with pytest.raises(OutOfRangeError):
-        table.kirchhoff_inverse(table.u_lower + 0.5 * table.margin)
+        table.kirchhoff_inverse(u_bot * (1.0 + 0.5e-9))
+    assert table.kirchhoff_inverse(u_bot) == table.p_samples[0]
+
+
+def _u_readers(table):
+    return (table.all_channels, table.b_of_u, table.b_prime, table.legendre_B,
+            table.conductivity_of_u, table.dconductivity_du, table.kirchhoff_inverse)
 
 
 def test_every_u_channel_refuses_values_below_the_table(table):
-    below = "at or below invertible range .*: pressure diverges"
-    for bad, message in ((table.u_lower - 1.0, below), (np.nan, "u=nan is not a number")):
+    lowest = f"(lowest knot u = {float(table.u_samples[0])!r})"
+    for bad in (table.u_samples[0] - 1.0, np.nan):
         block = np.full((2, 3), -0.1)
-        block[1, 2] = bad  # the refusal names the entry of a stacked block too
-        for u in (bad, block):
-            for channel in (table.b_of_u, table.b_prime, table.legendre_B,
-                            table.conductivity_of_u, table.dconductivity_du,
-                            table.kirchhoff_inverse):
-                with pytest.raises(OutOfRangeError, match=message) as err:
+        block[1, 2] = bad  # the refusal names the flat index of a block entry
+        for u, index in ((bad, 0), (block, 5)):
+            message = re.escape(f"u[{index}]={float(bad)!r} below the table {lowest}")
+            for channel in _u_readers(table):
+                with pytest.raises(OutOfRangeError, match=message):
                     channel(u)
-                assert ("diverges" in str(err.value)) == (message is below)
+
+
+def test_every_u_reader_accepts_the_lowest_knot_only(table):
+    # the lowest knot is the table's one boundary: it is read, and the next
+    # float below it is refused with its index, by every u-side reader
+    u_bot = table.u_samples[0]
+    below = np.nextafter(u_bot, -np.inf)
+    for reader in _u_readers(table):
+        assert np.all(np.isfinite(reader(np.array([-0.1, u_bot]))))
+        with pytest.raises(OutOfRangeError,
+                           match=re.escape(f"u[1]={float(below)!r} below the table")):
+            reader(np.array([-0.1, below]))
+    assert table.b_of_u(u_bot) == table._bk[3, 0, 0]
+    assert table.conductivity_of_u(u_bot) == table._bk[3, 1, 0]
 
 
 def test_pressure_maps_propagate_nan(table, model):
@@ -227,7 +248,7 @@ def test_table_sample_invariants(table):
     assert np.all(np.diff(table.u_samples) > 0.0)
     pos = table.p_samples >= 0.0
     assert np.array_equal(table.u_samples[pos], table.p_samples[pos])
-    assert table.u_lower < table.u_samples[0] < 0.0
+    assert table.u_samples[0] < 0.0
 
 
 def test_default_table_knot_count(table):
@@ -330,7 +351,6 @@ def test_build_slice_size_leaves_every_table_array_bitwise(table, monkeypatch):
     assert ours.keys() == theirs.keys()
     for name, value in ours.items():
         assert _same_bits(value, theirs[name]), name
-    assert sliced.u_lower == table.u_lower
 
 
 def test_default_table_stores_each_cubic_once(table):
@@ -464,20 +484,26 @@ def test_derived_reads_equal_scipy_derivative_and_antiderivative(recorded_build)
     # from the cubic rows it gathered, against scipy's derivative() and
     # antiderivative() of the fits the build made: bit for bit at the knots,
     # between them, on the saturated branch (where a u-side read is the
-    # plateau constant) and just below the lowest knot (clamped onto it)
+    # plateau constant) and just below the lowest knot, where the map's slope
+    # extrapolates and every u-side read refuses
     table, fits = recorded_build
     psi, b, k = (CubicHermiteSpline(*fit[:3]) for fit in fits[-3:])
     b_anti = b.antiderivative()
     edge = [0.0, -0.0, 1.0e-300, 3.0]
     for knots, fit in ((table.p_samples, psi), (table.u_samples, b)):
         below = np.nextafter(knots[0], -np.inf)
-        for part in (knots, 0.5 * (knots[:-1] + knots[1:]), np.array(edge + [below])):
+        if fit is b:
+            for reader in (table.b_prime, table.dconductivity_du, table.legendre_B):
+                with pytest.raises(OutOfRangeError, match=re.escape(f"u[4]={float(below)!r}")):
+                    reader(np.array(edge + [below]))
+        ends = np.array(edge + [below] if fit is psi else edge)
+        for part in (knots, 0.5 * (knots[:-1] + knots[1:]), ends):
             if fit is psi:
                 ours = constitutive._evaluate(knots, part, constitutive._slope,
                                               table._psi[:3])
                 assert _same_bits(ours, psi.derivative()(part))
                 continue
-            inside = np.clip(part, knots[0], 0.0)
+            inside = np.minimum(part, 0.0)
             on_table = part < 0.0
             for reader, ref in ((table.b_prime, b.derivative()),
                                 (table.dconductivity_du, k.derivative())):
@@ -486,8 +512,7 @@ def test_derived_reads_equal_scipy_derivative_and_antiderivative(recorded_build)
                                              table._bk[:, 0], table._b_anti)
             integral = np.where(on_table, b_anti(inside), b_anti(0.0))
             assert _same_bits(b_and_integral[1], integral)
-            potential = np.maximum(b(inside) * np.maximum(part, knots[0])
-                                   - (integral - b_anti(0.0)), 0.0)
+            potential = np.maximum(b(inside) * part - (integral - b_anti(0.0)), 0.0)
             assert _same_bits(table.legendre_B(part), np.where(on_table, potential, 0.0))
 
 
@@ -515,8 +540,8 @@ def test_cubic_fits_refuse_bad_data_as_constitutive_errors():
 
 
 def _channel_probes(table):
-    """u on the plateau, at and between the knots, just below the lowest
-    knot (inside the invertible range) and as a (128, 201) block."""
+    """u on the plateau, at and between the knots, at and just above the
+    lowest knot and as a (128, 201) block."""
     u_bot = table.u_samples[0]
     rng = np.random.default_rng(11)
     knots = table.u_samples
@@ -524,7 +549,7 @@ def _channel_probes(table):
         np.array([0.0, 1.0e-300, 0.5, 3.0]),
         knots,
         0.5 * (knots[:-1] + knots[1:]),
-        np.array([np.nextafter(u_bot, -np.inf), u_bot * (1.0 + 0.5e-9)]),
+        np.array([u_bot, np.nextafter(u_bot, np.inf)]),
         rng.uniform(u_bot, 0.5, (128, 201)),
         np.float64(-0.1),
     ]
@@ -543,10 +568,15 @@ def test_single_channel_readers_equal_their_all_channels_row(table):
         anti = table._channels(z, constitutive._value_and_integral,
                                table._bk[:, 0], table._b_anti)[1]
         phi = anti - table._b_anti[-1]
-        zc = np.maximum(z, table.u_samples[0])
         b = rows[0].reshape(z.shape)
-        formula = np.where(z < 0.0, np.maximum(b * zc - phi, 0.0), 0.0)
+        formula = np.where(z < 0.0, np.maximum(b * z - phi, 0.0), 0.0)
         assert _same_bits(np.asarray(table.legendre_B(u)), formula.reshape(np.shape(u)))
+    # just below the lowest knot, all_channels and each reader refuse alike
+    u_bot = table.u_samples[0]
+    below = np.array([np.nextafter(u_bot, -np.inf), u_bot * (1.0 + 0.5e-9)])
+    for reader in (table.all_channels, table.legendre_B) + readers:
+        with pytest.raises(OutOfRangeError, match=re.escape(f"u[0]={float(below[0])!r}")):
+            reader(below)
 
 
 def test_single_channel_readers_gather_only_their_rows(table):
@@ -584,14 +614,14 @@ def test_b_of_u_composition_consistency(table, model):
 
 
 def test_b_of_u_floor_limit(table, model):
-    # just above the exclusion band the transform has left the retention
-    # curve entirely; b sits at the residual floor
-    u = table.u_lower + 2 * table.margin
+    # at the lowest knot the transform has left the retention curve
+    # entirely; b sits at the residual floor
+    u = table.u_samples[0]
     assert table.b_of_u(u) == pytest.approx(model.s_res, abs=1e-9)
 
 
 def test_b_of_u_monotone_and_in_range(table):
-    u = np.linspace(table.u_lower + 2 * table.margin, 5.0, 20001)
+    u = np.linspace(table.u_samples[0], 5.0, 20001)
     b = table.b_of_u(u)
     assert np.all(np.diff(b) >= 0.0)
     assert np.all(b >= table.model.s_res - 1e-12)
@@ -607,7 +637,7 @@ def test_b_prime_positive_everywhere(table):
     # no floor: b' is the slope of the monotone b, so it is never negative,
     # and it is strictly positive across the working band
     rng = np.random.default_rng(11)
-    u = rng.uniform(table.u_lower + 2 * table.margin, 8.0, 10000)
+    u = rng.uniform(table.u_samples[0], 8.0, 10000)
     assert np.all(table.b_prime(u) >= 0.0)
     band = np.linspace(table.kirchhoff(-100.0), -2.0e-6, 10000)
     assert np.all(table.b_prime(band) > 0.0)
@@ -645,7 +675,7 @@ def test_legendre_B_golden_value(table):
 
 
 def test_legendre_B_nonnegative_min_at_zero(table):
-    z = np.linspace(table.u_lower + 2 * table.margin, 10.0, 20001)
+    z = np.linspace(table.u_samples[0], 10.0, 20001)
     B = table.legendre_B(z)
     assert np.all(B >= 0.0)
     # B' = b'(z) z: nonincreasing left of zero, flat right of zero
@@ -655,14 +685,14 @@ def test_legendre_B_nonnegative_min_at_zero(table):
 
 
 def test_lemma1_pair_inequalities(table):
-    # (b(z) - b(z0)) z0 <= B(z) - B(z0) <= (b(z) - b(z0)) z, slack 10*tol_q
+    # (b(z) - b(z0)) z0 <= B(z) - B(z0) <= (b(z) - b(z0)) z, slack 10*TOL_Q
     rng = np.random.default_rng(3)
-    lo = table.u_lower + 2 * table.margin
+    lo = table.u_samples[0]
     z = rng.uniform(lo, 5.0, 10000)
     z0 = rng.uniform(lo, 5.0, 10000)
     bz, bz0 = table.b_of_u(z), table.b_of_u(z0)
     Bz, Bz0 = table.legendre_B(z), table.legendre_B(z0)
-    slack = 10 * table.tol_q
+    slack = 10 * TOL_Q
     assert np.all(Bz - Bz0 >= (bz - bz0) * z0 - slack)
     assert np.all(Bz - Bz0 <= (bz - bz0) * z + slack)
 
@@ -698,7 +728,7 @@ def test_beta_bound_is_one(model, table):
 
 def test_growth_condition_sampled(table):
     rng = np.random.default_rng(19)
-    z = rng.uniform(table.u_lower + 2 * table.margin, 8.0, 10000)
+    z = rng.uniform(table.u_samples[0], 8.0, 10000)
     k = table.conductivity_of_u(z)
     B = table.legendre_B(z)
     beta = table.beta_bound()
@@ -735,7 +765,7 @@ def test_legendre_B_searches_the_table_once(table, monkeypatch):
 
 def test_table_is_frozen(table):
     with pytest.raises(AttributeError):
-        table.u_lower = 0.0
+        table.u_samples = np.zeros(1)
 
 
 def test_conductivity_of_u_saturated(table):
@@ -783,7 +813,7 @@ def test_conductivity_pressure_slope_wet_limit(model):
     # default n_vg=2 puts the product n*m at 1: finite nonzero limit there
     lim = model._conductivity_pressure_slope_limit()
     assert lim == pytest.approx(
-        (1.0 - model.k_floor) * 2.0 * model.m_vg * model.n_vg * model.alpha_vg
+        (1.0 - model.a_min) * 2.0 * model.m_vg * model.n_vg * model.alpha_vg
     )
     assert model.conductivity_pressure_slope(-1e-7) == pytest.approx(lim, rel=1e-5)
     assert model.conductivity_pressure_slope(np.array([0.5, 3.0])).tolist() == [

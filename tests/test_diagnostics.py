@@ -1,5 +1,7 @@
 """Energy ledger, difference-quotient bounds, uniqueness probe, monitors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ def test_energy_report_zero_trajectory(table):
     assert np.all(rep.cum_dissipation == 0.0)
     assert rep.gronwall_bound == pytest.approx(np.exp(1.0))
     assert rep.gronwall_ok() and rep.energy_inequality_ok()
+
+
+def test_energy_report_compares_and_hashes_by_identity(table):
+    col = _bench_column(40)
+    cfg = StepConfig(**BENCH)
+    rep = energy_report(run(Field.zeros(col), cfg, table), cfg, table)
+    twin = dataclasses.replace(rep)  # the same arrays in a second report
+    assert rep == rep and rep != twin and not (rep == twin)
+    assert hash(rep) != hash(twin)
+    assert len({rep, twin, rep}) == 2
 
 
 def test_energy_report_matches_hand_quadrature(table):

@@ -67,6 +67,16 @@ def test_field_validation():
         f.values[0] = 0.0  # read-only
 
 
+def test_field_compares_and_hashes_by_identity():
+    # a generated __eq__ would compare the value arrays and raise, and a
+    # generated __hash__ would hash them and raise
+    col = Column(length=1.0, n_cells=200)
+    field, twin = Field(np.zeros(200), col), Field(np.zeros(200), col)
+    assert field == field and field != twin and not (field == twin)
+    assert hash(field) != hash(twin)
+    assert len({field, twin, field}) == 2
+
+
 # ---------------------------------------------------------------------------
 # operator exactness
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Oracle layer: certified quadrature, manufactured-solution studies,
 and the dense reference step that cross-checks the banded solver."""
 
+import json
+
 import numpy as np
 import pytest
 
-from kirchflow.constitutive import ConstitutiveModel, build_table
+from kirchflow import harness
+from kirchflow.config import gaussian_lens, load_config, parse_config
+from kirchflow.constitutive import ConstitutiveModel, KirchhoffTable, build_table
 from kirchflow.grid import Column, Field
 from kirchflow.harness import (
     HarnessError,
@@ -13,7 +17,7 @@ from kirchflow.harness import (
     dense_reference_step,
     fitted_order,
 )
-from kirchflow.stepper import StepConfig, step
+from kirchflow.stepper import StepConfig, project_initial, step
 from oracles.banded import newton_system
 from oracles.quadrature import quadrature_oracle
 
@@ -281,3 +285,101 @@ def test_dense_vs_banded_randomized_trials(table):
         dense = dense_reference_step(u_old, cfg, table, source=src)
         gap = float(np.max(np.abs(banded.values - dense.values)))
         assert gap <= 100.0 * tol, f"trial {trial}: n={n} gamma={gamma} gap={gap:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# dense reference Newton exits
+# ---------------------------------------------------------------------------
+
+
+def _reference_step(table):
+    """The projected reference state and the reference stepping."""
+    cfg = load_config(None)
+    u_old = project_initial(cfg.initial_state(cfg.build_column()))
+    return u_old, cfg.build_stepping(beta=table.beta_bound())
+
+
+def test_dense_reference_stops_a_diverging_step():
+    # the column on which the banded march diverges at step 1: the dense
+    # oracle's first full step lands on the same residual
+    cfg = parse_config(json.dumps({
+        "constitutive": {"alpha_vg": 0.1, "n_vg": 1.2, "p_reg": -1.0, "a_min": 0.03},
+        "grid": {"n_cells": 50, "gravity_sign": 1.0, "length": 0.37},
+        "stepping": {"h": 0.8, "gamma": 0.0, "t_end": 0.8},
+        "ic": {"center": 0.173, "width": 0.043, "depth": 0.00166},
+    }))
+    table = cfg.transform_table()
+    u_old = project_initial(cfg.initial_state(cfg.build_column()))
+    with pytest.raises(HarnessError,
+                       match=r"^dense reference Newton diverged: residual 3\.835e-01$"):
+        dense_reference_step(u_old, cfg.build_stepping(beta=table.beta_bound()), table)
+
+
+def test_dense_reference_converging_on_its_last_allowed_iterate(table, monkeypatch):
+    # the oracle's own iteration count for one reference step, as its cap:
+    # it converges on the last iterate the cap allows, to the same values
+    u_old, cfg = _reference_step(table)
+    solve, solves = np.linalg.solve, []
+
+    def counted(a, b):
+        solves.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    free = dense_reference_step(u_old, cfg, table)
+    iterations = len(solves)
+    assert iterations == 5
+    monkeypatch.setattr(harness, "_MAX_ITER", iterations)
+    capped = dense_reference_step(u_old, cfg, table)
+    assert capped.values.tobytes() == free.values.tobytes()
+
+
+def test_dense_reference_reports_no_convergence(table, monkeypatch):
+    u_old, cfg = _reference_step(table)
+    monkeypatch.setattr(harness, "_MAX_ITER", 1)
+    with pytest.raises(HarnessError,
+                       match=r"^dense reference Newton did not converge: "
+                             r"residual 6\.256e\+01$"):
+        dense_reference_step(u_old, cfg, table)
+
+
+def test_a_guess_below_the_table_is_clamped_onto_its_lowest_knot(table, monkeypatch):
+    # a Newton iterate of -1e4, far below the table, is read at the lowest
+    # knot, not refused: as step's guess and as the dense oracle's first
+    # full step; both go on to the root of the unclamped step
+    col = Column(length=1.0, n_cells=10, gravity_sign=-1.0)
+    u_old = Field(gaussian_lens(col.nodes(), 0.5, 0.15, 0.2), col)
+    cfg = StepConfig(h=0.01, gamma=0.0, t_end=0.01, newton_tol=1e-9)
+    src = np.full(col.n_cells, 300.0)
+    root = step(u_old, cfg, table, source=src)
+    u_bot = np.full(col.n_cells, table.u_samples[0])
+    reads = []
+
+    def recording(name):
+        inner = getattr(KirchhoffTable, name)
+
+        def read(self, u):
+            reads.append(np.array(u))
+            return inner(self, u)
+
+        monkeypatch.setattr(KirchhoffTable, name, read)
+
+    recording("all_channels")
+    recording("b_of_u")
+    guess = Field(np.full(col.n_cells, -1.0e4), col)
+    clamped = step(u_old, cfg, table, initial_guess=guess, source=src)
+    assert reads[1].tobytes() == u_bot.tobytes()  # after b(u_old), the guess
+    assert np.max(np.abs(clamped.values - root.values)) <= 100.0 * cfg.newton_tol
+
+    solve, solves = np.linalg.solve, []
+
+    def overshooting(a, b):
+        solves.append(1)
+        return np.full(b.shape, -1.0e4) if len(solves) == 1 else solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", overshooting)
+    reads.clear()
+    dense = dense_reference_step(u_old, cfg, table, source=src)
+    # b(u_old), the residual at u_old, then the residual at the clamped step
+    assert reads[2].tobytes() == u_bot.tobytes()
+    assert np.max(np.abs(dense.values - root.values)) <= 100.0 * cfg.newton_tol

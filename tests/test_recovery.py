@@ -59,10 +59,10 @@ def test_pressure_round_trip_mixed_field(table):
 def test_pressure_out_of_range_names_node(table):
     col = Column(length=1.0, n_cells=20)
     vals = np.full(20, -0.1)
-    vals[7] = table.u_lower
+    vals[7] = np.nextafter(table.u_samples[0], -np.inf)
     with pytest.raises(OutOfRangeError) as err:
         pressure_field(Field(vals, col), table)
-    assert "node 7" in str(err.value)
+    assert "u[7]=" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_saturation_matches_closed_form_composition(table, model):
 
 def test_saturation_range_and_dry_limit(table, model):
     col = Column(length=1.0, n_cells=50)
-    deep = 0.98 * table.u_lower
+    deep = 0.98 * table.u_samples[0]
     vals = np.linspace(deep, 0.2, 50)
     s = saturation_field(Field(vals, col), table)
     assert np.all(s.values >= model.s_res)

@@ -1,5 +1,6 @@
 """Backward-difference stepper: residual, Jacobian, Newton, trajectories."""
 
+import dataclasses
 import json
 from collections import Counter
 from types import SimpleNamespace
@@ -282,6 +283,19 @@ def _reference_run(table):
     return run(cfg.initial_state(cfg.build_column()), stepping, table), stepping
 
 
+def test_step_converging_on_its_last_allowed_iterate_is_accepted(table, monkeypatch):
+    # step 1 of the reference run takes 5 iterations: with the cap at 5 it
+    # converges on the last iterate the cap allows, and with 4 it does not
+    traj, cfg = _reference_run(table)
+    assert traj.newton_iters[0] == 5
+    u_old = Field(traj.values[0], traj.column)
+    monkeypatch.setattr(stepper, "_MAX_ITER", 5)
+    assert step(u_old, cfg, table).values.tobytes() == traj.values[1].tobytes()
+    monkeypatch.setattr(stepper, "_MAX_ITER", 4)
+    with pytest.raises(NonconvergenceError, match="^no convergence in 4 Newton"):
+        step(u_old, cfg, table)
+
+
 def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
     # the first increment of a step from each state the reference run solves
     # at is LAPACK's answer on solve_banded's own input, bit for bit
@@ -459,7 +473,7 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
 def test_step_rejects_out_of_domain_state(table):
     col = Column(length=1.0, n_cells=10)
     vals = np.full(10, -0.1)
-    vals[4] = table.u_lower - 1.0
+    vals[4] = table.u_samples[0] - 1.0
     with pytest.raises(OutOfRangeError):
         step(Field(vals, col), StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
 
@@ -668,6 +682,16 @@ def test_trajectory_times_read_only(table):
         traj.values[0, 0] = 5.0
 
 
+def test_trajectory_compares_and_hashes_by_identity(table):
+    col = Column(length=1.0, n_cells=10)
+    cfg = StepConfig(h=0.1, gamma=0.0, t_end=0.2, newton_tol=1.0e-10)
+    traj = run(Field.zeros(col), cfg, table)
+    twin = dataclasses.replace(traj)  # the same arrays in a second trajectory
+    assert traj == traj and traj != twin and not (traj == twin)
+    assert hash(traj) != hash(twin)
+    assert len({traj, twin, traj}) == 2
+
+
 @pytest.mark.parametrize("fields, match", [
     ({"values": np.zeros((2, 9))},
      r"1 to 3 rows of 10 nodal values, got shape \(2, 9\)"),
@@ -691,3 +715,4 @@ def test_trajectory_rejects_inconsistent_values(fields, match):
     with pytest.raises(GridError, match=match):
         Trajectory(times=[0.0, 0.1, 0.2], column=Column(length=1.0, n_cells=10),
                    **{**consistent, **fields})
+
