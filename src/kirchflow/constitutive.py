@@ -217,7 +217,7 @@ class ConstitutiveModel:
 
         Returns
         -------
-        float or ndarray in ``(s_res, 1]``, exactly 1 for ``p >= 0``.
+        float or ndarray in ``[s_res, 1]``, exactly 1 for ``p >= 0``.
         """
         return self._branches(p, 1.0, self._vg_saturation,
                               lambda pd: self.s_res + self._tail_amp * self._tail(pd))
@@ -237,9 +237,9 @@ class ConstitutiveModel:
     def _mualem_kr(self, se: np.ndarray) -> np.ndarray:
         m = self.m_vg
         with np.errstate(divide="ignore"):
-            x = np.exp(np.log(np.maximum(se, 0.0)) / m)  # se**(1/m)
-            wet = -np.expm1(m * np.log1p(-np.minimum(x, 1.0)))  # 1 - (1-x)^m
-        return np.sqrt(np.maximum(se, 0.0)) * wet * wet
+            x = np.exp(np.log(se) / m)  # se**(1/m) <= 1: conductivity clips se
+            wet = -np.expm1(m * np.log1p(-x))  # 1 - (1-x)^m
+        return np.sqrt(se) * wet * wet
 
     def conductivity(self, s):
         """Relative conductivity K_f(s) on ``[s_res, 1]``.
@@ -262,7 +262,7 @@ class ConstitutiveModel:
 
     def conductivity_vs_pressure(self, p):
         """Composition K_f(S(p)); smooth in p and used as the map integrand."""
-        return self.conductivity(np.clip(self.saturation(p), self.s_res, 1.0))
+        return self.conductivity(self.saturation(p))
 
     def conductivity_pressure_slope(self, p):
         """d/dp of K_f(S(p)), stable over the whole unsaturated range.
@@ -555,7 +555,7 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     suffix = np.cumsum(panels[::-1].astype(np.longdouble))[::-1]
     u = np.concatenate([-suffix, [np.longdouble(0.0)]]).astype(float)
     u[-1] = 0.0
-    s = _sliced(lambda p: np.clip(model.saturation(p), model.s_res, 1.0), grid)
+    s = _sliced(model.saturation, grid)
     deriv = _sliced(model.conductivity, s)
     delta = np.diff(u) / np.diff(grid)
     # cubic with positive endpoint slopes is monotone when both stay within
@@ -588,24 +588,24 @@ def _monotone_hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray,
 
 
 def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
-    """Split intervals until the fitted map's derivative error against the
-    exactly evaluable integrand drops below ``dtol`` everywhere, refining at
-    most 8 times.  Returns the last pass: the grid, its knot saturations and
-    conductivities, ``u``, and the coefficients of the map."""
+    """Split intervals until the fitted map's slope, read on each interval's
+    own piece at its quarter points, is within ``dtol`` of the exactly
+    evaluable integrand, refining at most 8 times.  Returns the last pass: the
+    grid, its knot saturations and conductivities, ``u``, and the map's cubic."""
     for refinements in range(9):
         s, k, u, psi = _fit_map(model, grid)
         if refinements == 8:
             break
 
-        def missed(left, right):
+        def missed(left, right, *rows):
             out = np.zeros(left.size, dtype=bool)
             for frac in (0.25, 0.5, 0.75):
                 probe = left + frac * (right - left)
                 exact = model.conductivity_vs_pressure(probe)
-                out |= np.abs(_evaluate(grid, probe, _slope, psi[:3]) - exact) > dtol
+                out |= np.abs(_slope(rows, probe - left) - exact) > dtol
             return out
 
-        bad = _sliced(missed, grid[:-1], grid[1:], dtype=bool)
+        bad = _sliced(missed, grid[:-1], grid[1:], *psi[:3], dtype=bool)
         if not np.any(bad):
             break
         mids = 0.5 * (grid[:-1] + grid[1:])[bad]
@@ -714,14 +714,14 @@ class KirchhoffTable:
         return _unwrap(u, out)
 
     def _invert_negative(self, u: np.ndarray) -> np.ndarray:
-        us = self.u_samples
-        ps = self.p_samples
-        # the bracketing knots; u = us[0] takes the lowest piece
-        idx = np.clip(np.searchsorted(us, u), 1, len(us) - 1)
+        """Pressures of ``us[0] <= u < 0``: a linear seed between the bracketing
+        knots, which strictly increase up to ``us[-1] = 0``, then Newton
+        iterates that each read the map and its slope from one lookup."""
+        us, ps = self.u_samples, self.p_samples
+        idx = np.maximum(np.searchsorted(us, u), 1)  # u = us[0]: the lowest piece
         lo, hi = ps[idx - 1], ps[idx]
         ulo, uhi = us[idx - 1], us[idx]
-        # linear seed inside the bracket
-        p = lo + (u - ulo) * (hi - lo) / np.maximum(uhi - ulo, 1.0e-300)
+        p = lo + (u - ulo) * (hi - lo) / (uhi - ulo)
         # the residual tolerance has to be far below TOL_Q: a slack of t
         # here surfaces as b'(u) * t in every recovered-saturation value,
         # and b' reaches ~1e2.  3e-15 is reachable in the working band;
@@ -729,16 +729,14 @@ class KirchhoffTable:
         # evaluation noise scales with it.
         tol = np.maximum(3.0e-15, 4.0e-15 * np.abs(u))
         for _ in range(80):
-            f = _evaluate(self.p_samples, p, _cubic, self._psi) - u
+            f, d = _evaluate(ps, p, lambda c, s: (_cubic(c, s) - u, _slope(c, s)),
+                             self._psi)
             done = np.abs(f) <= tol
             if np.all(done):
                 break
             hi = np.where(f > 0.0, p, hi)
             lo = np.where(f <= 0.0, p, lo)
-            d = np.maximum(_evaluate(self.p_samples, p, _slope, self._psi[:3]),
-                           self.model.a_min * 1.0e-3)
-            step = f / d
-            p_new = p - step
+            p_new = p - f / np.maximum(d, self.model.a_min * 1.0e-3)
             bad = (p_new <= lo) | (p_new >= hi)
             p_new = np.where(bad, 0.5 * (lo + hi), p_new)
             p = np.where(done, p, p_new)

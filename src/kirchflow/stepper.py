@@ -40,15 +40,15 @@ these bands are read off the residual's own stencils once per run
 (``grid.banded``), so every linear term of the Newton matrix is the exact
 derivative of the residual's.  ``run`` carries the record of each
 accepted iterate into the next step as its starting guess, and ``b(u_old)``
-with it, so only the first step evaluates a guess; the accepted values are
-stacked once, at the end of the march.  ``step`` and ``run`` are the entry
-points: the residual and the Newton matrix belong to the private
-``_System`` of one march and have no ``Field`` form.
+with it; only the first step evaluates a guess, and reads ``b(u^0)`` off it.
+The accepted values are stacked once, at the end of the march.  ``step``
+and ``run`` are the entry points: the residual and the Newton matrix belong
+to the private ``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
-``scipy.linalg`` package import would also load ``numpy.f2py``,
-``numpy.testing`` and ``numpy.random`` through its array-API layer, about
-0.3 s of every fresh process, for the same routine object.
+solver imports neither ``scipy`` nor ``scipy.linalg``, whose array-API layer
+would also load ``numpy.f2py``, ``numpy.testing`` and ``numpy.random``,
+about 0.3 s of every fresh process, for the same routine object.
 
 A sourceless step is a pure function of its input values and ``b``: once one
 returns its input byte for byte, so would every later step, so ``run`` stops
@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy
 
 from .constitutive import BETA, KirchhoffTable
 from .grid import (
@@ -87,12 +86,14 @@ __all__ = [
 
 
 def _load_flapack():
-    """scipy's LAPACK extension module, loaded from its file without running
-    ``scipy/linalg/__init__.py``."""
+    """scipy's LAPACK extension module, loaded from its file under the
+    directory of scipy's import spec; only a failed search imports ``scipy``."""
     name = "scipy.linalg._flapack"
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.__path__[0], "linalg")])
+    found = importlib.util.find_spec("scipy")
+    spec = found and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(found.submodule_search_locations[0], "linalg")])
     if spec is None:
+        import scipy  # raises here if scipy itself is missing
         raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
     known = name in sys.modules
     module = importlib.util.module_from_spec(spec)
@@ -385,16 +386,16 @@ def run(
     stops storing states there, and later steps repeat its iteration count
     and norm.
 
-    Each step starts from the evaluated iterate the previous step accepted,
-    so only the first step evaluates its guess.
+    Each step starts from the evaluated iterate the previous step accepted;
+    the first evaluates the projected state as it is and reads ``b(u^0)`` off it.
     """
     col = u0.column
     system = _System(col, cfg, table)
     times = cfg.h * np.arange(cfg.n_steps + 1)
     v = project_initial(u0).values
     values, iters, norms = [v], [], []
-    b = table.b_of_u(v)  # b(u_old), carried over from each accepted iterate
-    it = system.start(v)
+    it = system.evaluate(v)  # refuses a state below the table
+    b = it.channels[0]  # b(u_old), carried over from each accepted iterate
     for k in range(1, cfg.n_steps + 1):
         if source is None:
             src, key = None, v.tobytes() + b.tobytes()

@@ -394,6 +394,23 @@ def test_solver_imports_no_unused_scipy_subpackage():
     assert done.stdout.strip() == ""
 
 
+def test_solver_imports_no_scipy_package():
+    # the stepper finds scipy's LAPACK module through scipy's import spec
+    # without importing scipy; only the CLI imports it, for the CSV header
+    code = (
+        "import sys\n"
+        "import kirchflow.config, kirchflow.diagnostics, kirchflow.harness\n"
+        "from kirchflow import stepper\n"
+        "cfg = kirchflow.config.load_config(None)\n"
+        "table = cfg.transform_table()\n"
+        "stepper.step(cfg.initial_state(), cfg.build_stepping(table.beta_bound()), table)\n"
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
 def test_table_and_artifacts_do_not_depend_on_blas_threads(tmp_path, small_config):
     # the quadrature sums node by node instead of through BLAS, whose
     # rounding follows the thread count: one and two threads give the same

@@ -258,6 +258,78 @@ def test_default_table_knot_count(table):
     assert table.p_samples[0] == P_MIN
 
 
+# a model whose starting grid misses the slope tolerance: one refinement
+# pass and then it is met (drawn with default_rng(5))
+_REFINED = ConstitutiveModel(alpha_vg=0.4465656245281884, n_vg=3.4767813937730176,
+                             s_res=0.10177110534730213, p_reg=-0.27997274192541555,
+                             a_min=0.024947324759215777)
+
+
+def test_refined_table_fit_and_knot_count(monkeypatch):
+    # work count of a build that refines: the probes decide which intervals
+    # split, so a probe that reads another piece or another point moves it
+    fits = []
+    fit_map = constitutive._fit_map
+
+    def counting(model, grid):
+        fits.append(grid.size)
+        return fit_map(model, grid)
+
+    monkeypatch.setattr(constitutive, "_fit_map", counting)
+    table = build_table(_REFINED)
+    assert len(fits) == 2 and fits[0] < fits[1] == 4300
+    assert table.p_samples.size == 4300 and table.p_samples[0] == P_MIN
+    grid = table.p_samples
+    for frac in (0.25, 0.5, 0.75):
+        probe = grid[:-1] + frac * np.diff(grid)
+        exact = _REFINED.conductivity_vs_pressure(probe)
+        slope = constitutive._evaluate(grid, probe, constitutive._slope, table._psi[:3])
+        assert np.max(np.abs(slope - exact)) <= 1.0e-8
+
+
+def _drawn_models(count, seed):
+    """Validator-accepted models of the ROADMAP's 400-config draw (its
+    constitutive ranges); refused draws are redrawn."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        params = dict(alpha_vg=10 ** rng.uniform(-1, 1), n_vg=rng.uniform(1.2, 3),
+                      s_res=rng.uniform(0.01, 0.2), p_reg=-(10 ** rng.uniform(0, 2)),
+                      a_min=10 ** rng.uniform(-3, -1.5))
+        try:
+            models.append(ConstitutiveModel(**params))
+        except ConstitutiveError:
+            continue
+    return models
+
+
+def test_saturation_range_is_exact():
+    # conductivity_vs_pressure and the build feed saturation(p) to
+    # conductivity with no clamp: its range [s_res, 1] is exact, down to
+    # the smallest pressures, at the joint p_reg and its neighbours, at
+    # both zeros and at the bottom of the table
+    for model in _drawn_models(50, seed=1):
+        p = np.concatenate([-np.geomspace(1e-300, 1e6, 4000),
+                            [model.p_reg, np.nextafter(model.p_reg, -np.inf),
+                             np.nextafter(model.p_reg, 0.0), 0.0, -0.0, P_MIN]])
+        s = model.saturation(p)
+        assert np.all((s >= model.s_res) & (s <= 1.0)), model
+        se = model.effective_saturation(s)
+        assert np.all((se >= 0.0) & (se <= 1.0)), model
+        assert np.isnan(model.saturation(np.nan))
+        assert np.isnan(model.conductivity_vs_pressure(np.array([np.nan]))).all()
+
+
+def test_drawn_table_sample_invariants():
+    # the inverse map's seed divides by the gap of its bracketing knots and
+    # takes the index of the knot above u: both rely on strictly increasing
+    # knots that end at p = u = 0
+    for model in _drawn_models(50, seed=1):
+        table = build_table(model)
+        test_table_sample_invariants(table)
+        assert table.p_samples[-1] == table.u_samples[-1] == 0.0
+
+
 def test_default_table_meets_slope_tolerance(table):
     # refinement gives up silently after 8 passes; the default map must not
     # need that: its slope meets dtol = 1e-8 at the refinement probes

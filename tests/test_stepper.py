@@ -419,14 +419,15 @@ def test_reference_run_evaluates_each_iterate_once(table, monkeypatch):
     iters = sum(traj.newton_iters)
     # seven solved steps (then the fixed-point tail), 21 iterations; each
     # step starts from the iterate the one before accepted, so only step 1
-    # evaluates its guess: one lookup and one call of each stencil per
-    # evaluated iterate, one residual and one LAPACK call per iteration;
+    # evaluates its guess, and b(u^0) is read from that evaluation: one
+    # lookup and one call of each stencil per evaluated iterate, and no
+    # other lookup; one residual and one LAPACK call per iteration;
     # the march's _System probes each stencil a fixed number of times, once
     # per run, to read the Newton matrix's bands off it
     assert (counts["_newton"], iters) == (7, 21)
     assert counts["evaluate"] == 1 + iters == 22
-    assert counts["_channels"] == 1 + counts["evaluate"] == 23
-    assert counts["_channels in run"] == 1  # b(u^0), through b_of_u
+    assert counts["_channels"] == counts["evaluate"] == 22
+    assert counts["_channels in run"] == 0  # b(u^0) is the first iterate's
     assert counts["_channels in evaluate"] == counts["evaluate"]
     assert counts["__init__"] == 1
     for name in _STENCILS:
@@ -457,7 +458,7 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
     assert (counts["_newton"], counts["source"], iters) == (200, 200, 364)
     assert counts["evaluate"] == 1 + iters
     assert counts["_channels in source"] == counts["source"]
-    assert counts["_channels"] == 1 + counts["evaluate"] + counts["source"]
+    assert counts["_channels"] == counts["evaluate"] + counts["source"]
     assert counts["__init__"] == 1
     for name in _STENCILS:
         assert counts[f"{name} in evaluate"] == counts["evaluate"]
@@ -476,6 +477,19 @@ def test_step_rejects_out_of_domain_state(table):
     vals[4] = table.u_samples[0] - 1.0
     with pytest.raises(OutOfRangeError):
         step(Field(vals, col), StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
+
+
+def test_run_refuses_initial_state_below_the_table(table):
+    # the first iterate is evaluated as projected, not clamped onto the
+    # table, so a projected state below it is refused by the table's check
+    col = Column(length=1.0, n_cells=10)
+    vals = np.full(10, -0.1)
+    vals[4] = table.u_samples[0] - 1.0
+    message = (f"u[4]={float(vals[4])!r} below the table "
+               f"(lowest knot u = {float(table.u_samples[0])!r})")
+    with pytest.raises(OutOfRangeError) as err:
+        run(Field(vals, col), StepConfig(h=0.01, gamma=0.1, t_end=0.02), table)
+    assert str(err.value) == message
 
 
 def test_step_unique_root_from_distinct_guesses(table):
