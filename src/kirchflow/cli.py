@@ -86,9 +86,7 @@ def _write_csv(
     return path
 
 
-def _stride(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.stride is None:
-        return int(cfg.output["stride"])
+def _stride(args: argparse.Namespace) -> int:
     if args.stride < 1:
         raise ConfigError(f"--stride: must be >= 1 (got {args.stride})")
     return args.stride
@@ -135,7 +133,7 @@ def _problem(cfg: RunConfig):
 
 
 def _cmd_run(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
-    stride = _stride(cfg, args)
+    stride = _stride(args)
     table, column, stepping, u0 = _problem(cfg)
     traj = march(u0, stepping, table)
     snapshots = _snapshots(traj, stride)
@@ -186,7 +184,7 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
-    stride = _stride(cfg, args)
+    stride = _stride(args)
     table, _, stepping, u0 = _problem(cfg)
     traj = march(u0, stepping, table)
     lines = _snapshot_lines(
@@ -319,11 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="JSON run configuration (default: built-in)")
-        sp.add_argument("--out", default=None, metavar="DIR",
-                        help="output directory (default: from config)")
+        sp.add_argument("--out", default="out", metavar="DIR",
+                        help="output directory (default: out)")
         if stride:
-            sp.add_argument("--stride", type=int, default=None, metavar="N",
-                            help="snapshot stride (default: from config)")
+            sp.add_argument("--stride", type=int, default=10, metavar="N",
+                            help="snapshot stride (default: 10)")
         if seed:
             sp.add_argument("--seed", type=int, default=0, metavar="N",
                             help="perturbation seed (default: 0)")
@@ -346,14 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        out = args.out if args.out is not None else cfg.output["directory"]
-        return args.handler(cfg, out, args)
+        return args.handler(load_config(args.config), args.out, args)
     except (ConfigError, NonconvergenceError, ConstitutiveError, HarnessError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,18 +1,19 @@
 """Run configuration: one JSON document mapped onto the solver objects.
 
-The document is a key tree with five blocks — constitutive, grid,
-stepping, ic, output — all optional, all keys defaulted.  The three
-solver blocks are ``ConstitutiveModel``, ``Column`` and ``StepConfig``:
-each type's init fields and defaults are the block's keys and defaults
-(except ``StepConfig.beta``, the model's growth constant), and its
-constructor is the only place the block's numeric constraints live.
-Parsing checks each value as JSON (an integer where the default is one,
-else a finite number; no unknown keys) and then builds the type, so a
-violation is reported with its key path instead of surfacing later deep
-in a run.  The ``ic`` and ``output`` blocks belong to no solver type and
-are checked here.  Validation is first-error: parsing stops at the first
-offending key, and within a block the JSON checks come before the
-type's constraints.
+The document is a key tree with four blocks — constitutive, grid,
+stepping, ic — all optional, all keys defaulted; they state the problem
+and nothing else (where and how often to write are command-line flags).
+The three solver blocks are ``ConstitutiveModel``, ``Column`` and
+``StepConfig``: each type's init fields and defaults are the block's
+keys and defaults (except ``StepConfig.beta``, the model's growth
+constant), and its constructor is the only place the block's numeric
+constraints live.  Parsing checks each value as JSON (an integer where
+the default is one, else a finite number; no unknown keys) and then
+builds the type, so a violation is reported with its key path instead
+of surfacing later deep in a run.  The ``ic`` block belongs to no solver
+type and is checked here.  Validation is first-error: parsing stops at
+the first offending key, and within a block the JSON checks come before
+the type's constraints.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
         for name, cls in _SOLVERS
     },
     "ic": {"profile": "gaussian_lens", "center": 0.5, "width": 0.15, "depth": 0.2},
-    "output": {"directory": "out", "stride": 10},
 }
 
 _IC_KEYS = {
@@ -140,7 +140,6 @@ class RunConfig:
     grid: Dict[str, Any]
     stepping: Dict[str, Any]
     ic: Dict[str, Any]
-    output: Dict[str, Any]
 
     def build_model(self) -> ConstitutiveModel:
         return ConstitutiveModel(**self.constitutive)
@@ -237,13 +236,7 @@ def parse_config(text: str) -> RunConfig:
         ic["z"] = [float(v) for v in ic["z"]]
         ic["u"] = [float(v) for v in ic["u"]]
 
-    out = _merge_block(doc, "output")
-    if not isinstance(out["directory"], str) or not out["directory"]:
-        _fail("output.directory", "must be a non-empty string", out["directory"])
-    if _integer(out, "output", "stride") < 1:
-        _fail("output.stride", "must be >= 1", out["stride"])
-
-    return RunConfig(**solvers, ic=ic, output=out)
+    return RunConfig(**solvers, ic=ic)
 
 
 def load_config(path: Optional[str]) -> RunConfig:

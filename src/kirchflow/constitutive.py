@@ -290,11 +290,11 @@ class ConstitutiveModel:
             tail = self._tail(pd)
             # through s, not amp * tail: (s_res + x) - s_res rounds
             s = self.s_res + self._tail_amp * tail
-            se = np.clip(self.effective_saturation(s), 0.0, 1.0)
+            se = self.effective_saturation(s)  # in [0, 1]: s in [s_res, 1]
             dkr = np.zeros_like(se)
             pos = se > 0.0
             sep = se[pos]
-            x = np.minimum(np.exp(np.log(sep) / m), 1.0)  # se**(1/m)
+            x = np.exp(np.log(sep) / m)  # se**(1/m) <= 1
             wet = -np.expm1(m * np.log1p(-x))  # 1 - (1-x)^m
             root = np.sqrt(sep)
             with np.errstate(divide="ignore", over="ignore"):

@@ -362,11 +362,11 @@ def step(
     source: Optional[np.ndarray] = None,
 ) -> Field:
     """One accepted backward-difference step (sup-norm residual <= tol)."""
-    guess = u_old if initial_guess is None else initial_guess
     src = None if source is None else np.asarray(source, dtype=float)
     system = _System(u_old.column, cfg, table)
-    it, _, _ = _newton(system, table.b_of_u(u_old.values), system.start(guess.values),
-                       src, None)
+    old = system.evaluate(u_old.values)  # refuses a state below the table
+    guess = old if initial_guess is None else system.start(initial_guess.values)
+    it, _, _ = _newton(system, old.channels[0], guess, src, None)
     return Field(it.v, u_old.column)
 
 
@@ -382,9 +382,9 @@ def run(
     nodes of ``u0.column``; it is evaluated at each step's target time (fully
     implicit right side, used by the manufactured-solution studies).  Solver
     failures carry the failing step index.  A sourceless step that returns
-    its input values and ``b`` byte for byte is a fixed point: the march
-    stops storing states there, and later steps repeat its iteration count
-    and norm.
+    its input values byte for byte is a fixed point (``b`` is read off those
+    same values): the march stops storing states there, and later steps
+    repeat its iteration count and norm.
 
     Each step starts from the evaluated iterate the previous step accepted;
     the first evaluates the projected state as it is and reads ``b(u^0)`` off it.
@@ -398,12 +398,12 @@ def run(
     b = it.channels[0]  # b(u_old), carried over from each accepted iterate
     for k in range(1, cfg.n_steps + 1):
         if source is None:
-            src, key = None, v.tobytes() + b.tobytes()
+            src, key = None, v.tobytes()
         else:
             src = np.asarray(source(times[k]), dtype=float)
         it, n_it, rnorm = _newton(system, b, it, src, k)
         v, b = it.v, it.channels[0]
-        if source is None and v.tobytes() + b.tobytes() == key:
+        if source is None and v.tobytes() == key:
             tail = cfg.n_steps + 1 - k
             iters += [n_it] * tail
             norms += [rnorm] * tail

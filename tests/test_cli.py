@@ -21,7 +21,6 @@ from kirchflow.stepper import run as march
 SMALL = {
     "grid": {"n_cells": 60},
     "stepping": {"h": 0.01, "t_end": 0.1, "newton_tol": 1.0e-8},
-    "output": {"stride": 3},
 }
 
 
@@ -50,7 +49,8 @@ def _read_csv(path):
 
 def test_run_writes_strided_states(tmp_path, small_config):
     out = tmp_path / "artifacts"
-    assert main(["run", "--config", small_config, "--out", str(out)]) == 0
+    assert main(["run", "--config", small_config, "--out", str(out),
+                 "--stride", "3"]) == 0
     meta, header, data = _read_csv(out / "states.csv")
     assert header == ["t", "z", "u"]
     assert meta["schema"] == "t,z,u"
@@ -64,28 +64,35 @@ def test_run_writes_strided_states(tmp_path, small_config):
     assert first[:, 2].min() == pytest.approx(-0.2, rel=1e-2)
 
 
-def test_run_stride_flag_overrides_config(tmp_path, small_config):
+def test_output_block_is_refused_and_stride_defaults_to_10(tmp_path, capsys):
+    # where and how often to write are flags, not config: the former output
+    # block is an unknown block, refused before any directory is made
+    config = tmp_path / "output.json"
+    config.write_text('{"output": {}}')
     out = tmp_path / "artifacts"
-    assert main(
-        ["run", "--config", small_config, "--out", str(out), "--stride", "1000"]
-    ) == 0
-    _, _, data = _read_csv(out / "states.csv")
-    np.testing.assert_allclose(np.unique(data[:, 0]), [0.0, 0.1])
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: output: unknown block (got 'output')\n"
+    assert not out.exists()
+    # without --stride, run writes every 10th of the default run's 101 states
+    assert main(["run", "--out", str(out)]) == 0
+    meta, _, data = _read_csv(out / "states.csv")
+    assert meta["stride"] == "10"
+    np.testing.assert_array_equal(np.unique(data[:, 0]), 0.01 * np.arange(0, 101, 10))
 
 
 def test_run_is_bitwise_deterministic(tmp_path, small_config):
     artifacts = {
-        "run": ("states.csv",),
-        "diagnose": ("energy.csv",),
-        "recover": ("fields.csv",),
-        "dump-constitutive": ("constitutive_pressure.csv",
-                              "constitutive_transformed.csv"),
+        ("run", "--stride", "3"): ("states.csv",),
+        ("diagnose",): ("energy.csv",),
+        ("recover", "--stride", "3"): ("fields.csv",),
+        ("dump-constitutive",): ("constitutive_pressure.csv",
+                                 "constitutive_transformed.csv"),
     }
     for command, names in artifacts.items():
-        out_a = tmp_path / command / "a"
-        out_b = tmp_path / command / "b"
+        out_a = tmp_path / command[0] / "a"
+        out_b = tmp_path / command[0] / "b"
         for out in (out_a, out_b):
-            assert main([command, "--config", small_config, "--out", str(out)]) == 0
+            assert main([*command, "--config", small_config, "--out", str(out)]) == 0
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
@@ -186,7 +193,8 @@ def test_diagnose_reports_max_principle_when_classical(tmp_path, capsys):
 
 def test_recover_emits_physical_fields(tmp_path, small_config):
     out = tmp_path / "artifacts"
-    assert main(["recover", "--config", small_config, "--out", str(out)]) == 0
+    assert main(["recover", "--config", small_config, "--out", str(out),
+                 "--stride", "3"]) == 0
     _, header, data = _read_csv(out / "fields.csv")
     assert header == ["t", "z", "u", "pressure", "saturation", "velocity"]
     saturation = data[:, 4]
@@ -433,7 +441,8 @@ def test_table_and_artifacts_do_not_depend_on_blas_threads(tmp_path, small_confi
         tables.append(done.stdout)
         out = tmp_path / threads
         done = _python("-m", "kirchflow", "recover", "--config", small_config,
-                       "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+                       "--out", str(out), "--stride", "3",
+                       OPENBLAS_NUM_THREADS=threads)
         assert done.returncode == 0, done.stderr
         fields.append((out / "fields.csv").read_bytes())
     assert "u_samples" in tables[0] and tables[0] == tables[1]

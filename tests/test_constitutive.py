@@ -602,6 +602,8 @@ def test_cubic_fits_refuse_bad_data_as_constitutive_errors():
     y = np.array([0.0, 1.0, 3.0])
     with pytest.raises(ConstitutiveError, match="finite"):
         constitutive._monotone_hermite(x, y, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ConstitutiveError, match="nondecreasing"):
+        constitutive._monotone_hermite(x, y[::-1].copy(), np.ones(3))
     with pytest.raises(ConstitutiveError, match="strictly increasing"):
         constitutive._hermite(np.array([0.0, 1.0, 1.0]), y, np.ones(3))
 

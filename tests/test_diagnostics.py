@@ -9,6 +9,7 @@ from kirchflow.config import gaussian_lens
 from kirchflow.diagnostics import (
     BLOCK_STATES,
     DiagnosticsError,
+    EnergyReport,
     energy_report,
     initial_condition_check,
     max_principle_check,
@@ -213,6 +214,15 @@ def test_time_quotient_check_equals_per_step_definition(table):
             # bitwise: one b per row and the skipped zero terms inside the
             # tail must not move a single rounding
             assert time_quotient_check(traj, k * h, table) == total / (k * h)
+
+
+def test_energy_report_rejects_a_series_off_the_time_grid():
+    series = ("b_integral", "grad_sq", "lap_sq", "cum_dissipation")
+    for name in series:
+        arrays = {key: np.zeros(2 if key == name else 3) for key in series}
+        with pytest.raises(DiagnosticsError, match=f"^{name} must align with times$"):
+            EnergyReport(times=np.zeros(3), **arrays, gronwall_bound=1.0, h=0.5,
+                         beta=1.0, omega=1.0, newton_tol=1.0e-7)
 
 
 def test_time_quotient_rejects_bad_lag(table):

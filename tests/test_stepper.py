@@ -471,6 +471,25 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
                        for inner in ("_channels",) + _STENCILS)
 
 
+def test_step_evaluates_each_iterate_once(table, monkeypatch):
+    # the old state is evaluated once, as it is: b(u_old) is read off that
+    # evaluation, which is also Newton's start when no guess is given, so
+    # there is one lookup per evaluated iterate and no single-channel read
+    col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
+    cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1e-7)
+    u_old = project_initial(_wet_lens(col))
+    counts, count = _counting(monkeypatch)
+    count(KirchhoffTable, "b_of_u")
+    for guess, evaluated in ((None, 1), (Field(0.9 * u_old.values, col), 2)):
+        counts.clear()
+        step(u_old, cfg, table, initial_guess=guess)
+        iters = counts["dgbsv"]
+        assert counts["_newton"] == 1 and iters > 0
+        assert counts["evaluate"] == evaluated + iters
+        assert counts["_channels"] == counts["_channels in evaluate"] == counts["evaluate"]
+        assert counts["b_of_u"] == 0
+
+
 def test_step_rejects_out_of_domain_state(table):
     col = Column(length=1.0, n_cells=10)
     vals = np.full(10, -0.1)
