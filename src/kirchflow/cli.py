@@ -1,8 +1,8 @@
 """Command-line front end: configured runs and CSV artifacts.
 
-Each subcommand is declared once, in ``_build_parser``; ``main`` loads
-the configuration before calling it.  The output directory is made when
-the first artifact is written, so a refused run leaves none behind.
+Each subcommand is declared once, in ``_build_parser``; ``main`` checks
+``--out`` and loads the configuration before calling it.  The output
+directory is made at the first artifact, so a refused run leaves none.
 Exit code 0 means every check passed, 1 means a check failed, 2 means
 the solver or the configuration failed; diagnostics go to standard
 error.  Artifacts are CSV files with `#`-prefixed metadata (config hash,
@@ -92,6 +92,15 @@ def _stride(args: argparse.Namespace) -> int:
     return args.stride
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` whose nearest existing component is no directory."""
+    path = out and os.path.abspath(out)
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out: must name a directory (got {out!r})")
+
+
 def _snapshots(traj: Trajectory, stride: int) -> List[int]:
     """Every ``stride``-th step, and the last (always an artifact)."""
     return sorted({*range(0, traj.n_steps + 1, stride), traj.n_steps})
@@ -123,8 +132,7 @@ def _snapshot_lines(
 
 def _problem(cfg: RunConfig):
     table, column = cfg.transform_table(), cfg.build_column()
-    stepping = cfg.build_stepping(beta=table.beta_bound())
-    return table, column, stepping, cfg.initial_state(column)
+    return table, column, cfg.build_stepping(), cfg.initial_state(column)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +259,8 @@ def _cmd_demo_overshoot(cfg: RunConfig, out: str, args: argparse.Namespace) -> i
     u0 = Field(lens, column)
     amplitudes = {}
     for gamma in (_OVERSHOOT["gamma"], 0.0):
-        stepping = StepConfig(
-            h=_OVERSHOOT["h"], gamma=gamma, t_end=_OVERSHOOT["t_end"],
-            newton_tol=_OVERSHOOT["newton_tol"], beta=table.beta_bound(),
-        )
+        stepping = StepConfig(h=_OVERSHOOT["h"], gamma=gamma, t_end=_OVERSHOOT["t_end"],
+                              newton_tol=_OVERSHOOT["newton_tol"])
         traj = march(u0, stepping, table)
         amplitudes[gamma] = max_principle_check(traj)
     amp_fourth = amplitudes[_OVERSHOOT["gamma"]]
@@ -344,6 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.handler(load_config(args.config), args.out, args)
     except (ConfigError, NonconvergenceError, ConstitutiveError, HarnessError,
             OSError) as exc:

@@ -49,7 +49,7 @@ __all__ = [
 
 P_MIN = -1.0e6  # bottom of the table; below it the integrand is a_min
 TOL_Q = 1.0e-12  # tabulated integral accuracy: absolute for |u| <= 1, relative beyond
-BETA = 1.0  # growth constant of every model (see ConstitutiveModel.beta_bound)
+BETA = 1.0  # growth constant of every model (see KirchhoffTable.beta_bound)
 
 
 class ConstitutiveError(ValueError):
@@ -317,16 +317,6 @@ class ConstitutiveModel:
         if abs(nm - 1.0) <= 1e-12:
             return (1.0 - self.a_min) * 2.0 * self.m_vg * self.n_vg * self.alpha_vg
         return np.inf
-
-    # -- growth certificate ------------------------------------------------------
-
-    def beta_bound(self) -> float:
-        """Growth constant: ``K_f(b(z))^2 <= beta * (1 + B(z))`` for all z.
-
-        Conductivity is capped at 1 and the potential B is nonnegative,
-        so ``beta = BETA = 1`` certifies the bound with no sampling required.
-        """
-        return BETA
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +813,9 @@ class KirchhoffTable:
         return _unwrap(u, self._channels(u, _slope, self._bk[:3, 1]))
 
     def beta_bound(self) -> float:
-        """Growth constant for the stored model (see model docstring)."""
-        return self.model.beta_bound()
+        """Growth constant: ``K_f(b(z))^2 <= BETA * (1 + B(z))`` for all z and
+        every model, with no sampling, because ``K_f <= 1`` and ``B >= 0``."""
+        return BETA
 
 
 def build_table(model: ConstitutiveModel) -> KirchhoffTable:

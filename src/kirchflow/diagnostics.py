@@ -9,8 +9,8 @@ maximum-principle violation meter, and an initial-condition fidelity
 check.  Everything is a pure function of a finished Trajectory.
 
 Convention: integrals use the column quadrature (`integrate_array`), the
-gradient energy uses the face-based seminorm — the discrete pairing the
-stepping scheme actually controls.
+gradient energy is the squared face seminorm (`grad_sq_array`) — the
+discrete pairing the stepping scheme actually controls — and lags count steps.
 
 Each distinct state is evaluated once, as a row of ``Trajectory.values``:
 the kernels are row-wise, and the steps past a fixed point, which repeat the
@@ -20,14 +20,13 @@ quantity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import KirchhoffTable
-from .grid import (
-    Field, h1_seminorm_array, integrate_array, l2_norm, laplacian_array, libm_square,
-)
+from .grid import Field, grad_sq_array, integrate_array, l2_norm, laplacian_array
 from .stepper import StepConfig, Trajectory, _newton, _System, project_initial, run
 
 __all__ = [
@@ -130,7 +129,7 @@ def energy_report(
     dz, b_int, grad_sq, lap_sq = col.dz, [], [], []
     for block in _blocks(traj.values):
         b_int.append(integrate_array(table.legendre_B(block), dz))
-        grad_sq.append(libm_square(h1_seminorm_array(block, dz)))
+        grad_sq.append(grad_sq_array(block, dz))
         lap_sq.append(cfg.gamma * integrate_array(laplacian_array(block, dz) ** 2, dz))
     b_int, grad_sq, lap_sq = (np.concatenate(a)[traj.rows]
                               for a in (b_int, grad_sq, lap_sq))
@@ -152,41 +151,30 @@ def energy_report(
     )
 
 
-def _lag_steps(traj: Trajectory, delta: float) -> int:
-    if traj.times.size < 2:
-        raise DiagnosticsError("trajectory has no steps to difference")
-    h = float(traj.times[1] - traj.times[0])
-    k = delta / h
-    k_round = int(round(k))
-    if k_round < 1 or abs(k - k_round) > 1.0e-9:
-        raise DiagnosticsError(
-            f"delta={delta!r} is not a positive integer multiple of h={h!r}"
-        )
-    return k_round
+def time_quotient_check(traj: Trajectory, lag: int, table: KirchhoffTable) -> float:
+    """Backward-difference energy at a lag of ``k = lag`` steps, 1 <= k <= n_steps.
 
-
-def time_quotient_check(traj: Trajectory, delta: float, table: KirchhoffTable) -> float:
-    """Backward-difference energy at lag ``delta`` (must be k*h, k >= 1).
-
-    Computes (1/delta) * sum_n h * integral of
+    Computes (1/(k*h)) * sum_n h * integral of
     (b(u^n) - b(u^{n-k})) * (u^n - u^{n-k}); nonnegative because the
     storage coefficient is monotone, and bounded independently of h —
-    the discrete compactness quantity.  ``b`` is evaluated once per row of
+    the discrete compactness quantity.  ``b`` is evaluated once, on all of
     ``traj.values``, and a pair of steps on one row, whose term is exactly
     0.0, is skipped.
     """
-    k = _lag_steps(traj, delta)
+    if (isinstance(lag, bool) or not isinstance(lag, numbers.Integral)
+            or not 1 <= lag <= traj.n_steps):
+        raise DiagnosticsError(f"lag: needs an integer from 1 to n_steps (got {lag!r})")
     dz = traj.column.dz
     h = float(traj.times[1] - traj.times[0])
     u = traj.values
-    b = [table.b_of_u(row) for row in u]
+    b = table.b_of_u(u)
     rows = traj.rows.tolist()
     total = 0.0
-    for n in range(k, traj.times.size):
-        i, j = rows[n], rows[n - k]
+    for n in range(lag, traj.times.size):
+        i, j = rows[n], rows[n - lag]
         if i != j:
             total += h * float(integrate_array((b[i] - b[j]) * (u[i] - u[j]), dz))
-    return total / delta
+    return total / (lag * h)
 
 
 def regularity_monitor(traj: Trajectory) -> float:

@@ -12,11 +12,11 @@ so it is symmetric positive definite on the clamped space.
 Quadrature is the composite trapezoid over the interior nodes with each
 wall cell integrated by the rectangle at its nearest node (end weights
 ``3*dz/2``); it is exact for constants, ``integrate_array(1) == length``,
-and second-order on smooth integrands.  The H1 seminorm is face-based —
-one squared difference quotient per face, wall faces one-sided against
-the zero wall value — so that ``dz * sum(u * (-laplacian_array(u)))``
-equals ``h1_seminorm_array(u)**2`` identically, the discrete integration
-by parts the energy estimates rest on.
+and second-order on smooth integrands.  The squared H1 seminorm
+``grad_sq_array`` is face-based — one squared difference quotient per face,
+wall faces one-sided against the zero wall value — so it equals
+``dz * sum(u * (-laplacian_array(u)))`` identically, the discrete
+integration by parts the energy estimates rest on.
 
 Gravity flux uses arithmetic face means of the conductivity, with each
 wall face carrying the adjacent node's conductivity (same mirror rule as
@@ -39,8 +39,6 @@ Everything here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -56,7 +54,7 @@ __all__ = [
     "face_values",
     "gravity_divergence_array",
     "integrate_array",
-    "h1_seminorm_array",
+    "grad_sq_array",
     "l2_norm",
     "banded",
 ]
@@ -200,25 +198,14 @@ def integrate_array(u: np.ndarray, dz: float) -> np.ndarray:
     return dz * (u.sum(axis=-1) + 0.5 * (u.T[0] + u.T[-1]))
 
 
-def libm_square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` by the C library's ``pow``, as scalar ``**`` computes it.
+def grad_sq_array(u: np.ndarray, dz: float) -> np.ndarray:
+    """Squared face-based gradient norm of each row, wall faces one-sided.
 
-    Array ``**`` multiplies instead, which rounds differently in about
-    0.1% of cases; the per-state definitions square scalars.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))
-    return np.fromiter(flat, float, x.size).reshape(x.shape)
-
-
-def h1_seminorm_array(u: np.ndarray, dz: float) -> np.ndarray:
-    """Face-based gradient norm of each row with one-sided wall differences.
-
-    Satisfies dz * sum(u * (-laplacian_array(u))) == h1_seminorm_array(u)**2
+    Satisfies dz * sum(u * (-laplacian_array(u))) == grad_sq_array(u)
     exactly (discrete integration by parts on the clamped space).
     """
     inner = np.sum((u[..., 1:] - u[..., :-1]) ** 2, axis=-1)
-    return np.sqrt((inner + (libm_square(u.T[0]) + libm_square(u.T[-1]))) / dz)
+    return (inner + (u.T[0] * u.T[0] + u.T[-1] * u.T[-1])) / dz
 
 
 def l2_norm(u: np.ndarray, dz: float) -> float:

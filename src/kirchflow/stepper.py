@@ -140,11 +140,10 @@ class StepConfig:
     The defaults are the reference problem's and the one definition of the
     run configuration's ``stepping`` block.  ``newton_tol = 1e-7`` sits above
     the round-off floor of the reference residual (about 3e-8 at 200 cells).
-    ``beta`` is the growth constant of the constitutive package
-    (``table.beta_bound()``, ``constitutive.BETA`` for every model), not a
-    config key; construction refuses ``h > 1/beta``.  This is the one place
-    these constraints are checked; a violation is reported as
-    ``"<field>: <constraint> (got <value>)"``.
+    ``beta`` is the growth constant ``constitutive.BETA`` of every model
+    (``KirchhoffTable.beta_bound()``), not a config key; construction
+    refuses ``h > 1/beta``.  This is the one place these constraints are
+    checked; a violation is reported as ``"<field>: <constraint> (got <value>)"``.
     """
 
     h: float = 0.01

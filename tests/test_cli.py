@@ -354,6 +354,30 @@ def test_negative_seed_exits_2_before_marching(tmp_path, small_config, monkeypat
     assert not out.exists()
 
 
+def test_unusable_out_exits_2_before_marching(tmp_path, small_config, monkeypatch,
+                                              capsys):
+    # an empty value, an existing file and a path under a file can never be
+    # the output directory: refused before the march, and nothing is made
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before refusing --out")
+
+    monkeypatch.setattr(cli, "march", no_march)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("kept")
+    for out in ("", "file.txt", os.path.join("file.txt", "sub")):
+        assert main(["run", "--config", small_config, "--out", out]) == 2
+        assert (capsys.readouterr().err
+                == f"error: --out: must name a directory (got {out!r})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt", "small.json"]
+    assert (tmp_path / "file.txt").read_text() == "kept"
+
+
+def test_out_may_name_nested_new_directories(tmp_path, small_config):
+    out = tmp_path / "new" / "deeper"
+    assert main(["run", "--config", small_config, "--out", str(out)]) == 0
+    assert (out / "states.csv").is_file()
+
+
 def _python(*args, **env):
     """Run a fresh interpreter that imports kirchflow from this checkout,
     with ``env`` added to the environment."""

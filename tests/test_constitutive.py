@@ -795,8 +795,7 @@ def test_legendre_transform_matches_table(table):
 # ---------------------------------------------------------------------------
 
 
-def test_beta_bound_is_one(model, table):
-    assert model.beta_bound() == 1.0
+def test_beta_bound_is_one(table):
     assert table.beta_bound() == 1.0
 
 

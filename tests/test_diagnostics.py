@@ -20,7 +20,7 @@ from kirchflow.diagnostics import (
 from kirchflow.grid import (
     Column,
     Field,
-    h1_seminorm_array,
+    grad_sq_array,
     integrate_array,
     l2_norm,
     laplacian_array,
@@ -137,9 +137,7 @@ def test_energy_report_benchmark_bounds(table):
 
 
 def _multi_block_trajectory(h, repeats=False):
-    # 32 full blocks and a partial 33rd, with wet (u >= 0) and dry nodes;
-    # enough states that squaring by multiplication instead of the scalar
-    # `pow` would move some entries of the ledger by one rounding
+    # 32 full blocks and a partial 33rd, with wet (u >= 0) and dry nodes
     col = Column(length=1.0, n_cells=23, gravity_sign=-1.0)
     rng = np.random.default_rng(11)
     base = _lens(col, depth=0.15).values
@@ -164,7 +162,7 @@ def test_blocked_energy_report_equals_per_state_definitions(table):
         rep = energy_report(traj, cfg, table)
         b_int = [float(integrate_array(table.legendre_B(s.values), col.dz))
                  for s in states]
-        grad_sq = [float(h1_seminorm_array(s.values, col.dz)) ** 2 for s in states]
+        grad_sq = [float(grad_sq_array(s.values, col.dz)) for s in states]
         lap_sq = [
             cfg.gamma * float(integrate_array(laplacian_array(s.values, col.dz) ** 2,
                                               col.dz))
@@ -197,23 +195,31 @@ def test_time_quotient_constant_trajectory_is_zero(table):
     col = _bench_column(30)
     f = _lens(col, depth=0.1)
     traj = _manual_trajectory([f, f, f, f], h=0.1)
-    assert time_quotient_check(traj, 0.1, table) == 0.0
-    assert time_quotient_check(traj, 0.3, table) == 0.0
+    assert time_quotient_check(traj, 1, table) == 0.0
+    assert time_quotient_check(traj, 3, table) == 0.0
+
+
+def _per_step_quotient(states, h, dz, k, table):
+    """The compactness quantity at lag ``k`` steps over the rows ``states``,
+    one state at a time, with one ``b_of_u`` call per state."""
+    total = 0.0
+    for n in range(k, len(states)):
+        du = states[n] - states[n - k]
+        db = table.b_of_u(states[n]) - table.b_of_u(states[n - k])
+        total += h * float(integrate_array(db * du, dz))
+    return total / (k * h)
 
 
 def test_time_quotient_check_equals_per_step_definition(table):
     for repeats in (False, True):
         col, states, traj = _multi_block_trajectory(1.0e-3, repeats)
         h = float(traj.times[1] - traj.times[0])
+        values = np.stack([s.values for s in states])
         for k in (1, 40):
-            total = 0.0
-            for n in range(k, len(states)):
-                du = states[n].values - states[n - k].values
-                db = table.b_of_u(states[n].values) - table.b_of_u(states[n - k].values)
-                total += h * float(integrate_array(db * du, col.dz))
-            # bitwise: one b per row and the skipped zero terms inside the
-            # tail must not move a single rounding
-            assert time_quotient_check(traj, k * h, table) == total / (k * h)
+            # bitwise: one b_of_u call on all rows and the skipped zero terms
+            # inside the tail must not move a single rounding
+            assert (time_quotient_check(traj, k, table)
+                    == _per_step_quotient(values, h, col.dz, k, table))
 
 
 def test_energy_report_rejects_a_series_off_the_time_grid():
@@ -229,11 +235,12 @@ def test_time_quotient_rejects_bad_lag(table):
     col = _bench_column(30)
     f = _lens(col, depth=0.1)
     traj = _manual_trajectory([f, f, f], h=0.1)
-    for delta in (0.15, 0.0, -0.1):
-        with pytest.raises(DiagnosticsError):
-            time_quotient_check(traj, delta, table)
+    for lag in (0, -1, 1.5, True, traj.n_steps + 1):
+        with pytest.raises(DiagnosticsError, match=r"^lag: needs an integer from 1 "
+                                                   r"to n_steps \(got "):
+            time_quotient_check(traj, lag, table)
     with pytest.raises(DiagnosticsError):
-        time_quotient_check(_manual_trajectory([f], h=0.1), 0.1, table)
+        time_quotient_check(_manual_trajectory([f], h=0.1), 1, table)
 
 
 def test_time_quotient_bounded_across_refinement(table):
@@ -243,7 +250,10 @@ def test_time_quotient_bounded_across_refinement(table):
     for h in (0.02, 0.01, 0.005):
         cfg = StepConfig(h=h, gamma=0.1, t_end=1.0, newton_tol=1.0e-7)
         traj = run(u0, cfg, table)
-        values.append(time_quotient_check(traj, h, table))
+        values.append(time_quotient_check(traj, 1, table))
+        # bitwise against the per-state definition on a march's rows
+        assert values[-1] == _per_step_quotient(traj.values[traj.rows], h, col.dz, 1,
+                                                table)
     assert all(v >= 0.0 for v in values)
     assert all(v <= 2.0 * values[0] for v in values)
 
@@ -252,7 +262,9 @@ def test_time_quotient_nonnegative_at_longer_lag(table):
     col = _bench_column(80)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.3, newton_tol=1.0e-7)
     traj = run(project_initial(_lens(col)), cfg, table)
-    assert time_quotient_check(traj, 3 * cfg.h, table) >= 0.0
+    quotient = time_quotient_check(traj, 3, table)
+    assert quotient >= 0.0
+    assert quotient == _per_step_quotient(traj.values[traj.rows], cfg.h, col.dz, 3, table)
 
 
 # ---------------------------------------------------------------------------

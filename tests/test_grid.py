@@ -11,7 +11,7 @@ from kirchflow.grid import (
     biharmonic_array,
     face_values,
     gravity_divergence_array,
-    h1_seminorm_array,
+    grad_sq_array,
     integrate_array,
     l2_norm,
     laplacian_array,
@@ -188,22 +188,22 @@ def test_h1_seminorm_sine():
     def err(n):
         col = Column(length=1.0, n_cells=n)
         f = np.sin(np.pi * col.nodes())
-        return abs(h1_seminorm_array(f, col.dz) ** 2 - np.pi ** 2 / 2.0)
+        return abs(grad_sq_array(f, col.dz) - np.pi ** 2 / 2.0)
 
-    assert h1_seminorm_array(np.zeros(9), Column(length=1.0, n_cells=9).dz) == 0.0
+    assert grad_sq_array(np.zeros(9), Column(length=1.0, n_cells=9).dz) == 0.0
     e1, e2 = err(40), err(81)
     assert e1 / e2 > 3.5
 
 
 def test_pairing_identity_is_h1_seminorm():
-    # dz * sum(u * (-lap u)) == h1^2 exactly: the discrete integration
+    # dz * sum(u * (-lap u)) == grad_sq exactly: the discrete integration
     # by parts that the energy bookkeeping depends on
     col = Column(length=1.5, n_cells=33)
     rng = np.random.default_rng(7)
     for _ in range(10):
         f = rng.standard_normal(33)
         pair = col.dz * float(np.sum(f * -laplacian_array(f, col.dz)))
-        assert pair == pytest.approx(h1_seminorm_array(f, col.dz) ** 2, rel=1e-12)
+        assert pair == pytest.approx(grad_sq_array(f, col.dz), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
