@@ -18,7 +18,6 @@ import sys
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, RunConfig, gaussian_lens, load_config
@@ -32,7 +31,9 @@ from .diagnostics import (
 from .grid import Column, Field
 from .harness import HarnessError, convergence_study, fitted_order
 from .recovery import darcy_velocity, pressure_field, saturation_field
-from .stepper import NonconvergenceError, StepConfig, Trajectory, run as march
+from .stepper import (
+    NonconvergenceError, StepConfig, Trajectory, load_scipy_module, run as march,
+)
 
 __all__ = ["main"]
 
@@ -53,15 +54,10 @@ _OVERSHOOT = {
 }
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_lines(rows: Iterable[Sequence[Any]]) -> Iterator[str]:
-    """One comma-joined line of ``_fmt`` values per row."""
-    return (",".join(_fmt(v) for v in row) for row in rows)
+    """One comma-joined line of ``str`` values per row: every value is a
+    Python float, int or string, whose ``str`` is its ``repr``."""
+    return (",".join(map(str, row)) for row in rows)
 
 
 def _write_csv(
@@ -75,12 +71,12 @@ def _write_csv(
     """Stream the metadata header and the data ``lines`` to ``out/name``,
     making ``out`` if needed; return its path."""
     header = {"kirchflow_version": __version__, "numpy_version": np.__version__,
-              "scipy_version": scipy.__version__, "config_sha256": cfg.config_hash(),
-              **meta, "schema": ",".join(schema)}
+              "scipy_version": load_scipy_module("version").version,
+              "config_sha256": cfg.config_hash(), **meta, "schema": ",".join(schema)}
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"# {key}: {_fmt(value)}\n" for key, value in header.items())
+        fh.writelines(f"# {key}: {value}\n" for key, value in header.items())
         fh.write(",".join(schema) + "\n")
         fh.writelines(line + "\n" for line in lines)
     return path
@@ -126,7 +122,7 @@ def _snapshot_lines(
         state = Field(traj.values[r], traj.column)
         columns = [f(state).values.tolist() for f in extra]
         text[r] = list(_csv_lines(zip(z, state.values.tolist(), *columns)))
-    blocks = [(_fmt(float(traj.times[k])), text[r]) for k, r in zip(snapshots, rows)]
+    blocks = [(float(traj.times[k]), text[r]) for k, r in zip(snapshots, rows)]
     return (f"{t},{line}" for t, lines in blocks for line in lines)
 
 

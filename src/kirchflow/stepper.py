@@ -45,10 +45,12 @@ The accepted values are stacked once, at the end of the march.  ``step``
 and ``run`` are the entry points: the residual and the Newton matrix belong
 to the private ``_System`` of one march and have no ``Field`` form.
 
-``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file: the
-solver imports neither ``scipy`` nor ``scipy.linalg``, whose array-API layer
-would also load ``numpy.f2py``, ``numpy.testing`` and ``numpy.random``,
-about 0.3 s of every fresh process, for the same routine object.
+``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file
+through ``load_scipy_module``, the one function in kirchflow that reads
+scipy (the CLI asks it for scipy's ``version`` module): nothing imports
+``scipy`` or ``scipy.linalg``, whose array-API layer would also load
+``numpy.f2py``, ``numpy.testing`` and ``numpy.random``, about 0.3 s of
+every fresh process, for the same routine object.
 
 A sourceless step is a pure function of its input values and ``b``: once one
 returns its input byte for byte, so would every later step, so ``run`` stops
@@ -85,27 +87,28 @@ __all__ = [
 ]
 
 
-def _load_flapack():
-    """scipy's LAPACK extension module, loaded from its file under the
-    directory of scipy's import spec; only a failed search imports ``scipy``."""
-    name = "scipy.linalg._flapack"
+def load_scipy_module(name: str):
+    """scipy's module ``scipy.<name>`` (``linalg._flapack``, ``version``),
+    loaded from its file under the directory of scipy's import spec; only a
+    failed search imports ``scipy``."""
+    full = f"scipy.{name}"
     found = importlib.util.find_spec("scipy")
-    spec = found and importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(found.submodule_search_locations[0], "linalg")])
+    spec = found and importlib.machinery.PathFinder.find_spec(full, [os.path.join(
+        found.submodule_search_locations[0], *name.split(".")[:-1])])
     if spec is None:
         import scipy  # raises here if scipy itself is missing
-        raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
-    known = name in sys.modules
+        raise ImportError(f"{full} not found in scipy {scipy.__version__}", name=full)
+    known = full in sys.modules
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     if not known:
-        # CPython files the extension under its name by itself; left there, a
-        # later ``import scipy.linalg`` would not set its ``_flapack`` attribute
-        del sys.modules[name]
+        # an extension (not a source module) files itself under its name; left
+        # there, it keeps a later ``import scipy.linalg`` from setting ``_flapack``
+        sys.modules.pop(full, None)
     return module
 
 
-dgbsv = _load_flapack().dgbsv
+dgbsv = load_scipy_module("linalg._flapack").dgbsv
 
 _MAX_ITER = 30
 # residual growth over the best iterate's allowed before Newton calls the

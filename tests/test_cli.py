@@ -139,6 +139,17 @@ def test_run_rows_equal_the_trajectory_formatted_here(tmp_path, reference_march)
     assert lines[1:] == expected
 
 
+def test_csv_values_are_written_as_their_repr(tmp_path):
+    # every value reaches the CSV as a Python float, int or string, whose
+    # str is its repr: shortest round-trip digits, exponents and signed zero
+    values = (0.1, 1e-05, 1e+16, -0.0)
+    path = cli._write_csv(load_config(None), str(tmp_path), "values.csv",
+                          ("a", "b", "c", "d"), cli._csv_lines([values]), level=-0.0)
+    lines = Path(path).read_text().splitlines()
+    assert "# level: -0.0" in lines
+    assert lines[-1].split(",") == [repr(v) for v in values]
+
+
 def test_recover_maps_each_distinct_state_once(tmp_path, monkeypatch, reference_march):
     traj = reference_march[1]
     seen = []
@@ -426,9 +437,10 @@ def test_solver_imports_no_unused_scipy_subpackage():
     assert done.stdout.strip() == ""
 
 
-def test_solver_imports_no_scipy_package():
+def test_solver_imports_no_scipy_package(tmp_path):
     # the stepper finds scipy's LAPACK module through scipy's import spec
-    # without importing scipy; only the CLI imports it, for the CSV header
+    # without importing scipy, and the command line reads scipy's version
+    # module for the CSV header by file the same way
     code = (
         "import sys\n"
         "import kirchflow.config, kirchflow.diagnostics, kirchflow.harness\n"
@@ -436,11 +448,36 @@ def test_solver_imports_no_scipy_package():
         "cfg = kirchflow.config.load_config(None)\n"
         "table = cfg.transform_table()\n"
         "stepper.step(cfg.initial_state(), cfg.build_stepping(table.beta_bound()), table)\n"
-        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "scipy = lambda: sorted(name for name in sys.modules\n"
+        "                       if name.split('.')[0] == 'scipy')\n"
+        "assert not scipy(), scipy()\n"
+        "from kirchflow.cli import main\n"
+        "assert not scipy(), scipy()\n"
+        "for command in ('run', 'diagnose', 'recover'):\n"
+        "    assert main([command, '--out', sys.argv[1]]) == 0, command\n"
+        "print('scipy:', *scipy())\n"
     )
-    done = _python("-c", code)
+    done = _python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    assert done.stdout.splitlines()[-1] == "scipy:"
+
+
+def test_scipy_version_header_equals_the_imported_package(tmp_path):
+    # where scipy is imported, the version read by file is the package's
+    code = (
+        "import sys\n"
+        "import scipy\n"
+        "from kirchflow.cli import main\n"
+        "assert main(['dump-constitutive', '--out', sys.argv[1]]) == 0\n"
+        "print(scipy.__version__)\n"
+    )
+    out = tmp_path / "imported"
+    done = _python("-c", code, str(out))
+    assert done.returncode == 0, done.stderr
+    version = done.stdout.splitlines()[-1]
+    for name in ("constitutive_pressure.csv", "constitutive_transformed.csv"):
+        meta = _read_csv(out / name)[0]
+        assert meta["scipy_version"] == version
 
 
 def test_table_and_artifacts_do_not_depend_on_blas_threads(tmp_path, small_config):
@@ -493,3 +530,45 @@ def test_missing_lapack_extension_is_an_import_error():
     kind, version, message = done.stdout.splitlines()
     assert kind == "ImportError"
     assert "scipy.linalg._flapack" in message and version in message
+
+
+def _load_scipy_version_hiding(hidden, preamble=""):
+    """Whether scipy has an import spec, and the type and text of the
+    ImportError that ``load_scipy_module("version")`` raises, in a fresh
+    interpreter whose path finder finds no module ``hidden``; ``preamble``
+    runs first."""
+    code = (
+        f"{preamble}\n"
+        "import importlib.machinery as machinery, importlib.util\n"
+        "find = machinery.PathFinder.find_spec\n"
+        "machinery.PathFinder.find_spec = classmethod(\n"
+        "    lambda cls, name, path=None, target=None:\n"
+        f"    None if name == {hidden!r} else find(name, path, target))\n"
+        "print(importlib.util.find_spec('scipy') is not None)\n"
+        "try:\n"
+        "    from kirchflow.stepper import load_scipy_module\n"
+        "    load_scipy_module('version')\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__, exc, sep='\\n')\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_no_importable_scipy_is_an_import_error():
+    # scipy has no import spec: the stepper import fails on the import of
+    # scipy itself, naming it
+    found, kind, message = _load_scipy_version_hiding("scipy")
+    assert found == "False"
+    assert kind == "ModuleNotFoundError" and "'scipy'" in message
+
+
+@pytest.mark.parametrize("preamble", ["", "import scipy"])
+def test_missing_scipy_version_file_is_an_import_error(preamble):
+    # a scipy directory without version.py: loading it fails, as importing
+    # such a scipy does, with an ImportError naming scipy.version
+    found, kind, message = _load_scipy_version_hiding("scipy.version", preamble)
+    assert found == "True"
+    assert kind in ("ImportError", "ModuleNotFoundError")
+    assert "scipy.version" in message
