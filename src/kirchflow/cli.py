@@ -162,29 +162,21 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     )
     print(f"wrote {path}")
 
-    ok = True
-    ineq = report.energy_inequality_ok()
-    print(f"energy-inequality: {'PASS' if ineq else 'FAIL'}")
-    gron = report.gronwall_ok()
-    print(
-        f"gronwall-bound: {'PASS' if gron else 'FAIL'} "
-        f"(max B_int {np.max(report.b_integral):.6e} <= "
-        f"{report.gronwall_bound:.6e})"
-    )
-    ok = ok and ineq and gron
     ic_gap = initial_condition_check(traj, u0, table)
-    ic_ok = ic_gap <= 1.0e-12
-    print(f"initial-condition: {'PASS' if ic_ok else 'FAIL'} (defect {ic_gap:.3e})")
-    ok = ok and ic_ok
+    checks = [  # (name, passed, detail) of each verdict, in print order
+        ("energy-inequality", report.energy_inequality_ok(), ""),
+        ("gronwall-bound", report.gronwall_ok(),
+         f"max B_int {np.max(report.b_integral):.6e} <= {report.gronwall_bound:.6e}"),
+        ("initial-condition", ic_gap <= 1.0e-12, f"defect {ic_gap:.3e}"),
+    ]
     if stepping.gamma == 0.0:
         violation = max_principle_check(traj)
-        mp_ok = violation <= _MAX_PRINCIPLE_TOL
-        print(
-            f"max-principle: {'PASS' if mp_ok else 'FAIL'} "
-            f"(violation {violation:.3e} <= {_MAX_PRINCIPLE_TOL:.0e})"
-        )
-        ok = ok and mp_ok
-    return 0 if ok else 1
+        checks.append(("max-principle", violation <= _MAX_PRINCIPLE_TOL,
+                       f"violation {violation:.3e} <= {_MAX_PRINCIPLE_TOL:.0e}"))
+    for name, passed, detail in checks:
+        verdict = f"{name}: {'PASS' if passed else 'FAIL'}"
+        print(f"{verdict} ({detail})" if detail else verdict)
+    return 0 if all(passed for _, passed, _ in checks) else 1
 
 
 def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
@@ -349,6 +341,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_out(args.out)
         return args.handler(load_config(args.config), args.out, args)
     except (ConfigError, NonconvergenceError, ConstitutiveError, HarnessError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

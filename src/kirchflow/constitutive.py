@@ -331,24 +331,17 @@ def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     that do not strictly increase."""
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(d).all()):
         raise ConstitutiveError("cubic fit data must be finite")
-    c = np.empty((4, x.size - 1)) if out is None else out
-    # rows t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1], each computed in
-    # that order straight into the result, _SLICE pieces at a time
-    for lo in range(0, x.size - 1, _SLICE):
-        hi = min(lo + _SLICE, x.size - 1)
-        dx = np.diff(x[lo:hi + 1])
+
+    def rows(x0, x1, y0, y1, d0, d1):
+        dx = x1 - x0
         if np.any(dx <= 0.0):
             raise ConstitutiveError("cubic fit knots must be strictly increasing")
-        slope = np.diff(y[lo:hi + 1]) / dx
-        d0 = d[lo:hi]
-        t = (d0 + d[lo + 1:hi + 1] - 2.0 * slope) / dx
-        np.divide(t, dx, out=c[0, lo:hi])
-        np.subtract(slope, d0, out=c[1, lo:hi])
-        c[1, lo:hi] /= dx
-        c[1, lo:hi] -= t
-        c[2, lo:hi] = d0
-        c[3, lo:hi] = y[lo:hi]
-    return c
+        slope = (y1 - y0) / dx
+        t = (d0 + d1 - 2.0 * slope) / dx
+        return t / dx, (slope - d0) / dx - t, d0, y0
+
+    out = np.empty((4, x.size - 1)) if out is None else out
+    return _sliced(rows, x[:-1], x[1:], y[:-1], y[1:], d[:-1], d[1:], out=out)
 
 
 # Power sums of a cubic's rows c0..c3 (highest power first) at the offsets
@@ -461,18 +454,19 @@ _GAUSS_NODES = (-0.7745966692414834, 0.0, 0.7745966692414834)
 _GAUSS_WEIGHTS = (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)
 
 
-# points per slice when the build evaluates the model or sums the
-# antiderivative: the transient arrays stay this long, not table-long
+# points per slice when the build evaluates the model, fits a cubic or
+# sums the antiderivative: the transient arrays stay this long, not table-long
 _SLICE = 4096
 
 
 def _sliced(f, *arrays, dtype=float, out: np.ndarray | None = None) -> np.ndarray:
     """``f(*arrays)`` for elementwise ``f`` on equal-length 1-D arrays,
     evaluated ``_SLICE`` entries at a time into one output array, ``out``
-    when given (it may be one of ``arrays``)."""
+    when given (it may be one of ``arrays``).  The slices fill ``out`` along
+    its last axis, so ``f`` may return several rows per entry."""
     out = np.empty(arrays[0].shape, dtype=dtype) if out is None else out
-    for lo in range(0, out.size, _SLICE):
-        out[lo:lo + _SLICE] = f(*(a[lo:lo + _SLICE] for a in arrays))
+    for lo in range(0, out.shape[-1], _SLICE):
+        out[..., lo:lo + _SLICE] = f(*(a[lo:lo + _SLICE] for a in arrays))
     return out
 
 
@@ -493,17 +487,6 @@ def _gauss_panels(edges: np.ndarray, f) -> np.ndarray:
     return _sliced(panels, edges[:-1], edges[1:])
 
 
-def _sorted_union(parts) -> np.ndarray:
-    """Sorted distinct values of the concatenated ``parts``, as ``np.unique``
-    returns them; ``np.unique`` would import ``numpy.ma`` on its first call."""
-    grid = np.concatenate(parts)
-    grid.sort()
-    keep = np.empty(grid.shape, dtype=bool)
-    keep[:1] = True
-    keep[1:] = grid[1:] != grid[:-1]
-    return grid[keep]
-
-
 def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
     """Starting grid on [P_MIN, 0]: log-refined toward 0 where the integrand
     curvature blows up, uniform over the retention branch, geometrically
@@ -513,7 +496,7 @@ def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
     # near-saturation refinement: spacing proportional to |p| down to 1e-8
     scale = 1.0 / model.alpha_vg
     near = -np.geomspace(1.0e-8 * scale, 0.5 * scale, 600)
-    pts = [mid, near[near > model.p_reg], np.array([0.0])]
+    pts = [mid, near[near > model.p_reg]]  # mid ends on exactly 0.0
     step = 1.0e-2
     p = model.p_reg
     tail = []
@@ -522,9 +505,9 @@ def _pressure_grid(model: ConstitutiveModel) -> np.ndarray:
         tail.append(p)
         step *= 1.005
     pts.append(np.array(tail[::-1]))
-    grid = _sorted_union(pts)
-    # drop near-duplicate knots: zero-width intervals turn cumulative
-    # rounding into derivative noise
+    grid = np.sort(np.concatenate(pts))
+    # drop exact and near-duplicate knots: zero-width intervals turn
+    # cumulative rounding into derivative noise
     gap = np.diff(grid)
     keep = np.concatenate([[True], gap > 1.0e-9 * np.maximum(1.0, np.abs(grid[1:]))])
     keep[-1] = True
@@ -544,7 +527,6 @@ def _fit_map(model: ConstitutiveModel, grid: np.ndarray):
     panels = _gauss_panels(grid, model.conductivity_vs_pressure)
     suffix = np.cumsum(panels[::-1].astype(np.longdouble))[::-1]
     u = np.concatenate([-suffix, [np.longdouble(0.0)]]).astype(float)
-    u[-1] = 0.0
     s = _sliced(model.saturation, grid)
     deriv = _sliced(model.conductivity, s)
     delta = np.diff(u) / np.diff(grid)
@@ -599,7 +581,7 @@ def _refine_grid(model: ConstitutiveModel, grid: np.ndarray, dtol: float):
         if not np.any(bad):
             break
         mids = 0.5 * (grid[:-1] + grid[1:])[bad]
-        grid = _sorted_union([grid, mids])
+        grid = np.sort(np.concatenate([grid, mids]))  # each mid strictly inside
     return grid, s, k, u, psi
 
 

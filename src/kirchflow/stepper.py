@@ -145,8 +145,10 @@ class StepConfig:
     the round-off floor of the reference residual (about 3e-8 at 200 cells).
     ``beta`` is the growth constant ``constitutive.BETA`` of every model
     (``KirchhoffTable.beta_bound()``), not a config key; construction
-    refuses ``h > 1/beta``.  This is the one place these constraints are
-    checked; a violation is reported as ``"<field>: <constraint> (got <value>)"``.
+    refuses ``h > 1/beta``, and more than 2**53 steps ``t_end/h``, the ceiling
+    ``Column`` puts on ``n_cells``.  This is the one place these constraints
+    are checked; a violation is reported as ``"<field>: <constraint> (got
+    <value>)"``.
     """
 
     h: float = 0.01
@@ -168,6 +170,10 @@ class StepConfig:
             raise StepConfigError(f"gamma: must be >= 0 (got {self.gamma!r})")
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise StepConfigError(f"t_end: must be positive (got {self.t_end!r})")
+        if not self.t_end / self.h <= 2**53:  # also refuses an infinite quotient
+            raise StepConfigError(
+                f"t_end: needs at most 2**53 steps of h = {self.h!r} (got {self.t_end!r})"
+            )
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0.0):
             raise StepConfigError(
                 f"newton_tol: must be positive (got {self.newton_tol!r})"

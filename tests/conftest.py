@@ -1,7 +1,8 @@
 """Shared fixtures: the default constitutive model and its transform table.
 
-Building the table (43,167 knots) costs ~100 ms in a fresh process but is
-pure and immutable, so one instance is shared across the whole session.
+Building the table (43,167 knots) takes 25-35 ms (medians of 21 builds on
+a 2-vCPU host) but is pure and immutable, so one instance is shared across
+the whole session.
 """
 
 import pytest

@@ -317,6 +317,38 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
         assert "Traceback" not in err and not out.exists()
 
 
+def test_more_than_2_53_steps_exit_2_before_marching(tmp_path, monkeypatch, capsys):
+    # the quotient t_end/h is the step count: past 2**53 it is refused with
+    # its key path before any array of times is made
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before refusing the step count")
+
+    monkeypatch.setattr(cli, "march", no_march)
+    config = tmp_path / "long.json"
+    config.write_text('{"stepping": {"t_end": 1e20, "h": 1.0}}')
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: stepping.t_end: needs at most 2**53 steps of h = 1.0 (got 1e+20)\n")
+    assert not out.exists()
+
+
+def test_memory_error_exits_2(tmp_path, small_config, monkeypatch, capsys):
+    # an accepted config whose arrays cannot be allocated is an error, not a
+    # failed check; the march here raises as numpy does, allocating nothing
+    message = ("Unable to allocate 7.28 TiB for an array with shape "
+               "(1000000000001,) and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "march", out_of_memory)
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", small_config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unhashable_ic_profile_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"ic": {"profile": ["zero"]}}')
@@ -456,10 +488,16 @@ def test_solver_imports_no_scipy_package(tmp_path):
         "for command in ('run', 'diagnose', 'recover'):\n"
         "    assert main([command, '--out', sys.argv[1]]) == 0, command\n"
         "print('scipy:', *scipy())\n"
+        # numpy.ma, which np.unique imports on its first call, stays unloaded
+        # through the CLI and through a table build that refines its grid
+        "assert 'numpy.ma' not in sys.modules\n"
+        "from kirchflow.constitutive import ConstitutiveModel, build_table\n"
+        "build_table(ConstitutiveModel(n_vg=1.6, a_min=1e-2))\n"
+        "print('numpy.ma:', 'numpy.ma' in sys.modules)\n"
     )
     done = _python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "scipy:"
+    assert done.stdout.splitlines()[-2:] == ["scipy:", "numpy.ma: False"]
 
 
 def test_scipy_version_header_equals_the_imported_package(tmp_path):

@@ -58,6 +58,10 @@ def test_check_timestep_inclusive_boundary():
         {"h": 0.01, "gamma": float("inf")},
         {"h": 0.01, "t_end": float("nan")},
         {"h": 0.01, "beta": 0.0},
+        # more than 2**53 steps t_end/h, an infinite quotient included
+        {"h": 1.0, "t_end": float(np.nextafter(2.0**53, np.inf))},
+        {"h": 1.0, "t_end": 1e20},
+        {"h": 1e-300, "t_end": 1e300},
     ],
 )
 def test_step_config_validation(kwargs):
@@ -78,6 +82,7 @@ def test_n_steps_count():
     assert StepConfig(h=0.1, t_end=0.25).n_steps == 3
     assert StepConfig(h=0.01, t_end=1.0).n_steps == 100
     assert StepConfig(h=0.01, t_end=0.07).n_steps == 7
+    assert StepConfig(h=1.0, t_end=2.0**53).n_steps == 2**53  # the ceiling
 
 
 # ---------------------------------------------------------------------------
