@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,6 +111,9 @@ def _merge_block(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
     block = doc.get(name, {})
     if not isinstance(block, dict):
         _fail(name, "must be an object", block)
+    for key, value in block.items():
+        if value is ...:
+            _fail(f"{name}.{key}", "duplicate key", key)
     merged = dict(_DEFAULTS[name])
     known = set(merged)
     if name == "ic":
@@ -153,18 +156,17 @@ class RunConfig:
     def build_stepping(self, beta: float = BETA) -> StepConfig:
         return StepConfig(beta=beta, **self.stepping)
 
-    def initial_state(self, column: Optional[Column] = None) -> Field:
-        col = self.build_column() if column is None else column
-        z = col.nodes()
+    def initial_state(self, column: Column) -> Field:
+        z = column.nodes()
         profile = self.ic["profile"]
         if profile == "zero":
-            return Field.zeros(col)
+            return Field.zeros(column)
         if profile == "gaussian_lens":
             ic = self.ic
-            return Field(gaussian_lens(z, ic["center"], ic["width"], ic["depth"]), col)
+            return Field(gaussian_lens(z, ic["center"], ic["width"], ic["depth"]), column)
         # custom: tabulated profile, linearly interpolated onto the nodes
         # (clamped to the end values outside the tabulated range)
-        return Field(np.interp(z, self.ic["z"], self.ic["u"]), col)
+        return Field(np.interp(z, self.ic["z"], self.ic["u"]), column)
 
     def canonical_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
@@ -183,6 +185,15 @@ def _reject_nonfinite(token: str) -> float:
     raise ConfigError(f"non-finite literal {token!r} not allowed")
 
 
+def _object(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """A decoded JSON object whose repeated keys map to ``...``, a value no
+    JSON decodes to, so that parsing refuses them under their key path."""
+    obj: Dict[str, Any] = {}
+    for key, value in pairs:
+        obj[key] = ... if key in obj else value
+    return obj
+
+
 def parse_config(text: str) -> RunConfig:
     """Validated RunConfig from a JSON document, or first-error report.
 
@@ -190,14 +201,17 @@ def parse_config(text: str) -> RunConfig:
     constraint, and the offending value.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_nonfinite)
+        doc = json.loads(text, parse_constant=_reject_nonfinite,
+                         object_pairs_hook=_object)
     except ConfigError:
         raise
     except ValueError as exc:  # malformed, or an integer literal past int's digit limit
         raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         _fail("<root>", "must be an object", type(doc).__name__)
-    for key in doc:
+    for key, value in doc.items():
+        if value is ...:
+            _fail(key, "duplicate key", key)
         if key not in _DEFAULTS:
             _fail(key, "unknown block", key)
 

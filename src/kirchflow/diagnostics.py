@@ -45,6 +45,7 @@ __all__ = [
 # well as 512 do, with 3 MB less peak memory; the kernels never see a whole
 # trajectory, since a sourced march can hold tens of thousands of states.
 BLOCK_STATES = 128
+_GUESS_PERTURBATION = 1.0e-3  # noise scale of uniqueness_probe's Newton guesses
 
 
 class DiagnosticsError(ValueError):
@@ -199,15 +200,14 @@ def uniqueness_probe(
     u0: Field,
     cfg: StepConfig,
     table: KirchhoffTable,
-    perturbation: float = 1.0e-3,
     seed: int = 0,
 ) -> float:
     """Max L2 gap between a warm-started march and a guess-perturbed one.
 
-    The second march jitters every Newton initial guess by
-    ``perturbation``-scaled noise; if the per-step root is unique within
-    the basin, both land on the same states and the gap stays at solver
-    tolerance.  ``perturbation=0`` reproduces the march bitwise.
+    The second march adds standard normal noise (from ``seed``) times the
+    fixed ``_GUESS_PERTURBATION`` = 1e-3 to every Newton initial guess; if the
+    per-step root is unique within the basin, both land on the same states and
+    the gap stays at solver tolerance.  A zero scale reproduces the march bitwise.
     """
     base = run(u0, cfg, table)
     rng = np.random.default_rng(seed)
@@ -218,7 +218,7 @@ def uniqueness_probe(
     base_rows = base.rows
     gap = 0.0
     for n in range(1, cfg.n_steps + 1):
-        noise = perturbation * rng.standard_normal(col.n_cells)
+        noise = _GUESS_PERTURBATION * rng.standard_normal(col.n_cells)
         it, _, _ = _newton(system, b, system.start(v + noise), None, n)
         v, b = it.v, it.channels[0]
         gap = max(gap, l2_norm(v - base.values[base_rows[n]], col.dz))

@@ -42,24 +42,24 @@ class HarnessError(RuntimeError):
 class ManufacturedSolution:
     """Clamped polynomial bump with a smooth time envelope.
 
-    ``u*(z, t) = A(t) * (z/L)^2 (1 - z/L)^2 * scale`` satisfies the
-    clamped boundary pair exactly at both walls.  The amplitude keeps
-    the field in the well-conditioned band of the transform (moderately
-    unsaturated, far from both the wet joint and the dry floor).
+    ``u*(z, t) = A(t) * (z/L)^2 (1 - z/L)^2 * scale`` satisfies the clamped
+    boundary pair exactly at both walls; ``A(t) = AMPLITUDE * (0.6 + 0.4
+    cos(RATE t))``.  The class constant ``AMPLITUDE`` keeps the field in the
+    well-conditioned band of the transform (moderately unsaturated, far from
+    both the wet joint and the dry floor); ``RATE`` is fast, so that the
+    first-order-in-h error dominates the fixed spatial floor in the temporal
+    study (time error grows like RATE^2, the floor does not move).
     """
 
     column: Column
-    amplitude: float = -0.15
-    # fast envelope so the first-order-in-h error dominates the fixed
-    # spatial floor in the temporal study (time error grows like rate^2,
-    # the floor does not move)
-    rate: float = 8.0
+    AMPLITUDE = -0.15
+    RATE = 8.0
 
     def envelope(self, t: float) -> float:
-        return self.amplitude * (0.6 + 0.4 * np.cos(self.rate * t))
+        return self.AMPLITUDE * (0.6 + 0.4 * np.cos(self.RATE * t))
 
     def envelope_rate(self, t: float) -> float:
-        return -0.4 * self.rate * self.amplitude * np.sin(self.rate * t)
+        return -0.4 * self.RATE * self.AMPLITUDE * np.sin(self.RATE * t)
 
     def _shape(self, z: np.ndarray) -> np.ndarray:
         s = z / self.column.length

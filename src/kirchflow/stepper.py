@@ -124,8 +124,7 @@ class StepConfigError(ValueError):
 class NonconvergenceError(RuntimeError):
     """Newton failed to reach the residual tolerance."""
 
-    def __init__(self, message: str, step_index: Optional[int] = None,
-                 residual_norm: Optional[float] = None):
+    def __init__(self, message: str, step_index: Optional[int], residual_norm: float):
         super().__init__(message)
         self.step_index = step_index
         self.residual_norm = residual_norm
@@ -181,7 +180,10 @@ class StepConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.ceil(self.t_end / self.h - 1.0e-12))
+        """``t_end/h`` rounded up, unless it exceeds an integer by no more than
+        rounding (1e-12, or 4 ulp where larger); at least one step."""
+        q = self.t_end / self.h
+        return max(1, math.floor(q) + (q % 1.0 > max(1.0e-12, 4.0 * math.ulp(q))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +386,7 @@ def run(
     table: KirchhoffTable,
     source: Optional[Callable[[float], np.ndarray]] = None,
 ) -> Trajectory:
-    """March N = ceil(t_end/h) steps from the projected initial state.
+    """March N = ``cfg.n_steps`` steps from the projected initial state.
 
     ``source(t)`` — when given — returns the right side at time ``t`` on the
     nodes of ``u0.column``; it is evaluated at each step's target time (fully

@@ -453,7 +453,8 @@ def test_solver_imports_no_unused_scipy_subpackage():
         "table = cfg.transform_table()\n"
         "calls, lapack = [], stepper.dgbsv\n"
         "stepper.dgbsv = lambda *a, **k: calls.append(1) or lapack(*a, **k)\n"
-        "stepper.step(cfg.initial_state(), cfg.build_stepping(table.beta_bound()), table)\n"
+        "stepper.step(cfg.initial_state(cfg.build_column()),\n"
+        "             cfg.build_stepping(table.beta_bound()), table)\n"
         "assert calls, 'the step made no LAPACK call'\n"
         "print(*sorted(name for name in ('scipy.interpolate', 'scipy.integrate',\n"
         "    'scipy.special', 'scipy.optimize', 'scipy.linalg', 'numpy.f2py',\n"
@@ -479,7 +480,8 @@ def test_solver_imports_no_scipy_package(tmp_path):
         "from kirchflow import stepper\n"
         "cfg = kirchflow.config.load_config(None)\n"
         "table = cfg.transform_table()\n"
-        "stepper.step(cfg.initial_state(), cfg.build_stepping(table.beta_bound()), table)\n"
+        "stepper.step(cfg.initial_state(cfg.build_column()),\n"
+        "             cfg.build_stepping(table.beta_bound()), table)\n"
         "scipy = lambda: sorted(name for name in sys.modules\n"
         "                       if name.split('.')[0] == 'scipy')\n"
         "assert not scipy(), scipy()\n"

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kirchflow.cli import main
 from kirchflow.config import ConfigError, load_config, parse_config
 from kirchflow.constitutive import ConstitutiveModel
 from kirchflow.grid import Column
@@ -127,6 +128,31 @@ def test_constraint_violations_name_the_key(doc, path):
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"stepping": {"h": 0.005}, "stepping": {"gamma": 0.0}}',
+         "stepping: duplicate key (got 'stepping')"),
+        ('{"stepping": {"h": 0.01, "h": 0.02}}', "stepping.h: duplicate key (got 'h')"),
+        ('{"ic": {"depth": 0.3, "depth": 0.1}}', "ic.depth: duplicate key (got 'depth')"),
+        # refused before the profile is read
+        ('{"ic": {"profile": "zero", "profile": "custom"}}',
+         "ic.profile: duplicate key (got 'profile')"),
+    ],
+)
+def test_duplicate_keys_are_refused(doc, message, tmp_path, capsys):
+    # json.loads keeps the last value of a repeated key, so each of these
+    # would otherwise run without one of the settings it states
+    with pytest.raises(ConfigError) as refused:
+        parse_config(doc)
+    assert str(refused.value) == message
+    config, out = tmp_path / "dup.json", tmp_path / "out"
+    config.write_text(doc)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_model_constraint_beyond_the_ranges_names_the_key():
     # every parameter is in range, but the retention curve has already
     # reached s_res at p_reg: the model's own check, reported with its path
@@ -152,7 +178,7 @@ def test_lens_center_bound_follows_column_length():
 
 def test_zero_profile_state():
     cfg = parse_config('{"grid": {"n_cells": 20}, "ic": {"profile": "zero"}}')
-    assert np.array_equal(cfg.initial_state().values, np.zeros(20))
+    assert np.array_equal(cfg.initial_state(cfg.build_column()).values, np.zeros(20))
 
 
 def test_gaussian_lens_state_formula():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kirchflow import diagnostics
 from kirchflow.config import gaussian_lens
 from kirchflow.diagnostics import (
     BLOCK_STATES,
@@ -298,16 +299,17 @@ def test_regularity_bounded_under_step_halving(table):
 # ---------------------------------------------------------------------------
 
 
-def test_uniqueness_probe_deterministic_is_exact(table):
+def test_uniqueness_probe_deterministic_is_exact(table, monkeypatch):
     col = _bench_column(60)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.1, newton_tol=1.0e-7)
-    assert uniqueness_probe(_lens(col), cfg, table, perturbation=0.0) == 0.0
+    monkeypatch.setattr(diagnostics, "_GUESS_PERTURBATION", 0.0)
+    assert uniqueness_probe(_lens(col), cfg, table) == 0.0
 
 
 def test_uniqueness_probe_perturbed_stays_at_tolerance(table):
     col = _bench_column()
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.2, newton_tol=1.0e-7)
-    gap = uniqueness_probe(_lens(col), cfg, table, perturbation=1.0e-3, seed=0)
+    gap = uniqueness_probe(_lens(col), cfg, table, seed=0)
     assert gap <= 10.0 * cfg.newton_tol
 
 

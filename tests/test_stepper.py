@@ -82,7 +82,16 @@ def test_n_steps_count():
     assert StepConfig(h=0.1, t_end=0.25).n_steps == 3
     assert StepConfig(h=0.01, t_end=1.0).n_steps == 100
     assert StepConfig(h=0.01, t_end=0.07).n_steps == 7
+    assert StepConfig(h=0.1, t_end=0.3).n_steps == 3  # 2.9999999999999996
     assert StepConfig(h=1.0, t_end=2.0**53).n_steps == 2**53  # the ceiling
+    # a positive horizon marches at least one step
+    assert StepConfig(h=0.01, t_end=1e-15).n_steps == 1
+    # quotients a few ulp past an integer too large for an absolute 1e-12
+    # (100000.00000000001, ...) count that integer, not one more
+    for h, t_end, n in ((1e-6, 0.1, 100_000), (2e-7, 0.2, 1_000_000),
+                        (5e-7, 0.4, 800_000), (7e-5, 7.0, 100_000)):
+        assert t_end / h > n
+        assert StepConfig(h=h, t_end=t_end).n_steps == n
 
 
 # ---------------------------------------------------------------------------
