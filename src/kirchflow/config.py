@@ -65,8 +65,13 @@ _IC_KEYS = {
 def gaussian_lens(
     z: np.ndarray, center: float, width: float, depth: float
 ) -> np.ndarray:
-    """Wetting lens ``-depth * exp(-((z - center) / width)**2)``."""
-    return -depth * np.exp(-(((z - center) / width) ** 2))
+    """Wetting lens ``-depth * exp(-((z - center) / width)**2)``.
+
+    A narrow enough lens overflows the square to inf, which the exponential
+    takes to the lens's limit, zero, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return -depth * np.exp(-(((z - center) / width) ** 2))
 
 
 def _fail(path: str, constraint: str, value: Any) -> None:

@@ -39,6 +39,7 @@ Everything here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -71,7 +72,8 @@ class Column:
     Parameters
     ----------
     length : float
-        Domain depth (> 0).
+        Domain depth (> 0), such that ``dz**4`` is a positive finite
+        float: the biharmonic stencil divides by it.
     n_cells : int
         Number of interior nodes (>= 5 so the fourth-order stencil fits).
     gravity_sign : float
@@ -97,6 +99,12 @@ class Column:
             raise GridError(
                 f"n_cells: needs an integer from 5 to 2**53 (got {n!r})"
             )
+        try:
+            quartic = float(self.dz) ** 4
+        except OverflowError:
+            quartic = math.inf
+        if not 0.0 < quartic < math.inf:
+            raise GridError(f"length: needs a positive finite dz**4 (got {self.length!r})")
         if self.gravity_sign not in (1.0, -1.0):
             raise GridError(
                 f"gravity_sign: must be +1 or -1 (got {self.gravity_sign!r})"

@@ -1,7 +1,7 @@
 """Conversions between dense and banded matrices, for checking banded
 assembly against dense references, the stepper's Newton system evaluated at
 one state, and that system assembled term by term from the kernels and the
-harness's loop-built dense operators, the order oracle for the stepper's
+dense oracle's loop-built operators, the order oracle for the stepper's
 evaluated iterates and per-run matrix template.  Nothing in the solver uses
 any of them, so they live with the other test oracles.
 """
@@ -9,8 +9,8 @@ any of them, so they live with the other test oracles.
 import numpy as np
 
 from kirchflow.grid import biharmonic_array, gravity_divergence_array, laplacian_array
-from kirchflow.harness import _dense_operators
 from kirchflow.stepper import _System
+from oracles.dense import _dense_operators
 
 
 def dense_from_banded(ab: np.ndarray, lower: int, upper: int) -> np.ndarray:

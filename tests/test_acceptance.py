@@ -20,7 +20,7 @@ from kirchflow.diagnostics import (
     uniqueness_probe,
 )
 from kirchflow.grid import Column, Field
-from kirchflow.harness import convergence_study, dense_reference_step, fitted_order
+from kirchflow.harness import convergence_study, fitted_order
 from kirchflow.stepper import (
     StepConfig,
     StepConfigError,
@@ -29,6 +29,7 @@ from kirchflow.stepper import (
     run,
     step,
 )
+from oracles.dense import dense_reference_step
 from oracles.recovery import gradient_consistency
 
 BENCH = dict(h=0.01, gamma=0.1, t_end=1.0, newton_tol=1.0e-7)

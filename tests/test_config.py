@@ -98,6 +98,8 @@ def test_unknown_block_and_key_carry_paths():
         ('{"constitutive": {"a_min": 1.5}}', "constitutive.a_min"),
         ('{"grid": []}', "grid"),
         ('{"grid": {"length": -1.0}}', "grid.length"),
+        ('{"grid": {"length": 1e80}}', "grid.length"),
+        ('{"grid": {"length": 1e-100}, "ic": {"profile": "zero"}}', "grid.length"),
         ('{"grid": {"n_cells": 4}}', "grid.n_cells"),
         ('{"grid": {"n_cells": 10.5}}', "grid.n_cells"),
         ('{"grid": {"gravity_sign": 0.5}}', "grid.gravity_sign"),
@@ -190,6 +192,9 @@ def test_gaussian_lens_state_formula():
     z = col.nodes()
     expected = -0.1 * np.exp(-(((z - 0.4) / 0.2) ** 2))
     np.testing.assert_array_equal(cfg.initial_state(col).values, expected)
+    # the square overflows to inf at every node: the state is zero, unwarned
+    thin = parse_config('{"grid": {"n_cells": 30}, "ic": {"width": 1e-300}}')
+    assert np.array_equal(thin.initial_state(col).values, np.zeros(30))
 
 
 def test_custom_profile_interpolates():

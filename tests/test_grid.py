@@ -16,8 +16,8 @@ from kirchflow.grid import (
     l2_norm,
     laplacian_array,
 )
-from kirchflow.harness import _dense_operators
 from oracles.banded import banded_from_dense, dense_from_banded
+from oracles.dense import _dense_operators
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +36,8 @@ from oracles.banded import banded_from_dense, dense_from_banded
         {"length": 1.0, "n_cells": float("inf")},
         {"length": 1.0, "n_cells": float("nan")},
         {"length": 1.0, "n_cells": 50.0},
+        {"length": 1e80},  # dz**4 overflows
+        {"length": 1e-100},  # dz**4 underflows to 0.0
     ],
 )
 def test_invalid_column_rejected(kwargs):
@@ -213,8 +215,8 @@ def test_pairing_identity_is_h1_seminorm():
 
 def test_banded_matrices_match_operators():
     # three implementations, one set of bits: the bands probed off the
-    # kernels, the kernels applied to unit vectors, and the harness's
-    # loop-built dense operators
+    # kernels, the kernels applied to unit vectors, and the dense oracle's
+    # loop-built operators
     for n in (5, 6, 7, 13, 200):
         for length in (1.0, 1.3):
             col = Column(length=length, n_cells=n)

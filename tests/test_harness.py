@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from kirchflow import harness
 from kirchflow.config import gaussian_lens, load_config, parse_config
 from kirchflow.constitutive import ConstitutiveModel, KirchhoffTable, build_table
 from kirchflow.grid import Column, Field
@@ -14,11 +13,11 @@ from kirchflow.harness import (
     HarnessError,
     ManufacturedSolution,
     convergence_study,
-    dense_reference_step,
     fitted_order,
 )
 from kirchflow.stepper import StepConfig, project_initial, step
 from oracles.banded import newton_system
+from oracles.dense import dense_reference_step
 from oracles.quadrature import quadrature_oracle
 
 
@@ -303,14 +302,14 @@ def test_dense_reference_converging_on_its_last_allowed_iterate(table, monkeypat
     free = dense_reference_step(u_old, cfg, table)
     iterations = len(solves)
     assert iterations == 5
-    monkeypatch.setattr(harness, "_MAX_ITER", iterations)
+    monkeypatch.setattr("oracles.dense._MAX_ITER", iterations)
     capped = dense_reference_step(u_old, cfg, table)
     assert capped.values.tobytes() == free.values.tobytes()
 
 
 def test_dense_reference_reports_no_convergence(table, monkeypatch):
     u_old, cfg = _reference_step(table)
-    monkeypatch.setattr(harness, "_MAX_ITER", 1)
+    monkeypatch.setattr("oracles.dense._MAX_ITER", 1)
     with pytest.raises(HarnessError,
                        match=r"^dense reference Newton did not converge: "
                              r"residual 6\.256e\+01$"):

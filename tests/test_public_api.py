@@ -29,7 +29,6 @@ KNOBS = [
     "grid.Column.n_cells",
     "harness.convergence_study(gamma=)",  # mms: the config's gamma
     "harness.convergence_study(levels=)",  # the benchmark's level count
-    "harness.dense_reference_step(source=)",  # the dense-agreement reference
     "stepper.StepConfig.beta",  # the benchmark passes beta
     "stepper.StepConfig.gamma",  # the config's stepping block
     "stepper.StepConfig.h",
