@@ -23,10 +23,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, gaussian_lens, load_config
 from .constitutive import ConstitutiveError
 from .diagnostics import (
-    energy_report,
-    initial_condition_check,
-    max_principle_check,
-    uniqueness_probe,
+    Check, energy_report, initial_condition_check, max_principle_check, uniqueness_probe,
 )
 from .grid import Column, Field
 from .harness import HarnessError, convergence_study, fitted_order
@@ -126,6 +123,18 @@ def _snapshot_lines(
     return (f"{t},{line}" for t, lines in blocks for line in lines)
 
 
+def _print_checks(checks: Sequence[Check]) -> int:
+    """Print each check as ``name: PASS (value V <= bound B, headroom Rx)``, with
+    ``FAIL`` and ``>`` if it fails and the headroom B/V only where both are
+    positive; return 0 if every check passed, else 1."""
+    for c in checks:
+        line = (f"{c.name}: {'PASS' if c.passed else 'FAIL'} (value {c.value:.6e} "
+                f"{'<=' if c.passed else '>'} bound {c.bound:.6e}")
+        headroom = c.value > 0.0 and c.bound > 0.0
+        print(f"{line}, headroom {c.bound / c.value:.3g}x)" if headroom else f"{line})")
+    return 0 if all(c.passed for c in checks) else 1
+
+
 def _problem(cfg: RunConfig):
     table, column = cfg.transform_table(), cfg.build_column()
     return table, column, cfg.build_stepping(), cfg.initial_state(column)
@@ -162,21 +171,12 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     )
     print(f"wrote {path}")
 
-    ic_gap = initial_condition_check(traj, u0, table)
-    checks = [  # (name, passed, detail) of each verdict, in print order
-        ("energy-inequality", report.energy_inequality_ok(), ""),
-        ("gronwall-bound", report.gronwall_ok(),
-         f"max B_int {np.max(report.b_integral):.6e} <= {report.gronwall_bound:.6e}"),
-        ("initial-condition", ic_gap <= 1.0e-12, f"defect {ic_gap:.3e}"),
-    ]
+    checks = [report.energy_inequality(), report.gronwall(), Check(
+        "initial-condition", initial_condition_check(traj, u0, table), 1.0e-12)]
     if stepping.gamma == 0.0:
-        violation = max_principle_check(traj)
-        checks.append(("max-principle", violation <= _MAX_PRINCIPLE_TOL,
-                       f"violation {violation:.3e} <= {_MAX_PRINCIPLE_TOL:.0e}"))
-    for name, passed, detail in checks:
-        verdict = f"{name}: {'PASS' if passed else 'FAIL'}"
-        print(f"{verdict} ({detail})" if detail else verdict)
-    return 0 if all(passed for _, passed, _ in checks) else 1
+        checks.append(Check("max-principle", max_principle_check(traj),
+                            _MAX_PRINCIPLE_TOL))
+    return _print_checks(checks)
 
 
 def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
@@ -232,11 +232,9 @@ def _cmd_probe_uniqueness(cfg: RunConfig, out: str, args: argparse.Namespace) ->
     table, _, stepping, u0 = _problem(cfg)
     gap = uniqueness_probe(u0, stepping, table, seed=args.seed)
     bound = 10.0 * stepping.newton_tol
-    passed = gap <= bound
     _write_csv(cfg, out, "uniqueness.csv", ("seed", "max_discrepancy", "bound"),
                _csv_lines([(args.seed, float(gap), float(bound))]))
-    print(f"max discrepancy {gap:.6e} <= {bound:.6e}: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return _print_checks([Check("uniqueness", gap, bound)])
 
 
 def _cmd_demo_overshoot(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ bounds the continuous problem imposes.  This module turns those bounds
 into numbers — per-step energy ledgers, the closed-form growth bound,
 backward time-difference energies, an operational uniqueness probe, a
 maximum-principle violation meter, and an initial-condition fidelity
-check.  Everything is a pure function of a finished Trajectory.
+check, each verdict a ``Check(name, value, bound)`` that passes iff
+``value <= bound``.  Everything is a pure function of a finished Trajectory.
 
 Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy is the squared face seminorm (`grad_sq_array`) — the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .grid import Field, grad_sq_array, integrate_array, l2_norm, laplacian_arra
 from .stepper import StepConfig, Trajectory, _newton, _System, project_initial, run
 
 __all__ = [
+    "Check",
     "DiagnosticsError",
     "EnergyReport",
     "energy_report",
@@ -52,6 +55,18 @@ class DiagnosticsError(ValueError):
     """Invalid diagnostic request (as opposed to a solver failure)."""
 
 
+class Check(NamedTuple):
+    """One verdict, passed iff ``value <= bound`` (so a NaN value fails)."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyReport:
     """Per-step energy ledger plus the closed-form growth bound.
@@ -61,9 +76,10 @@ class EnergyReport:
     energies, ``cum_dissipation[n]`` the time-summed dissipation
     ``sum_{k<=n} h*(grad_sq[k]/2 + lap_sq[k])``.  ``gronwall_bound`` is
     ``(b_integral[0] + beta*omega*T) * exp(beta*T)`` — the explicit
-    constant the growth argument produces; every ``b_integral`` entry
-    and the final cumulative dissipation must sit below it.  Reports
-    compare and hash by identity.
+    constant the growth argument produces, which ``gronwall()`` checks
+    ``max(max b_integral, cum_dissipation[-1])`` against.  ``energy_inequality()``
+    checks ``max_{n>=1} (inequality_defect()[n-1] - 10*newton_tol*n)`` against 0.
+    Reports compare and hash by identity.
     """
 
     times: np.ndarray
@@ -103,16 +119,22 @@ class EnergyReport:
         )
         return lhs - rhs
 
-    def energy_inequality_ok(self) -> bool:
-        """Per-step inequality with slack 10*newton_tol*n."""
+    def energy_inequality(self) -> Check:
+        """The largest defect over its Newton slack, checked against 0."""
         slack = 10.0 * self.newton_tol * np.arange(1, self.times.size)
-        return bool(np.all(self.inequality_defect() <= slack))
+        value = np.max(self.inequality_defect() - slack, initial=-np.inf)
+        return Check("energy-inequality", float(value), 0.0)
+
+    def gronwall(self) -> Check:
+        """The largest ``b_integral`` or final dissipation, against the bound."""
+        value = np.maximum(np.max(self.b_integral), self.cum_dissipation[-1])
+        return Check("gronwall-bound", float(value), self.gronwall_bound)
+
+    def energy_inequality_ok(self) -> bool:
+        return self.energy_inequality().passed
 
     def gronwall_ok(self) -> bool:
-        return bool(
-            np.max(self.b_integral) <= self.gronwall_bound
-            and self.cum_dissipation[-1] <= self.gronwall_bound
-        )
+        return self.gronwall().passed
 
 
 def _blocks(values: np.ndarray, overlap: int = 0):

@@ -272,14 +272,18 @@ class _System:
         # dgbsv's Fortran (7, n) band storage, added term by term into zeros as
         # (0 - lap) + gamma * bih; summing -lap + gamma * bih ahead of time
         # would round differently.  Gravity is linear in K, so its Newton bands
-        # are grav_ab times K' at the iterate.
+        # are grav_ab times K' at the iterate.  Bands that overflow are refused.
         n, dz, sign = col.n_cells, col.dz, col.gravity_sign
-        lap_ab = banded(lambda v: laplacian_array(v, dz), n, 1)
-        bih_ab = cfg.gamma * banded(lambda v: biharmonic_array(v, dz), n, 2)
+        with np.errstate(all="ignore"):
+            lap_ab = banded(lambda v: laplacian_array(v, dz), n, 1)
+            bih_ab = cfg.gamma * banded(lambda v: biharmonic_array(v, dz), n, 2)
+            self.template = np.zeros((n, 7)).T
+            self.template[3:6] -= lap_ab
+            self.template[2:] += bih_ab
+        if not np.isfinite(self.template).all():
+            raise NonconvergenceError(f"Newton matrix not finite at gamma = "
+                                      f"{cfg.gamma!r}, dz = {dz!r}", None, math.nan)
         self.grav_ab = banded(lambda k: gravity_divergence_array(k, dz, sign), n, 1)
-        self.template = np.zeros((n, 7)).T
-        self.template[3:6] -= lap_ab
-        self.template[2:] += bih_ab
         self.lap_d, self.bih_d = lap_ab[1], bih_ab[2]
 
     def start(self, guess: np.ndarray) -> _Iterate:

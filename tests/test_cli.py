@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from kirchflow import cli
 from kirchflow.cli import main
 from kirchflow.config import load_config
 from kirchflow.constitutive import OutOfRangeError
+from kirchflow.diagnostics import energy_report
 from kirchflow.recovery import pressure_field
 from kirchflow.stepper import run as march
 
@@ -177,7 +179,29 @@ def test_recover_failure_leaves_no_partial_artifact(tmp_path, monkeypatch, capsy
     assert not (out / "fields.csv").exists()
 
 
-def test_diagnose_benchmark_passes(tmp_path, capsys):
+_VERDICT = re.compile(r"([a-z-]+): (PASS|FAIL) \(value (\S+) (<=|>) bound (\S+)"
+                      r"(, headroom \S+x)?\)")
+
+
+def _verdicts(stdout):
+    """{name: (verdict, value text, bound text)} of the printed checks: every
+    line but a ``wrote`` one is a check, whose relation matches its verdict
+    and whose headroom is shown iff value and bound are both positive."""
+    found = {}
+    for line in stdout.splitlines():
+        if line.startswith("wrote "):
+            continue
+        match = _VERDICT.fullmatch(line)
+        assert match, line
+        name, verdict, value, relation, bound, headroom = match.groups()
+        passed = float(value) <= float(bound)
+        assert (verdict == "PASS") == (relation == "<=") == passed, line
+        assert (headroom is not None) == (float(value) > 0.0 < float(bound)), line
+        found[name] = (verdict, value, bound)
+    return found
+
+
+def test_diagnose_benchmark_passes(tmp_path, capsys, reference_march):
     out = tmp_path / "artifacts"
     assert main(["diagnose", "--out", str(out)]) == 0
     meta, header, data = _read_csv(out / "energy.csv")
@@ -190,6 +214,19 @@ def test_diagnose_benchmark_passes(tmp_path, capsys):
     assert "gronwall-bound: PASS" in captured
     assert "initial-condition: PASS" in captured
     assert "max-principle" not in captured  # fourth-order term is on
+    assert "FAIL" not in captured
+    checks = _verdicts(captured)
+    assert list(checks) == ["energy-inequality", "gronwall-bound", "initial-condition"]
+    cfg = load_config(None)
+    table, stepping = cfg.transform_table(), cfg.build_stepping()
+    report = energy_report(reference_march[1], stepping, table)
+    slack = 10.0 * stepping.newton_tol * np.arange(1, report.times.size)
+    largest = np.max(report.inequality_defect() - slack)
+    assert checks["energy-inequality"] == ("PASS", f"{largest:.6e}", f"{0.0:.6e}")
+    largest = max(np.max(report.b_integral), report.cum_dissipation[-1])
+    assert checks["gronwall-bound"] == ("PASS", f"{largest:.6e}",
+                                        f"{report.gronwall_bound:.6e}")
+    assert checks["initial-condition"] == ("PASS", f"{0.0:.6e}", f"{1.0e-12:.6e}")
 
 
 def test_diagnose_reports_max_principle_when_classical(tmp_path, capsys):
@@ -199,7 +236,25 @@ def test_diagnose_reports_max_principle_when_classical(tmp_path, capsys):
     config.write_text(json.dumps(doc))
     out = tmp_path / "artifacts"
     assert main(["diagnose", "--config", str(config), "--out", str(out)]) == 0
-    assert "max-principle: PASS" in capsys.readouterr().out
+    captured = capsys.readouterr().out
+    assert "max-principle: PASS" in captured
+    checks = _verdicts(captured)
+    assert list(checks) == ["energy-inequality", "gronwall-bound", "initial-condition",
+                            "max-principle"]
+    assert all(verdict == "PASS" for verdict, _, _ in checks.values())
+    assert checks["max-principle"][2] == f"{1.0e-8:.6e}"
+
+
+def test_a_failing_check_prints_fail_with_its_numbers_and_exits_1(
+        tmp_path, small_config, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "initial_condition_check", lambda *args: 1.0)
+    out = tmp_path / "artifacts"
+    assert main(["diagnose", "--config", small_config, "--out", str(out)]) == 1
+    captured = capsys.readouterr().out
+    assert ("initial-condition: FAIL (value 1.000000e+00 > bound 1.000000e-12, "
+            "headroom 1e-12x)\n" in captured)
+    checks = _verdicts(captured)
+    assert [verdict for verdict, _, _ in checks.values()] == ["PASS", "PASS", "FAIL"]
 
 
 def test_recover_emits_physical_fields(tmp_path, small_config):
@@ -239,11 +294,12 @@ def test_probe_uniqueness_small(tmp_path, small_config, capsys):
         ["probe-uniqueness", "--config", small_config, "--out", str(out),
          "--seed", "7"]
     ) == 0
-    assert "PASS" in capsys.readouterr().out
+    checks = _verdicts(capsys.readouterr().out)
     _, header, data = _read_csv(out / "uniqueness.csv")
     assert header == ["seed", "max_discrepancy", "bound"]
     assert data[0, 0] == 7.0
     assert data[0, 1] <= data[0, 2]
+    assert checks == {"uniqueness": ("PASS", f"{data[0, 1]:.6e}", f"{data[0, 2]:.6e}")}
 
 
 def test_demo_overshoot_contrast(tmp_path, capsys):
@@ -315,6 +371,31 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_matrix_that_overflows_exits_2(tmp_path, capsys):
+    # accepted by the validator, but gamma * bih or the corner 7/dz**4 of
+    # bih is no finite float; refused without a floating-point warning,
+    # at gamma = 0 too, where 0 * inf is NaN
+    config = tmp_path / "overflow.json"
+    out = tmp_path / "artifacts"
+    zero = '"ic": {"profile": "zero"}'
+    for doc, where in (
+        ('{"stepping": {"gamma": 1e300}}', "gamma = 1e+300, dz = 0.004975"),
+        ('{"stepping": {"gamma": 1e300}, %s}' % zero, "gamma = 1e+300, dz = 0.004975"),
+        ('{"grid": {"length": 1e-75}, %s}' % zero, "gamma = 0.1, dz = 4.975"),
+        ('{"grid": {"length": 1e-75}, "stepping": {"gamma": 0.0}, %s}' % zero,
+         "gamma = 0.0, dz = 4.975"),
+    ):
+        config.write_text(doc)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Newton matrix not finite at {where}"), err
+        assert err.count("\n") == 1 and not out.exists()
+    # just inside: a finite corner entry, on which the zero state marches
+    config.write_text('{"grid": {"length": 1e-70}, %s}' % zero)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
 
 def test_more_than_2_53_steps_exit_2_before_marching(tmp_path, monkeypatch, capsys):

@@ -187,6 +187,76 @@ def test_blocked_regularity_monitor_equals_per_state_definition(table):
         assert regularity_monitor(traj) == total
 
 
+def _written_out_verdicts(rep):
+    """The energy-inequality and Gronwall decisions, as first defined."""
+    slack = 10.0 * rep.newton_tol * np.arange(1, rep.times.size)
+    return (bool(np.all(rep.inequality_defect() <= slack)),
+            bool(np.max(rep.b_integral) <= rep.gronwall_bound
+                 and rep.cum_dissipation[-1] <= rep.gronwall_bound))
+
+
+def _check_verdicts(rep):
+    ineq, gron = rep.energy_inequality(), rep.gronwall()
+    assert ineq.name == "energy-inequality" and ineq.bound == 0.0
+    assert gron.name == "gronwall-bound" and gron.bound == rep.gronwall_bound
+    assert (rep.energy_inequality_ok(), rep.gronwall_ok()) == (ineq.passed, gron.passed)
+    return ineq, gron
+
+
+def test_energy_checks_decide_as_the_written_out_definitions(table):
+    h = 1.0e-3
+    for repeats in (False, True):
+        _, states, traj = _multi_block_trajectory(h, repeats)
+        cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
+        rep = energy_report(traj, cfg, table)
+        ineq, gron = _check_verdicts(rep)
+        assert (ineq.passed, gron.passed) == _written_out_verdicts(rep)
+        slack = 10.0 * cfg.newton_tol * np.arange(1, rep.times.size)
+        assert ineq.value == np.max(rep.inequality_defect() - slack)
+        assert gron.value == max(np.max(rep.b_integral), rep.cum_dissipation[-1])
+
+
+def _hand_report(b_integral, cum_dissipation, gronwall_bound):
+    # beta = 0 leaves defect[n-1] = b[n] + cum[n] - b[0]; the slack
+    # 10*tol*n is exact for a power-of-two tol
+    n = len(b_integral)
+    return EnergyReport(
+        times=np.arange(float(n)), b_integral=np.array(b_integral, dtype=float),
+        grad_sq=np.zeros(n), lap_sq=np.zeros(n),
+        cum_dissipation=np.array(cum_dissipation, dtype=float),
+        gronwall_bound=gronwall_bound, h=1.0, beta=0.0, omega=1.0,
+        newton_tol=2.0**-10)
+
+
+@pytest.mark.parametrize("b, cum, bound, expected", [
+    # the largest defect (n = 2) equals its slack 20*tol exactly
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 20 * 2.0**-10], 1.0, (True, True)),
+    # ... or sits one ulp above it
+    ([0.0, 0.0, 0.0], [0.0, 0.0, np.nextafter(20 * 2.0**-10, 1.0)], 1.0,
+     (False, True)),
+    # the largest B_int equals the bound, or sits one ulp above it
+    ([0.0, 0.5, 0.0], [0.0, 0.0, 0.0], 0.5, (False, True)),
+    ([0.0, np.nextafter(0.5, 1.0), 0.0], [0.0, 0.0, 0.0], 0.5, (False, False)),
+    # a report of one state has no defect to check
+    ([0.0], [0.0], 1.0, (True, True)),
+    # NaN fails both, wherever it sits
+    ([0.0, np.nan, 0.0], [0.0, 0.0, 0.0], 1.0, (False, False)),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, np.nan], 1.0, (False, False)),
+])
+def test_energy_checks_decide_as_the_definitions_at_the_boundary(b, cum, bound,
+                                                                 expected):
+    rep = _hand_report(b, cum, bound)
+    ineq, gron = _check_verdicts(rep)
+    assert (ineq.passed, gron.passed) == _written_out_verdicts(rep) == expected
+
+
+def test_check_passes_iff_value_is_at_most_bound():
+    check = diagnostics.Check
+    assert check("x", 1.0, 1.0).passed and check("x", -np.inf, 0.0).passed
+    assert not check("x", np.nextafter(1.0, 2.0), 1.0).passed
+    assert not check("x", np.nan, 1.0).passed and not check("x", 0.0, np.nan).passed
+
+
 # ---------------------------------------------------------------------------
 # time quotient
 # ---------------------------------------------------------------------------
