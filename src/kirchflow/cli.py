@@ -4,10 +4,10 @@ Each subcommand is declared once, in ``_build_parser``; ``main`` checks
 ``--out`` and loads the configuration before calling it.  The output
 directory is made at the first artifact, so a refused run leaves none.
 Exit code 0 means every check passed, 1 means a check failed, 2 means
-the solver or the configuration failed; diagnostics go to standard
-error.  Artifacts are CSV files with `#`-prefixed metadata (config hash,
-library versions — never wall-clock, so identical inputs give
-bitwise-identical files).
+the solver, the configuration or a diagnostic (such as a growth bound that
+overflows) failed; diagnostics go to standard error.  Artifacts are CSV
+files with `#`-prefixed metadata (config hash, library versions — never
+wall-clock, so identical inputs give bitwise-identical files).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import inf
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +24,8 @@ from . import __version__
 from .config import ConfigError, RunConfig, gaussian_lens, load_config
 from .constitutive import ConstitutiveError
 from .diagnostics import (
-    Check, energy_report, initial_condition_check, max_principle_check, uniqueness_probe,
+    Check, DiagnosticsError, energy_report, initial_condition_check, max_principle_check,
+    uniqueness_probe,
 )
 from .grid import Column, Field
 from .harness import HarnessError, convergence_study, fitted_order
@@ -126,12 +128,13 @@ def _snapshot_lines(
 def _print_checks(checks: Sequence[Check]) -> int:
     """Print each check as ``name: PASS (value V <= bound B, headroom Rx)``, with
     ``FAIL`` and ``>`` if it fails and the headroom B/V only where both are
-    positive; return 0 if every check passed, else 1."""
+    positive and B/V is finite; return 0 if every check passed, else 1."""
     for c in checks:
         line = (f"{c.name}: {'PASS' if c.passed else 'FAIL'} (value {c.value:.6e} "
                 f"{'<=' if c.passed else '>'} bound {c.bound:.6e}")
-        headroom = c.value > 0.0 and c.bound > 0.0
-        print(f"{line}, headroom {c.bound / c.value:.3g}x)" if headroom else f"{line})")
+        positive = c.value > 0.0 and c.bound > 0.0
+        ratio = float(c.bound) / float(c.value) if positive else inf
+        print(f"{line}, headroom {ratio:.3g}x)" if ratio < inf else f"{line})")
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -338,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_out(args.out)
         return args.handler(load_config(args.config), args.out, args)
-    except (ConfigError, NonconvergenceError, ConstitutiveError, HarnessError,
-            OSError, MemoryError) as exc:
+    except (ConfigError, NonconvergenceError, ConstitutiveError, DiagnosticsError,
+            HarnessError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

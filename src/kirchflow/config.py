@@ -210,7 +210,9 @@ def parse_config(text: str) -> RunConfig:
                          object_pairs_hook=_object)
     except ConfigError:
         raise
-    except ValueError as exc:  # malformed, or an integer literal past int's digit limit
+    # malformed, an integer literal past int's digit limit, or nested past the
+    # recursion limit (about 995 levels)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         _fail("<root>", "must be an object", type(doc).__name__)
@@ -265,6 +267,6 @@ def load_config(path: Optional[str]) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)

@@ -41,9 +41,9 @@ these bands are read off the residual's own stencils once per run
 derivative of the residual's.  ``run`` carries the record of each
 accepted iterate into the next step as its starting guess, and ``b(u_old)``
 with it; only the first step evaluates a guess, and reads ``b(u^0)`` off it.
-The accepted values are stacked once, at the end of the march.  ``step``
-and ``run`` are the entry points: the residual and the Newton matrix belong
-to the private ``_System`` of one march and have no ``Field`` form.
+The accepted values are stacked once, at the end of the march.  ``run`` is
+the entry point: the residual and the Newton matrix belong to the private
+``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file
 through ``load_scipy_module``, the one function in kirchflow that reads
@@ -80,9 +80,7 @@ __all__ = [
     "NonconvergenceError",
     "StepConfig",
     "Trajectory",
-    "check_timestep",
     "project_initial",
-    "step",
     "run",
 ]
 
@@ -130,11 +128,6 @@ class NonconvergenceError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-def check_timestep(h: float, beta: float) -> bool:
-    """Accept h iff h <= 1/beta (inclusive at the boundary)."""
-    return 0.0 < h <= 1.0 / beta
-
-
 @dataclass(frozen=True)
 class StepConfig:
     """Step, fourth-order weight, horizon and Newton tolerance of a march.
@@ -161,7 +154,7 @@ class StepConfig:
             raise StepConfigError(f"h: must be positive (got {self.h!r})")
         if not (np.isfinite(self.beta) and self.beta > 0.0):
             raise StepConfigError(f"beta: must be positive (got {self.beta!r})")
-        if not check_timestep(self.h, self.beta):
+        if not self.h <= 1.0 / self.beta:
             raise StepConfigError(
                 f"h: violates h <= 1/beta (beta = {self.beta}) (got {self.h!r})"
             )
@@ -366,22 +359,6 @@ def _newton(system: _System, b_old: np.ndarray, guess: _Iterate,
         step_index,
         rnorm,
     )
-
-
-def step(
-    u_old: Field,
-    cfg: StepConfig,
-    table: KirchhoffTable,
-    initial_guess: Optional[Field] = None,
-    source: Optional[np.ndarray] = None,
-) -> Field:
-    """One accepted backward-difference step (sup-norm residual <= tol)."""
-    src = None if source is None else np.asarray(source, dtype=float)
-    system = _System(u_old.column, cfg, table)
-    old = system.evaluate(u_old.values)  # refuses a state below the table
-    guess = old if initial_guess is None else system.start(initial_guess.values)
-    it, _, _ = _newton(system, old.channels[0], guess, src, None)
-    return Field(it.v, u_old.column)
 
 
 def run(

@@ -1,15 +1,18 @@
 """Conversions between dense and banded matrices, for checking banded
 assembly against dense references, the stepper's Newton system evaluated at
-one state, and that system assembled term by term from the kernels and the
-dense oracle's loop-built operators, the order oracle for the stepper's
-evaluated iterates and per-run matrix template.  Nothing in the solver uses
-any of them, so they live with the other test oracles.
+one state, one banded Newton step from a given state, and that system
+assembled term by term from the kernels and the dense oracle's loop-built
+operators, the order oracle for the stepper's evaluated iterates and per-run
+matrix template.  Nothing in the solver uses any of them, so they live with
+the other test oracles.
 """
 
 import numpy as np
 
-from kirchflow.grid import biharmonic_array, gravity_divergence_array, laplacian_array
-from kirchflow.stepper import _System
+from kirchflow import stepper
+from kirchflow.grid import (
+    Field, biharmonic_array, gravity_divergence_array, laplacian_array,
+)
 from oracles.dense import _dense_operators
 
 
@@ -38,10 +41,24 @@ def banded_from_dense(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
 def newton_system(u_new, u_old, cfg, table, source=None):
     """The march's residual at ``u_new`` for a step from ``u_old``, and its
     Newton matrix at ``u_new`` in solve_banded layout, bandwidth (2, 2)."""
-    system = _System(u_new.column, cfg, table)
+    system = stepper._System(u_new.column, cfg, table)
     it = system.evaluate(u_new.values)
     r = system.residual(it, table.b_of_u(u_old.values), source)
     return r, system.jacobian(it)[2:]
+
+
+def banded_step(u_old, cfg, table, initial_guess=None, source=None):
+    """One accepted step of the march's banded Newton solver from ``u_old``:
+    ``u_old`` evaluated as it is (a state below the table is refused), Newton
+    started there or from ``initial_guess`` clamped onto the table.  Started
+    from ``project_initial(u0)``, it gives ``run``'s first state.  The
+    stepper's ``_System``, ``_newton``, ``dgbsv`` and ``_MAX_ITER`` are read
+    at call time, so patching them reaches this step too."""
+    system = stepper._System(u_old.column, cfg, table)
+    old = system.evaluate(u_old.values)
+    guess = old if initial_guess is None else system.start(initial_guess.values)
+    it, _, _ = stepper._newton(system, old.channels[0], guess, source, None)
+    return Field(it.v, u_old.column)
 
 
 def term_by_term_residual(v, b_old, col, cfg, table, source=None):

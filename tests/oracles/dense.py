@@ -1,11 +1,11 @@
 """The dense reference step: the stepper's backward-difference Newton scheme
 assembled with explicit loops over full matrices and solved by dense
 factorization, sharing no assembly code with the banded path, and the
-loop-built Laplacian and biharmonic it rests on.  Agreement with
-``kirchflow.stepper.step`` is the dual-implementation contract.  Nothing in
-the solver uses them, so they live with the other test oracles; only the
-iteration cap and the growth cap come from the stepper, and failure is
-reported as the harness does.
+loop-built Laplacian and biharmonic it rests on.  Agreement with the
+march's banded step (``oracles.banded.banded_step``) is the
+dual-implementation contract.  Nothing in the solver uses them, so they live
+with the other test oracles; only the iteration cap and the growth cap come
+from the stepper, and failure is reported as the harness does.
 """
 
 from typing import Optional, Tuple
@@ -53,8 +53,9 @@ def dense_reference_step(
     gravity faces summed explicitly, Newton update by ``numpy.linalg``
     dense factorization.  Each iterate takes the full step, clamped at the
     table's lowest knot; only the iteration cap and the growth cap that calls a
-    step divergent come from ``stepper``.  Agreement with ``stepper.step``
-    to 100*newton_tol is the dual-implementation contract.
+    step divergent come from ``stepper``.  Agreement with the march's banded
+    step (``oracles.banded.banded_step``) to 100*newton_tol is the
+    dual-implementation contract.
     """
     col = u_old.column
     n = col.n_cells

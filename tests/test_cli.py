@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,8 @@ _VERDICT = re.compile(r"([a-z-]+): (PASS|FAIL) \(value (\S+) (<=|>) bound (\S+)"
 def _verdicts(stdout):
     """{name: (verdict, value text, bound text)} of the printed checks: every
     line but a ``wrote`` one is a check, whose relation matches its verdict
-    and whose headroom is shown iff value and bound are both positive."""
+    and whose headroom is shown iff value and bound are both positive and
+    their quotient is finite."""
     found = {}
     for line in stdout.splitlines():
         if line.startswith("wrote "):
@@ -196,7 +198,8 @@ def _verdicts(stdout):
         name, verdict, value, relation, bound, headroom = match.groups()
         passed = float(value) <= float(bound)
         assert (verdict == "PASS") == (relation == "<=") == passed, line
-        assert (headroom is not None) == (float(value) > 0.0 < float(bound)), line
+        shown = float(value) > 0.0 < float(bound) and float(bound) / float(value) < inf
+        assert (headroom is not None) == shown, line
         found[name] = (verdict, value, bound)
     return found
 
@@ -359,6 +362,26 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "h <= 1/beta" in capsys.readouterr().err
 
 
+def test_unreadable_config_document_exits_2(tmp_path, capsys):
+    # nested past the recursion limit, or not UTF-8: one error line, no
+    # traceback and no artifact
+    config = tmp_path / "bad.json"
+    out = tmp_path / "artifacts"
+    for depth in (1_000, 100_000):
+        config.write_text("[" * depth + "]" * depth)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err  # the decoder's wording varies by Python
+        assert err.startswith("error: parse error: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and not out.exists()
+    for data, where in ((b"\xff", 0), (b'{"grid": {"n_cells": 20}}\xff', 25)):
+        config.write_bytes(data)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {str(config)!r}: 'utf-8' codec can't decode "
+            f"byte 0xff in position {where}: invalid start byte\n")
+        assert not out.exists()
+
+
 def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     config = tmp_path / "huge.json"
     out = tmp_path / "artifacts"
@@ -396,6 +419,27 @@ def test_newton_matrix_that_overflows_exits_2(tmp_path, capsys):
     # just inside: a finite corner entry, on which the zero state marches
     config.write_text('{"grid": {"length": 1e-70}, %s}' % zero)
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagnose_refuses_a_gronwall_bound_that_overflows(tmp_path, capsys):
+    # exp(t) * (B_0 + t) passes the largest float between t = 703 and 704: an
+    # infinite bound certifies nothing, so it is refused before energy.csv is
+    # written; at 703 it is finite, and B/V too large to print is left out
+    config = tmp_path / "long.json"
+    out = tmp_path / "artifacts"
+    for h in (1.0, 0.01):
+        config.write_text(json.dumps({"stepping": {"h": h, "t_end": 704.0}}))
+        assert main(["diagnose", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: gronwall bound overflows at t = 704.0, beta = 1.0\n")
+        assert not out.exists()
+    config.write_text(json.dumps({"stepping": {"h": 1.0, "t_end": 703.0}}))
+    assert main(["diagnose", "--config", str(config), "--out", str(out)]) == 0
+    captured = capsys.readouterr().out
+    assert "inf" not in captured and "inf" not in (out / "energy.csv").read_text()
+    assert _verdicts(captured)["gronwall-bound"] == (
+        "PASS", "7.630885e-03", "1.432125e+308")
 
 
 def test_more_than_2_53_steps_exit_2_before_marching(tmp_path, monkeypatch, capsys):
@@ -534,9 +578,9 @@ def test_solver_imports_no_unused_scipy_subpackage():
         "table = cfg.transform_table()\n"
         "calls, lapack = [], stepper.dgbsv\n"
         "stepper.dgbsv = lambda *a, **k: calls.append(1) or lapack(*a, **k)\n"
-        "stepper.step(cfg.initial_state(cfg.build_column()),\n"
-        "             cfg.build_stepping(table.beta_bound()), table)\n"
-        "assert calls, 'the step made no LAPACK call'\n"
+        "stepper.run(cfg.initial_state(cfg.build_column()), cfg.build_stepping(),\n"
+        "            table)\n"
+        "assert calls, 'the march made no LAPACK call'\n"
         "print(*sorted(name for name in ('scipy.interpolate', 'scipy.integrate',\n"
         "    'scipy.special', 'scipy.optimize', 'scipy.linalg', 'numpy.f2py',\n"
         "    'numpy.testing', 'numpy.ma', 'numpy.polynomial', '_hashlib')\n"
@@ -561,8 +605,8 @@ def test_solver_imports_no_scipy_package(tmp_path):
         "from kirchflow import stepper\n"
         "cfg = kirchflow.config.load_config(None)\n"
         "table = cfg.transform_table()\n"
-        "stepper.step(cfg.initial_state(cfg.build_column()),\n"
-        "             cfg.build_stepping(table.beta_bound()), table)\n"
+        "stepper.run(cfg.initial_state(cfg.build_column()), cfg.build_stepping(),\n"
+        "            table)\n"
         "scipy = lambda: sorted(name for name in sys.modules\n"
         "                       if name.split('.')[0] == 'scipy')\n"
         "assert not scipy(), scipy()\n"

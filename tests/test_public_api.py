@@ -3,9 +3,8 @@ names each module exports, public methods included.
 
 Each knob doubles the configurations that the tests and the benchmark have to
 cover, so one is kept only while a production caller (the command line, the
-config document, the benchmark or another module) sets it, or while it is the
-reference API that the dense-agreement test drives.  The list is pinned: a
-new knob is added here on purpose, or made a constant.
+config document, the benchmark or another module) sets it.  The list is
+pinned: a new knob is added here on purpose, or made a constant.
 """
 
 import dataclasses
@@ -35,8 +34,6 @@ KNOBS = [
     "stepper.StepConfig.newton_tol",
     "stepper.StepConfig.t_end",
     "stepper.run(source=)",  # the manufactured-solution studies
-    "stepper.step(initial_guess=)",  # the dense-agreement reference
-    "stepper.step(source=)",
 ]
 
 

@@ -20,13 +20,12 @@ from kirchflow.stepper import (
     StepConfig,
     StepConfigError,
     Trajectory,
-    check_timestep,
     project_initial,
     run,
-    step,
 )
 from oracles.banded import (
-    dense_from_banded, newton_system, term_by_term_jacobian, term_by_term_residual,
+    banded_step, dense_from_banded, newton_system, term_by_term_jacobian,
+    term_by_term_residual,
 )
 
 
@@ -37,13 +36,6 @@ def _wet_lens(col, depth=0.2, center=0.5, width=0.15):
 # ---------------------------------------------------------------------------
 # configuration guards
 # ---------------------------------------------------------------------------
-
-
-def test_check_timestep_inclusive_boundary():
-    assert check_timestep(0.5, 1.0)
-    assert check_timestep(1.0, 1.0)  # boundary case accepted
-    assert not check_timestep(1.01, 1.0)
-    assert not check_timestep(0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -237,16 +229,16 @@ def test_newton_system_equals_term_by_term_assembly(table, model, gamma):
 def test_step_zero_fixed_point(table):
     col = Column(length=1.0, n_cells=20)
     zero = Field.zeros(col)
-    out = step(zero, StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
+    out = banded_step(zero, StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
     assert np.all(out.values == 0.0)
 
 
 def test_step_nonconvergence_reports_residual(table):
     col = Column(length=1.0, n_cells=50)
-    cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1e-13)
+    cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01, newton_tol=1e-13)
     with pytest.raises(NonconvergenceError, match="no convergence in 30 Newton") as exc:
-        step(_wet_lens(col), cfg, table)
-    assert exc.value.residual_norm is not None
+        run(_wet_lens(col), cfg, table)
+    assert exc.value.step_index == 1
     assert exc.value.residual_norm > 1e-13
 
 
@@ -304,10 +296,26 @@ def test_step_converging_on_its_last_allowed_iterate_is_accepted(table, monkeypa
     assert traj.newton_iters[0] == 5
     u_old = Field(traj.values[0], traj.column)
     monkeypatch.setattr(stepper, "_MAX_ITER", 5)
-    assert step(u_old, cfg, table).values.tobytes() == traj.values[1].tobytes()
+    assert banded_step(u_old, cfg, table).values.tobytes() == traj.values[1].tobytes()
     monkeypatch.setattr(stepper, "_MAX_ITER", 4)
     with pytest.raises(NonconvergenceError, match="^no convergence in 4 Newton"):
-        step(u_old, cfg, table)
+        banded_step(u_old, cfg, table)
+
+
+def test_banded_step_from_the_projected_state_is_the_first_state_of_run(table):
+    # the banded side of criterion 9 is the march's own first step, byte for
+    # byte: on the sourceless default problem and on a sourced manufactured
+    # step, whose source the march evaluates at times[1]
+    doc = load_config(None)
+    u0, cfg = doc.initial_state(doc.build_column()), doc.build_stepping()
+    stepped = banded_step(project_initial(u0), cfg, table)
+    assert stepped.values.tobytes() == run(u0, cfg, table).values[1].tobytes()
+    ms = ManufacturedSolution(column=Column(length=1.0, n_cells=60, gravity_sign=-1.0))
+    u0, cfg = ms.field(0.0), StepConfig(h=1.0e-3, gamma=0.1, t_end=1.0e-3)
+    source = ms.source_callable(cfg, table)
+    traj = run(u0, cfg, table, source=source)
+    stepped = banded_step(project_initial(u0), cfg, table, source=source(traj.times[1]))
+    assert stepped.values.tobytes() == traj.values[1].tobytes()
 
 
 def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
@@ -327,7 +335,7 @@ def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
     thin = 0
     for state in (Field(v, traj.column) for v in traj.values[:6]):
         calls.clear()
-        step(state, cfg, table)
+        banded_step(state, cfg, table)
         matrix, rhs, delta = calls[0]
         r, ab = newton_system(state, state, cfg, table)
         assert matrix.tobytes() == ab.tobytes() and rhs.tobytes() == (-r).tobytes()
@@ -496,7 +504,7 @@ def test_step_evaluates_each_iterate_once(table, monkeypatch):
     count(KirchhoffTable, "b_of_u")
     for guess, evaluated in ((None, 1), (Field(0.9 * u_old.values, col), 2)):
         counts.clear()
-        step(u_old, cfg, table, initial_guess=guess)
+        banded_step(u_old, cfg, table, initial_guess=guess)
         iters = counts["dgbsv"]
         assert counts["_newton"] == 1 and iters > 0
         assert counts["evaluate"] == evaluated + iters
@@ -508,8 +516,9 @@ def test_step_rejects_out_of_domain_state(table):
     col = Column(length=1.0, n_cells=10)
     vals = np.full(10, -0.1)
     vals[4] = table.u_samples[0] - 1.0
+    cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10)
     with pytest.raises(OutOfRangeError):
-        step(Field(vals, col), StepConfig(h=0.01, gamma=0.1, newton_tol=1.0e-10), table)
+        banded_step(Field(vals, col), cfg, table)
 
 
 def test_run_refuses_initial_state_below_the_table(table):
@@ -529,9 +538,8 @@ def test_step_unique_root_from_distinct_guesses(table):
     col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
     cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1e-7)
     u_old = project_initial(_wet_lens(col))
-    u1 = step(u_old, cfg, table)
-    u2 = step(u_old, cfg, table,
-              initial_guess=Field(0.9 * u_old.values, col))
+    u1 = banded_step(u_old, cfg, table)
+    u2 = banded_step(u_old, cfg, table, initial_guess=Field(0.9 * u_old.values, col))
     assert np.max(np.abs(u1.values - u2.values)) <= 10 * cfg.newton_tol
 
 
