@@ -280,8 +280,8 @@ def _cmd_dump_constitutive(cfg: RunConfig, out: str, args: argparse.Namespace) -
     psi = table.kirchhoff(p)
     u = np.linspace(float(psi[0]), float(psi[-1]), 601)
     pressure = (p, model.saturation(p), model.conductivity_vs_pressure(p), psi)
-    transformed = (u, table.b_of_u(u), table.b_prime(u), table.legendre_B(u),
-                   table.conductivity_of_u(u))
+    b, k, db = table.all_channels(u)[:3]
+    transformed = (u, b, db, table.legendre_B(u), k)
     path_p = _write_csv(cfg, out, "constitutive_pressure.csv",
                         ("p", "saturation", "conductivity", "kirchhoff"),
                         _csv_lines(zip(*(series.tolist() for series in pressure))))

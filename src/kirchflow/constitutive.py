@@ -9,8 +9,8 @@ closed forms, regularized in two places:
 * relative conductivity gets an affine floor ``a_min`` so the
   transform is bi-Lipschitz and invertible to working precision.
 
-The capacity ``b_prime`` has no floor: it is the exact slope of the
-solved storage ``b(u)``, nonnegative and 0 on the plateau ``u >= 0``.
+The capacity ``b'`` has no floor: it is the exact slope of the solved
+storage ``b(u)``, nonnegative and 0 on the plateau ``u >= 0``.
 
 The Kirchhoff map ``u = psi(p)`` integrates conductivity over pressure.
 It is fitted once, with a monotone cubic on a graded pressure grid down
@@ -21,11 +21,12 @@ coefficient arrays whose kernels repeat scipy's ``CubicHermiteSpline`` and
 ``PPoly`` arithmetic in scipy's order, so they match it bit for bit.
 
 Only the cubics are stored; slopes and the antiderivative of ``b`` are
-derived on read from the cubic rows a read gathers, and a read gathers only
-the rows of the channels it returns.  The build evaluates the model, fits
-the cubics and sums the antiderivative in fixed-size slices straight into
-the table, so its transient memory beyond the table is about the knot
-saturations and conductivities.
+derived on read from the cubic rows a read gathers.  The u side has two
+reads: ``all_channels`` for ``(b, K_f, b', K_f')`` and ``legendre_B`` for
+the potential.  The build evaluates the model, fits the cubics and sums the
+antiderivative in fixed-size slices straight into the table, so its
+transient memory beyond the table is about the knot saturations and
+conductivities.
 
 All public array operations accept scalars or ndarrays and are pure; a
 built table never mutates, so instances are safe to share across threads.
@@ -387,8 +388,8 @@ def _integral(c, const, s):
 
 
 def _values_and_slopes(c, s):
-    """``(b, K_f, b', K_f')`` from the gathered rows ``c`` of ``_bk``, by the
-    single-channel kernels.  The offsets are doubled first, so that every
+    """``(b, K_f, b', K_f')`` from the gathered rows ``c`` of ``_bk``, by
+    ``_cubic`` and ``_slope``.  The offsets are doubled first, so that every
     operand has the rows' shape: at 200 points numpy broadcasts (n,) against
     (2, n) at about twice the cost of a same-shape operation."""
     s = np.array((s, s))
@@ -433,8 +434,9 @@ def _evaluate(x: np.ndarray, u, read, *fits) -> np.ndarray:
     Pieces are half-open ``[x[i], x[i+1])``; the last of a fit with one
     piece fewer than ``x`` has knots is closed, and the end pieces
     extrapolate.  A contiguous fit is gathered with ``take``; a strided one
-    (a channel or row view of ``_bk``) by fancy indexing, because ``take``
-    would first copy the whole view.  Either gathers only the pieces of ``u``.
+    (``legendre_B``'s channel view ``_bk[:, 0]``) by fancy indexing, because
+    ``take`` would first copy the whole view.  Either gathers only the pieces
+    of ``u``.
     """
     u = np.asarray(u, dtype=float)
     i = x[1:fits[0].shape[-1]].searchsorted(u, "right")
@@ -598,11 +600,10 @@ class KirchhoffTable:
     the one rounding per row that scipy's ``PPoly.derivative`` and
     ``antiderivative`` make, so each reads exactly what a stored derived fit
     would.  The ``b`` and ``K_f`` fits share their knots and are stored as one
-    two-channel cubic: one interval search serves all four channels.  What a
-    read gathers is its own: :meth:`all_channels` takes the 8 cubic rows of
-    the pieces it reads, a single-channel reader that channel's 4 (3 for a
-    slope), and :meth:`legendre_B` the 4 of ``b`` and the antiderivative's
-    constant, from one search.
+    two-channel cubic: one interval search serves all four channels.  The u
+    side is read in two ways, each from one search: :meth:`all_channels`
+    gathers the 8 cubic rows of the pieces it reads, and :meth:`legendre_B`
+    the 4 of ``b`` and the antiderivative's constant.
 
     Each fit is a plain coefficient array of shape ``(4, pieces)``, highest
     power first, over the pressure knots (``_psi``) or their images in ``u``
@@ -722,8 +723,7 @@ class KirchhoffTable:
         The one place that range-checks ``u``, refusing it below the lowest
         knot, and clamps it from above at ``u = 0``, which falls in the
         constant saturated piece.  The fits are read along the
-        flattened ``u``, so ``read`` returns one channel or a stack of them
-        along it.
+        flattened ``u``, so ``read`` returns a stack of channels along it.
         """
         u_arr = np.asarray(u, dtype=float)
         self._check_invertible(u_arr)
@@ -736,27 +736,9 @@ class KirchhoffTable:
         from one range check and one interval lookup: what a Newton iterate
         reads, so its matrix holds the exact slope of the residual's ``b``.
         Gathers the 8 cubic rows of every piece read and derives both slopes
-        from them; each channel equals its single-channel reader bit for bit."""
+        from them.  ``b = K_f = 1`` and both slopes are 0 on ``u >= 0``; ``b'``
+        has no floor, so it is also 0 where the dry tail's slope underflows."""
         return self._channels(u, _values_and_slopes, self._bk)
-
-    # -- transformed saturation and potential ------------------------------------
-
-    def b_of_u(self, u):
-        """Transformed saturation b(u) = S(psi^-1(u)); 1 on ``u >= 0``.
-        Gathers channel ``b``'s 4 coefficient rows only."""
-        return _unwrap(u, self._channels(u, _cubic, self._bk[:, 0]))
-
-    def b_prime(self, u):
-        """Capacity db/du: the exact derivative of :meth:`b_of_u`.
-
-        The derivative of the same monotone fit that backs :meth:`b_of_u`,
-        whose knot slopes are the exact quotients ``S'(p) / K_f(S(p))``.
-        Nonnegative, with no floor: exactly 0 on the saturated branch and
-        where the dry tail's slope underflows.  A Jacobian built from it
-        linearizes the residual's ``b_of_u`` term exactly.  Gathers the 3
-        rows of channel ``b`` its slope is derived from.
-        """
-        return _unwrap(u, self._channels(u, _slope, self._bk[:3, 0]))
 
     def legendre_B(self, z):
         """Convex potential ``B(z) = b(z) z - integral_0^z b``.
@@ -771,28 +753,6 @@ class KirchhoffTable:
         b, anti = self._channels(z_arr, _value_and_integral, self._bk[:, 0], self._b_anti)
         phi = anti - self._b_anti[-1]
         return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * z_arr - phi, 0.0), 0.0))
-
-    # -- conductivity along the transformed variable ----------------------------
-
-    def conductivity_of_u(self, u):
-        """K_f(b(u)); exactly 1 on the saturated branch.
-
-        Read from the tabulated conductivity-vs-u curve so that
-        :meth:`dconductivity_du` is its exact derivative — residual and
-        Jacobian assembly then share one conductivity channel.  Gathers
-        channel ``K_f``'s 4 coefficient rows only.
-        """
-        return _unwrap(u, self._channels(u, _cubic, self._bk[:, 1]))
-
-    def dconductivity_du(self, u):
-        """d/du of the tabulated conductivity composition.
-
-        Bounded everywhere (unlike dK_f/ds at full saturation); the exact
-        derivative of :meth:`conductivity_of_u`, intended for Jacobian
-        assembly.  Range-checked like every u-channel; gathers the 3 rows
-        of channel ``K_f`` its slope is derived from.
-        """
-        return _unwrap(u, self._channels(u, _slope, self._bk[:3, 1]))
 
     def beta_bound(self) -> float:
         """Growth constant: ``K_f(b(z))^2 <= BETA * (1 + B(z))`` for all z and

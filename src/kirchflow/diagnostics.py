@@ -213,7 +213,7 @@ def uniqueness_probe(
     col = u0.column
     system = _System(col, cfg, table)
     v = base.values[0]  # the projected initial state
-    b = table.b_of_u(v)  # b(u_old), carried over as in run
+    b = system.evaluate(v).channels[0]  # b(u_old), carried over as in run
     base_rows = base.rows
     gap = 0.0
     for n in range(1, cfg.n_steps + 1):
@@ -240,5 +240,5 @@ def initial_condition_check(
 ) -> float:
     """L2 distance between stored initial saturation and b(projected u0)."""
     projected = project_initial(u0)
-    db = table.b_of_u(traj.values[0]) - table.b_of_u(projected.values)
+    db = table.all_channels(traj.values[0])[0] - table.all_channels(projected.values)[0]
     return l2_norm(db, u0.column.dz)

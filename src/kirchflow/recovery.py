@@ -57,13 +57,13 @@ def pressure_field(u: Field, table: KirchhoffTable) -> Field:
 
 def saturation_field(u: Field, table: KirchhoffTable) -> Field:
     """Transformed saturation b(u), in [s_res, 1]."""
-    return Field(table.b_of_u(u.values), u.column)
+    return Field(table.all_channels(u.values)[0], u.column)
 
 
 def darcy_velocity(u: Field, gamma: float, table: KirchhoffTable) -> Field:
     """Nodal flux K(u)*g - grad(u) + gamma*grad(lap(u))."""
     dz = u.column.dz
-    k = table.conductivity_of_u(u.values)
+    k = table.all_channels(u.values)[1]
     v = u.column.gravity_sign * k - _nodal_gradient(u.values, dz)
     v = v + gamma * _nodal_gradient(laplacian_array(u.values, dz), dz)
     return Field(v, u.column)

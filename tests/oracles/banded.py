@@ -43,7 +43,7 @@ def newton_system(u_new, u_old, cfg, table, source=None):
     Newton matrix at ``u_new`` in solve_banded layout, bandwidth (2, 2)."""
     system = stepper._System(u_new.column, cfg, table)
     it = system.evaluate(u_new.values)
-    r = system.residual(it, table.b_of_u(u_old.values), source)
+    r = system.residual(it, table.all_channels(u_old.values)[0], source)
     return r, system.jacobian(it)[2:]
 
 

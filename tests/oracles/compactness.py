@@ -15,10 +15,10 @@ from kirchflow.grid import integrate_array
 def time_quotient(states, h, dz, k, table):
     """The compactness quantity at lag ``k`` steps over the rows ``states``
     (one per state u^0..u^N, such as ``traj.values[traj.rows]``), one state
-    at a time, with one ``b_of_u`` call per state."""
+    at a time, with one ``all_channels`` call per state."""
     total = 0.0
     for n in range(k, len(states)):
         du = states[n] - states[n - k]
-        db = table.b_of_u(states[n]) - table.b_of_u(states[n - k])
+        db = table.all_channels(states[n])[0] - table.all_channels(states[n - k])[0]
         total += h * float(integrate_array(db * du, dz))
     return total / (k * h)

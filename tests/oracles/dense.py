@@ -66,18 +66,18 @@ def dense_reference_step(
     lap, bih = _dense_operators(col)
     sys_mat = -lap + cfg.gamma * bih
     floor = table.u_samples[0]
-    b_old = table.b_of_u(u_old.values)
+    b_old = table.all_channels(u_old.values)[0]
     rhs = np.zeros(n) if source is None else np.asarray(source, dtype=float)
 
     def dense_residual(v: np.ndarray) -> np.ndarray:
-        k = table.conductivity_of_u(v)
+        b, k = table.all_channels(v)[:2]
         kf = np.empty(n + 1)
         kf[0] = k[0]
         kf[n] = k[n - 1]
         for i in range(1, n):
             kf[i] = 0.5 * (k[i - 1] + k[i])
         grav = g * (kf[1:] - kf[:-1]) / dz
-        return (table.b_of_u(v) - b_old) / cfg.h + grav + sys_mat @ v - rhs
+        return (b - b_old) / cfg.h + grav + sys_mat @ v - rhs
 
     v = np.maximum(u_old.values.copy(), floor)
     r = dense_residual(v)
@@ -85,10 +85,10 @@ def dense_reference_step(
     for _ in range(_MAX_ITER):
         if rnorm <= cfg.newton_tol:
             return Field(v, col)
-        jac = sys_mat + np.diag(table.b_prime(v) / cfg.h)
+        b_prime, dk = table.all_channels(v)[2:]
+        jac = sys_mat + np.diag(b_prime / cfg.h)
         # d(grav)/du: interior diagonals cancel between the two faces;
         # the wall rows keep one because the mirror face tracks the node
-        dk = table.dconductivity_du(v)
         half = g / (2.0 * dz)
         for i in range(1, n):
             jac[i, i - 1] -= half * dk[i - 1]

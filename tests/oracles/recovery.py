@@ -30,7 +30,7 @@ def gradient_consistency(u: Field, table: KirchhoffTable) -> float:
     """
     dz = u.column.dz
     p = table.kirchhoff_inverse(u.values)
-    k = table.conductivity_of_u(u.values)
+    k = table.all_channels(u.values)[1]
     defect = _nodal_gradient(p, dz) - _nodal_gradient(u.values, dz) / k
     return l2_norm(defect, dz)
 
@@ -45,7 +45,7 @@ def face_velocity(u: Field, gamma: float, table: KirchhoffTable) -> np.ndarray:
     col = u.column
     dz = col.dz
     vals = u.values
-    kbar = face_values(table.conductivity_of_u(vals))
+    kbar = face_values(table.all_channels(vals)[1])
     grad = np.empty(vals.shape[0] + 1)
     grad[1:-1] = (vals[1:] - vals[:-1]) / dz
     grad[0] = vals[0] / dz
@@ -70,7 +70,7 @@ def mass_balance_residual(
     difference; bounded by length * newton_tol at an accepted step.
     """
     dz = u_new.column.dz
-    db = table.b_of_u(u_new.values) - table.b_of_u(u_old.values)
+    db = table.all_channels(u_new.values)[0] - table.all_channels(u_old.values)[0]
     rate = dz * float(np.sum(db)) / h
     flux = face_velocity(u_new, gamma, table)
     return abs(rate + float(flux[-1] - flux[0]))

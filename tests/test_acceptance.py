@@ -55,7 +55,7 @@ def test_criterion_01_convex_energy_bracket(table):
     lo = table.u_samples[0]
     z = rng.uniform(lo, 5.0, 10_000)
     z0 = rng.uniform(lo, 5.0, 10_000)
-    bz, bz0 = table.b_of_u(z), table.b_of_u(z0)
+    bz, bz0 = table.all_channels(z)[0], table.all_channels(z0)[0]
     Bz, Bz0 = table.legendre_B(z), table.legendre_B(z0)
     slack = 10.0 * TOL_Q
     lower_defect = float(np.max((bz - bz0) * z0 - (Bz - Bz0)))
@@ -100,7 +100,7 @@ def test_criterion_03_growth_certificate_and_step_guard(table):
     z = rng.uniform(table.u_samples[0], 8.0, 10_000)
     beta = table.beta_bound()
     certificate_defect = float(
-        np.max(table.conductivity_of_u(z) ** 2 - beta * (1.0 + table.legendre_B(z)))
+        np.max(table.all_channels(z)[1] ** 2 - beta * (1.0 + table.legendre_B(z)))
     )
     boundary = 1.0 / beta
     StepConfig(h=boundary, beta=beta)  # must construct

@@ -340,11 +340,13 @@ def test_dump_constitutive_matches_pointwise_evaluation(tmp_path):
     assert main(["dump-constitutive", "--out", str(out)]) == 0
     table = load_config(None).transform_table()
     model = table.model
+    def row(i):
+        return lambda u: table.all_channels(u)[i]
+
     pointwise = {
         "constitutive_pressure.csv": (
             model.saturation, model.conductivity_vs_pressure, table.kirchhoff),
-        "constitutive_transformed.csv": (
-            table.b_of_u, table.b_prime, table.legendre_B, table.conductivity_of_u),
+        "constitutive_transformed.csv": (row(0), row(2), table.legendre_B, row(1)),
     }
     for name, functions in pointwise.items():
         lines = [line for line in (out / name).read_text().splitlines()

@@ -205,8 +205,7 @@ def test_inverse_out_of_range(table):
 
 
 def _u_readers(table):
-    return (table.all_channels, table.b_of_u, table.b_prime, table.legendre_B,
-            table.conductivity_of_u, table.dconductivity_du, table.kirchhoff_inverse)
+    return (table.all_channels, table.legendre_B, table.kirchhoff_inverse)
 
 
 def test_every_u_channel_refuses_values_below_the_table(table):
@@ -231,8 +230,8 @@ def test_every_u_reader_accepts_the_lowest_knot_only(table):
         with pytest.raises(OutOfRangeError,
                            match=re.escape(f"u[1]={float(below)!r} below the table")):
             reader(np.array([-0.1, below]))
-    assert table.b_of_u(u_bot) == table._bk[3, 0, 0]
-    assert table.conductivity_of_u(u_bot) == table._bk[3, 1, 0]
+    b, k = table.all_channels(u_bot)[:2]
+    assert b == table._bk[3, 0, 0] and k == table._bk[3, 1, 0]
 
 
 def test_pressure_maps_propagate_nan(table, model):
@@ -389,7 +388,7 @@ def test_table_values_meet_tol_q_against_a_20_point_rule(params):
     error = np.abs(table.u_samples - reference)
     assert np.all(error <= TOL_Q * np.maximum(1.0, np.abs(reference)))
     if table.model.n_vg > 2.0:
-        assert table.dconductivity_du(0.5 * table.u_samples[-2:-1]) == 0.0
+        assert table.all_channels(0.5 * table.u_samples[-2:-1])[3] == 0.0
 
 
 def _table_arrays(table):
@@ -552,9 +551,9 @@ def test_derived_rows_round_like_scipy():
 
 
 def test_derived_reads_equal_scipy_derivative_and_antiderivative(recorded_build):
-    # what the table reads through its slope and antiderivative rows, derived
-    # from the cubic rows it gathered, against scipy's derivative() and
-    # antiderivative() of the fits the build made: bit for bit at the knots,
+    # the four rows of all_channels and legendre_B's antiderivative, derived
+    # from the cubic rows the table gathered, against scipy's fits b and K_f,
+    # their derivative() and b's antiderivative(): bit for bit at the knots,
     # between them, on the saturated branch (where a u-side read is the
     # plateau constant) and just below the lowest knot, where the map's slope
     # extrapolates and every u-side read refuses
@@ -565,7 +564,7 @@ def test_derived_reads_equal_scipy_derivative_and_antiderivative(recorded_build)
     for knots, fit in ((table.p_samples, psi), (table.u_samples, b)):
         below = np.nextafter(knots[0], -np.inf)
         if fit is b:
-            for reader in (table.b_prime, table.dconductivity_du, table.legendre_B):
+            for reader in (table.all_channels, table.legendre_B):
                 with pytest.raises(OutOfRangeError, match=re.escape(f"u[4]={float(below)!r}")):
                     reader(np.array(edge + [below]))
         ends = np.array(edge + [below] if fit is psi else edge)
@@ -577,9 +576,10 @@ def test_derived_reads_equal_scipy_derivative_and_antiderivative(recorded_build)
                 continue
             inside = np.minimum(part, 0.0)
             on_table = part < 0.0
-            for reader, ref in ((table.b_prime, b.derivative()),
-                                (table.dconductivity_du, k.derivative())):
-                assert _same_bits(reader(part), np.where(on_table, ref(inside), 0.0))
+            refs = (b, k, b.derivative(), k.derivative())
+            plateau = (1.0, 1.0, 0.0, 0.0)
+            for row, ref, flat in zip(table.all_channels(part), refs, plateau):
+                assert _same_bits(row, np.where(on_table, ref(inside), flat))
             b_and_integral = table._channels(part, constitutive._value_and_integral,
                                              table._bk[:, 0], table._b_anti)
             integral = np.where(on_table, b_anti(inside), b_anti(0.0))
@@ -609,7 +609,7 @@ def test_cubic_fits_refuse_bad_data_as_constitutive_errors():
 
 
 # ---------------------------------------------------------------------------
-# single-channel reads
+# the u-side reads
 # ---------------------------------------------------------------------------
 
 
@@ -630,13 +630,9 @@ def _channel_probes(table):
 
 
 def test_single_channel_readers_equal_their_all_channels_row(table):
-    readers = (table.b_of_u, table.conductivity_of_u, table.b_prime,
-               table.dconductivity_du)
     for u in _channel_probes(table):
         rows = table.all_channels(u)
         assert rows.shape == (4,) + np.shape(u)  # (4,) for the scalar probe
-        for row, reader in zip(rows, readers):
-            assert _same_bits(np.asarray(reader(u)), row)
         # legendre_B's formula, computed from channel 0 of all_channels
         z = np.atleast_1d(u)
         anti = table._channels(z, constitutive._value_and_integral,
@@ -645,31 +641,29 @@ def test_single_channel_readers_equal_their_all_channels_row(table):
         b = rows[0].reshape(z.shape)
         formula = np.where(z < 0.0, np.maximum(b * z - phi, 0.0), 0.0)
         assert _same_bits(np.asarray(table.legendre_B(u)), formula.reshape(np.shape(u)))
-    # just below the lowest knot, all_channels and each reader refuse alike
+    # just below the lowest knot, all_channels and legendre_B refuse alike
     u_bot = table.u_samples[0]
     below = np.array([np.nextafter(u_bot, -np.inf), u_bot * (1.0 + 0.5e-9)])
-    for reader in (table.all_channels, table.legendre_B) + readers:
+    for reader in (table.all_channels, table.legendre_B):
         with pytest.raises(OutOfRangeError, match=re.escape(f"u[0]={float(below[0])!r}")):
             reader(below)
 
 
 def test_single_channel_readers_gather_only_their_rows(table):
-    # a single-channel reader peaks at 10-11x the bytes of its argument and
-    # legendre_B at 13-14x, where all_channels, gathering all 8 cubic rows,
-    # takes 21-24x and a take on the strided view _bk[:, ch], which copies
-    # the whole 1.4 MB channel first, 870x at 200 points
+    # legendre_B, gathering channel b's 4 cubic rows, peaks at 13-14x the
+    # bytes of its argument, where all_channels, gathering all 8, takes
+    # 21-24x and a take on the strided view _bk[:, 0], which copies the
+    # whole 1.4 MB channel first, 870x at 200 points
     rng = np.random.default_rng(12)
     for u in (np.linspace(-0.3, 0.1, 200),
               rng.uniform(table.u_samples[0], 0.5, (128, 201))):
-        for reader in (table.b_of_u, table.conductivity_of_u, table.b_prime,
-                       table.dconductivity_du, table.legendre_B):
-            tracemalloc.start()
-            try:
-                reader(u)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 16 * u.nbytes, (reader.__name__, u.shape)
+        tracemalloc.start()
+        try:
+            table.legendre_B(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * u.nbytes, u.shape
 
 
 # ---------------------------------------------------------------------------
@@ -678,25 +672,25 @@ def test_single_channel_readers_gather_only_their_rows(table):
 
 
 def test_b_of_u_saturated(table):
-    assert table.b_of_u(2.0) == 1.0
-    assert table.b_of_u(0.0) == 1.0
+    assert table.all_channels(2.0)[0] == 1.0
+    assert table.all_channels(0.0)[0] == 1.0
 
 
 def test_b_of_u_composition_consistency(table, model):
     u = table.kirchhoff(-1.0)
-    assert table.b_of_u(u) == pytest.approx(model.saturation(-1.0), abs=1e-10)
+    assert table.all_channels(u)[0] == pytest.approx(model.saturation(-1.0), abs=1e-10)
 
 
 def test_b_of_u_floor_limit(table, model):
     # at the lowest knot the transform has left the retention curve
     # entirely; b sits at the residual floor
     u = table.u_samples[0]
-    assert table.b_of_u(u) == pytest.approx(model.s_res, abs=1e-9)
+    assert table.all_channels(u)[0] == pytest.approx(model.s_res, abs=1e-9)
 
 
 def test_b_of_u_monotone_and_in_range(table):
     u = np.linspace(table.u_samples[0], 5.0, 20001)
-    b = table.b_of_u(u)
+    b = table.all_channels(u)[0]
     assert np.all(np.diff(b) >= 0.0)
     assert np.all(b >= table.model.s_res - 1e-12)
     assert np.all(b <= 1.0)
@@ -704,7 +698,7 @@ def test_b_of_u_monotone_and_in_range(table):
 
 def test_b_prime_golden_value(table):
     u = table.kirchhoff(-1.0)
-    assert table.b_prime(u) == pytest.approx(GOLD_BPRIME_AT_M1, abs=1e-8)
+    assert table.all_channels(u)[2] == pytest.approx(GOLD_BPRIME_AT_M1, abs=1e-8)
 
 
 def test_b_prime_positive_everywhere(table):
@@ -712,24 +706,24 @@ def test_b_prime_positive_everywhere(table):
     # and it is strictly positive across the working band
     rng = np.random.default_rng(11)
     u = rng.uniform(table.u_samples[0], 8.0, 10000)
-    assert np.all(table.b_prime(u) >= 0.0)
+    assert np.all(table.all_channels(u)[2] >= 0.0)
     band = np.linspace(table.kirchhoff(-100.0), -2.0e-6, 10000)
-    assert np.all(table.b_prime(band) > 0.0)
+    assert np.all(table.all_channels(band)[2] > 0.0)
 
 
 def test_b_prime_plateau_is_flat(table):
-    assert table.b_prime(5.0) == 0.0
+    assert table.all_channels(5.0)[2] == 0.0
 
 
 def test_b_prime_consistent_with_b_of_u(table):
-    # central FD of b against b_prime, also near saturation where b' drops
+    # central FD of b against b', also near saturation where b' drops
     # below a_min; the grid knots make the FD itself good to ~1e-6 only,
-    # hence the loose tolerance (b_prime carries the exact slopes)
+    # hence the loose tolerance (b' carries the exact slopes)
     u = np.concatenate([np.linspace(table.kirchhoff(-8.0), -1e-3, 500),
                         np.linspace(-1e-3, -2e-6, 500)])
     step = 1e-6
-    fd = (table.b_of_u(u + step) - table.b_of_u(u - step)) / (2 * step)
-    bp = table.b_prime(u)
+    fd = (table.all_channels(u + step)[0] - table.all_channels(u - step)[0]) / (2 * step)
+    bp = table.all_channels(u)[2]
     assert np.max(np.abs(fd - bp) / bp) < 1e-3
 
 
@@ -764,7 +758,7 @@ def test_lemma1_pair_inequalities(table):
     lo = table.u_samples[0]
     z = rng.uniform(lo, 5.0, 10000)
     z0 = rng.uniform(lo, 5.0, 10000)
-    bz, bz0 = table.b_of_u(z), table.b_of_u(z0)
+    bz, bz0 = table.all_channels(z)[0], table.all_channels(z0)[0]
     Bz, Bz0 = table.legendre_B(z), table.legendre_B(z0)
     slack = 10 * TOL_Q
     assert np.all(Bz - Bz0 >= (bz - bz0) * z0 - slack)
@@ -786,7 +780,7 @@ def test_legendre_transform_injected_constant():
 def test_legendre_transform_matches_table(table):
     # adaptive-quadrature reference vs the tabulated potential
     for z in (-0.05, -0.1, -0.2):
-        ref = legendre_transform(table.b_of_u, z)
+        ref = legendre_transform(lambda s: table.all_channels(s)[0], z)
         assert table.legendre_B(z) == pytest.approx(ref, abs=1e-9)
 
 
@@ -802,7 +796,7 @@ def test_beta_bound_is_one(table):
 def test_growth_condition_sampled(table):
     rng = np.random.default_rng(19)
     z = rng.uniform(table.u_samples[0], 8.0, 10000)
-    k = table.conductivity_of_u(z)
+    k = table.all_channels(z)[1]
     B = table.legendre_B(z)
     beta = table.beta_bound()
     assert np.all(k**2 <= beta * (1.0 + B) + 1e-12)
@@ -830,7 +824,7 @@ def test_legendre_B_searches_the_table_once(table, monkeypatch):
     counting(KirchhoffTable, "_channels")
     counting(constitutive, "_evaluate")
     for z in (np.float64(-0.1), np.linspace(-0.3, 0.1, 200), np.full((128, 201), -0.05)):
-        for read in (table.legendre_B, table.all_channels, table.b_of_u):
+        for read in (table.legendre_B, table.all_channels):
             calls.clear()
             read(z)
             assert calls == {"_channels": 1, "_evaluate": 1}, read.__name__
@@ -842,27 +836,27 @@ def test_table_is_frozen(table):
 
 
 def test_conductivity_of_u_saturated(table):
-    assert table.conductivity_of_u(1.0) == 1.0
-    assert table.conductivity_of_u(0.0) == 1.0
+    assert table.all_channels(1.0)[1] == 1.0
+    assert table.all_channels(0.0)[1] == 1.0
 
 
 def test_dconductivity_du_is_exact_channel_derivative(table):
     u = np.linspace(table.kirchhoff(-30.0), -1e-4, 2000)
-    d = table.dconductivity_du(u)
+    d = table.all_channels(u)[3]
     assert np.all(np.isfinite(d))
     step = 1e-6
-    fd = (table.conductivity_of_u(u + step) - table.conductivity_of_u(u - step)) / (
+    fd = (table.all_channels(u + step)[1] - table.all_channels(u - step)[1]) / (
         2 * step
     )
     assert np.max(np.abs(fd - d)) < 1e-6
-    assert table.dconductivity_du(1.0) == 0.0
+    assert table.all_channels(1.0)[3] == 0.0
 
 
 def test_conductivity_of_u_accuracy(table, model):
     # tabulated channel against the closed-form composition
     p = -np.geomspace(1e-4, 500.0, 4000)
     u = table.kirchhoff(p)
-    err = np.abs(table.conductivity_of_u(u) - model.conductivity_vs_pressure(p))
+    err = np.abs(table.all_channels(u)[1] - model.conductivity_vs_pressure(p))
     assert np.max(err) < 1e-7
 
 
@@ -900,5 +894,5 @@ def test_scalar_and_array_shapes(table, model):
     assert model.saturation(np.array([-1.0, 0.5])).shape == (2,)
     assert isinstance(table.kirchhoff(-1.0), float)
     assert table.kirchhoff(np.array([-1.0, 2.0])).shape == (2,)
-    assert isinstance(table.b_of_u(-0.1), float)
+    assert table.all_channels(-0.1).shape == (4,)
     assert isinstance(table.legendre_B(-0.1), float)

@@ -254,7 +254,7 @@ def test_discrete_coercivity_random_fields():
 def test_gravity_divergence_constant_field(table):
     col = Column(length=1.0, n_cells=11, gravity_sign=-1.0)
     f = np.full(11, -0.05)
-    out = gravity_divergence_array(table.conductivity_of_u(f), col.dz, col.gravity_sign)
+    out = gravity_divergence_array(table.all_channels(f)[1], col.dz, col.gravity_sign)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -263,14 +263,14 @@ def test_gravity_divergence_saturated_plateau(table):
     col = Column(length=1.0, n_cells=11)
     z = col.nodes()
     f = z * (1.0 - z)
-    out = gravity_divergence_array(table.conductivity_of_u(f), col.dz, col.gravity_sign)
+    out = gravity_divergence_array(table.all_channels(f)[1], col.dz, col.gravity_sign)
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_gravity_divergence_matches_face_formula(table):
     col = Column(length=1.0, n_cells=21, gravity_sign=-1.0)
     f = -0.01 - 0.19 * col.nodes()  # wet-band ramp
-    k = table.conductivity_of_u(f)
+    k = table.all_channels(f)[1]
     faces = np.concatenate([[k[0]], 0.5 * (k[:-1] + k[1:]), [k[-1]]])
     expected = col.gravity_sign * (faces[1:] - faces[:-1]) / col.dz
     out = gravity_divergence_array(k, col.dz, col.gravity_sign)
@@ -282,7 +282,7 @@ def test_gravity_divergence_telescoping(table):
     col = Column(length=1.0, n_cells=37, gravity_sign=-1.0)
     rng = np.random.default_rng(11)
     vals = -0.01 - 0.19 * rng.random(37)
-    k = table.conductivity_of_u(vals)
+    k = table.all_channels(vals)[1]
     out = gravity_divergence_array(k, col.dz, col.gravity_sign)
     faces = face_values(k)
     flux = col.gravity_sign * faces
@@ -295,15 +295,15 @@ def test_gravity_jacobian_matches_difference_quotient(table):
     # gravity is linear in K: its bands times K' are the Jacobian in u
     grav_ab = banded(lambda k: gravity_divergence_array(k, col.dz, col.gravity_sign),
                      9, 1)
-    jac = dense_from_banded(grav_ab * table.dconductivity_du(base), 1, 1)
+    jac = dense_from_banded(grav_ab * table.all_channels(base)[3], 1, 1)
     eps = 1e-6
     for j in range(9):
         up, dn = base.copy(), base.copy()
         up[j] += eps
         dn[j] -= eps
         col_fd = (
-            gravity_divergence_array(table.conductivity_of_u(up), col.dz, col.gravity_sign)
-            - gravity_divergence_array(table.conductivity_of_u(dn), col.dz,
+            gravity_divergence_array(table.all_channels(up)[1], col.dz, col.gravity_sign)
+            - gravity_divergence_array(table.all_channels(dn)[1], col.dz,
                                        col.gravity_sign)
         ) / (2 * eps)
         assert np.allclose(jac[:, j], col_fd, rtol=0, atol=1e-6)

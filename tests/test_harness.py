@@ -131,8 +131,9 @@ def test_ms_source_equals_per_call_closed_form(ms, table, gamma):
         d4 = 16.0 * 24.0 / length**4 * np.ones_like(z)
         amp = ms.envelope(t)
         u = amp * shape
-        expected = table.b_prime(u) * (ms.envelope_rate(t) * shape)
-        expected += g * table.dconductivity_du(u) * (amp * d1)
+        b_prime, dk_du = table.all_channels(u)[2:]
+        expected = b_prime * (ms.envelope_rate(t) * shape)
+        expected += g * dk_du * (amp * d1)
         expected -= amp * d2
         if gamma != 0.0:
             expected += gamma * amp * d4
@@ -338,7 +339,6 @@ def test_a_guess_below_the_table_is_clamped_onto_its_lowest_knot(table, monkeypa
         monkeypatch.setattr(KirchhoffTable, name, read)
 
     recording("all_channels")
-    recording("b_of_u")
     guess = Field(np.full(col.n_cells, -1.0e4), col)
     clamped = banded_step(u_old, cfg, table, initial_guess=guess, source=src)
     assert reads[1].tobytes() == u_bot.tobytes()  # after b(u_old), the guess
@@ -353,6 +353,7 @@ def test_a_guess_below_the_table_is_clamped_onto_its_lowest_knot(table, monkeypa
     monkeypatch.setattr(np.linalg, "solve", overshooting)
     reads.clear()
     dense = dense_reference_step(u_old, cfg, table, source=src)
-    # b(u_old), the residual at u_old, then the residual at the clamped step
-    assert reads[2].tobytes() == u_bot.tobytes()
+    # b(u_old), the residual and the matrix at u_old, then the residual at
+    # the clamped step
+    assert reads[3].tobytes() == u_bot.tobytes()
     assert np.max(np.abs(dense.values - root.values)) <= 100.0 * cfg.newton_tol

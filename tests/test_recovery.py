@@ -142,7 +142,7 @@ def test_velocity_gamma_zero_hand_assembly(table):
     v = darcy_velocity(u, 0.0, table).values
     dz = col.dz
     vals = u.values
-    k = table.conductivity_of_u(vals)
+    k = table.all_channels(vals)[1]
     hand = np.empty_like(vals)
     for i in range(1, 44):
         hand[i] = -k[i] - (vals[i + 1] - vals[i - 1]) / (2.0 * dz)
@@ -170,7 +170,7 @@ def test_face_divergence_matches_operator_terms(table, gamma):
     flux = face_velocity(u, gamma, table)
     div = (flux[1:] - flux[:-1]) / col.dz
     ops = (
-        gravity_divergence_array(table.conductivity_of_u(u.values), col.dz,
+        gravity_divergence_array(table.all_channels(u.values)[1], col.dz,
                                  col.gravity_sign)
         - laplacian_array(u.values, col.dz)
         + gamma * biharmonic_array(u.values, col.dz)

@@ -109,10 +109,10 @@ def test_residual_matches_naive_dense_reimplementation(table, gamma):
     cfg = StepConfig(h=0.01, gamma=gamma)
 
     # naive reference: explicit dense matrices and a scalar face loop
-    b_new = np.array([table.b_of_u(float(x)) for x in u_new])
-    b_old = np.array([table.b_of_u(float(x)) for x in u_old])
+    b_new = np.array([table.all_channels(float(x))[0] for x in u_new])
+    b_old = np.array([table.all_channels(float(x))[0] for x in u_old])
     bdiff = (b_new - b_old) / cfg.h
-    k = np.array([table.conductivity_of_u(float(x)) for x in u_new])
+    k = np.array([table.all_channels(float(x))[1] for x in u_new])
     faces = np.concatenate([[k[0]], 0.5 * (k[:-1] + k[1:]), [k[-1]]])
     grav = col.gravity_sign * (faces[1:] - faces[:-1]) / dz
     A = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
@@ -210,7 +210,7 @@ def test_newton_system_equals_term_by_term_assembly(table, model, gamma):
     cfg = StepConfig(h=0.01, gamma=gamma)
     system = stepper._System(col, cfg, table)
     rng = np.random.default_rng(3)
-    b_old = table.b_of_u(-0.3 * rng.random(col.n_cells))
+    b_old = table.all_channels(-0.3 * rng.random(col.n_cells))[0]
     source = rng.standard_normal(col.n_cells)
     for name, v in _oracle_states(col, table, model).items():
         it = system.evaluate(v)
@@ -341,7 +341,7 @@ def test_newton_increment_equals_solve_banded(table, model, monkeypatch):
         assert matrix.tobytes() == ab.tobytes() and rhs.tobytes() == (-r).tobytes()
         assert delta.tobytes() == solve_banded((2, 2), ab, -r).tobytes()
         v = state.values
-        thin += bool(np.any((v < 0.0) & (table.b_prime(v) < model.a_min)))
+        thin += bool(np.any((v < 0.0) & (table.all_channels(v)[2] < model.a_min)))
     assert thin == 6  # every one has unsaturated nodes with b' below a_min
 
 
@@ -496,12 +496,11 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
 def test_step_evaluates_each_iterate_once(table, monkeypatch):
     # the old state is evaluated once, as it is: b(u_old) is read off that
     # evaluation, which is also Newton's start when no guess is given, so
-    # there is one lookup per evaluated iterate and no single-channel read
+    # there is one lookup per evaluated iterate
     col = Column(length=1.0, n_cells=200, gravity_sign=-1.0)
     cfg = StepConfig(h=0.01, gamma=0.1, newton_tol=1e-7)
     u_old = project_initial(_wet_lens(col))
-    counts, count = _counting(monkeypatch)
-    count(KirchhoffTable, "b_of_u")
+    counts, _ = _counting(monkeypatch)
     for guess, evaluated in ((None, 1), (Field(0.9 * u_old.values, col), 2)):
         counts.clear()
         banded_step(u_old, cfg, table, initial_guess=guess)
@@ -509,7 +508,6 @@ def test_step_evaluates_each_iterate_once(table, monkeypatch):
         assert counts["_newton"] == 1 and iters > 0
         assert counts["evaluate"] == evaluated + iters
         assert counts["_channels"] == counts["_channels in evaluate"] == counts["evaluate"]
-        assert counts["b_of_u"] == 0
 
 
 def test_step_rejects_out_of_domain_state(table):
@@ -676,7 +674,7 @@ def _fresh_march(u0, cfg, table, source=None):
     system = stepper._System(u0.column, cfg, table)
     times = cfg.h * np.arange(cfg.n_steps + 1)
     v = project_initial(u0).values
-    b = table.b_of_u(v)
+    b = table.all_channels(v)[0]
     states, iters, norms = [v], [], []
     for k in range(1, cfg.n_steps + 1):
         src = None if source is None else source(times[k])
