@@ -1,21 +1,4 @@
 """kirchflow: implicit solver for fourth-order unsaturated flow in
 Kirchhoff-transformed variables."""
 
-from kirchflow.constitutive import (
-    ConstitutiveError,
-    ConstitutiveModel,
-    KirchhoffTable,
-    OutOfRangeError,
-    build_table,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstitutiveError",
-    "ConstitutiveModel",
-    "KirchhoffTable",
-    "OutOfRangeError",
-    "build_table",
-    "__version__",
-]

@@ -140,8 +140,8 @@ class RunConfig:
     """Validated, fully defaulted configuration.
 
     Blocks are plain normalized dicts; the build methods construct the
-    actual solver objects.  ``canonical_json``/``config_hash`` give a
-    stable identity for output metadata.
+    actual solver objects.  ``config_hash`` gives a stable identity for
+    output metadata.
     """
 
     constitutive: Dict[str, Any]
@@ -149,11 +149,8 @@ class RunConfig:
     stepping: Dict[str, Any]
     ic: Dict[str, Any]
 
-    def build_model(self) -> ConstitutiveModel:
-        return ConstitutiveModel(**self.constitutive)
-
     def transform_table(self) -> KirchhoffTable:
-        return build_table(self.build_model())
+        return build_table(ConstitutiveModel(**self.constitutive))
 
     def build_column(self) -> Column:
         return Column(**self.grid)
@@ -173,17 +170,15 @@ class RunConfig:
         # (clamped to the end values outside the tabulated range)
         return Field(np.interp(z, self.ic["z"], self.ic["u"]), column)
 
-    def canonical_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        """SHA-256 of :meth:`canonical_json`.  ``hashlib`` is imported here,
-        not with the module: it maps libcrypto (about 3.5 MB resident) into
-        every process that loads the configuration, and solver runs that
-        never hash do not need it."""
+        """SHA-256 of the four blocks as compact, key-sorted JSON.  ``hashlib``
+        is imported here, not with the module: it maps libcrypto (about 3.5 MB
+        resident) into every process that loads the configuration, and solver
+        runs that never hash do not need it."""
         import hashlib
 
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        canonical = json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _reject_nonfinite(token: str) -> float:

@@ -28,8 +28,10 @@ antiderivative in fixed-size slices straight into the table, so its
 transient memory beyond the table is about the knot saturations and
 conductivities.
 
-All public array operations accept scalars or ndarrays and are pure; a
-built table never mutates, so instances are safe to share across threads.
+Every read takes an array and returns one of its shape (``all_channels``
+adds a leading channel axis), so a scalar gives a 0-d result; reads are pure,
+and a built table never mutates, so instances are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -59,11 +61,6 @@ class ConstitutiveError(ValueError):
 
 class OutOfRangeError(ConstitutiveError):
     """Transformed variable below the lowest knot of the table, or NaN."""
-
-
-def _unwrap(x, out: np.ndarray):
-    """``out`` as a float when the input ``x`` was a scalar."""
-    return out.item() if np.ndim(x) == 0 else out
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -194,7 +191,7 @@ class ConstitutiveModel:
     def _branches(self, p, wet: float, mid, dry):
         """``wet`` on ``p >= 0``, ``mid(p)`` on ``[p_reg, 0)`` and ``dry(p)``
         below ``p_reg``; NaN takes the dry branch, which propagates it."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        p_arr = np.asarray(p, dtype=float)
         out = np.full_like(p_arr, wet)
         is_mid = (p_arr < 0.0) & (p_arr >= self.p_reg)
         is_dry = ~(p_arr >= self.p_reg)
@@ -202,7 +199,7 @@ class ConstitutiveModel:
             out[is_mid] = mid(p_arr[is_mid])
         if np.any(is_dry):
             out[is_dry] = dry(p_arr[is_dry])
-        return _unwrap(p, out)
+        return out
 
     def _tail(self, p: np.ndarray) -> np.ndarray:
         # exponential decay of S - s_res below p_reg, 1 at the joint
@@ -213,12 +210,12 @@ class ConstitutiveModel:
 
         Parameters
         ----------
-        p : float or ndarray
+        p : array_like
             Pressure head; total on the reals.
 
         Returns
         -------
-        float or ndarray in ``[s_res, 1]``, exactly 1 for ``p >= 0``.
+        ndarray of the shape of ``p``, in ``[s_res, 1]``, exactly 1 for ``p >= 0``.
         """
         return self._branches(p, 1.0, self._vg_saturation,
                               lambda pd: self.s_res + self._tail_amp * self._tail(pd))
@@ -253,13 +250,12 @@ class ConstitutiveModel:
         ConstitutiveError
             If ``s`` lies outside ``[s_res, 1]`` by more than 1e-12.
         """
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        s_arr = np.asarray(s, dtype=float)
         bad = s_arr[(s_arr < self.s_res - 1.0e-12) | (s_arr > 1.0 + 1.0e-12)]
         if bad.size:
             raise ConstitutiveError(f"saturation {bad[0]!r} outside [{self.s_res}, 1]")
         se = np.clip(self.effective_saturation(s_arr), 0.0, 1.0)
-        out = self.a_min + (1.0 - self.a_min) * self._mualem_kr(se)
-        return _unwrap(s, out)
+        return self.a_min + (1.0 - self.a_min) * self._mualem_kr(se)
 
     def conductivity_vs_pressure(self, p):
         """Composition K_f(S(p)); smooth in p and used as the map integrand."""
@@ -647,13 +643,12 @@ class KirchhoffTable:
         linearly with slope ``a_min`` (the integrand is constant there
         to machine precision).  NaN maps to NaN.
         """
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        p_arr = np.asarray(p, dtype=float)
         p_bot, u_bot = self.p_samples[0], self.u_samples[0]
         fit = _evaluate(self.p_samples, np.minimum(np.maximum(p_arr, p_bot), 0.0),
                         _cubic, self._psi)
         below = u_bot + self.model.a_min * (p_arr - p_bot)
-        return _unwrap(p, np.where(p_arr >= 0.0, p_arr,
-                                   np.where(p_arr >= p_bot, fit, below)))
+        return np.where(p_arr >= 0.0, p_arr, np.where(p_arr >= p_bot, fit, below))
 
     # -- inverse map -----------------------------------------------------------
 
@@ -678,13 +673,13 @@ class KirchhoffTable:
         OutOfRangeError
             If any entry is below the lowest knot ``u_samples[0]``, or NaN.
         """
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+        u_arr = np.asarray(u, dtype=float)
         self._check_invertible(u_arr)
         out = np.where(u_arr >= 0.0, u_arr, 0.0)
         neg = u_arr < 0.0
         if np.any(neg):
             out[neg] = self._invert_negative(u_arr[neg])
-        return _unwrap(u, out)
+        return out
 
     def _invert_negative(self, u: np.ndarray) -> np.ndarray:
         """Pressures of ``us[0] <= u < 0``: a linear seed between the bracketing
@@ -752,7 +747,7 @@ class KirchhoffTable:
         z_arr = np.asarray(z, dtype=float)
         b, anti = self._channels(z_arr, _value_and_integral, self._bk[:, 0], self._b_anti)
         phi = anti - self._b_anti[-1]
-        return _unwrap(z, np.where(z_arr < 0.0, np.maximum(b * z_arr - phi, 0.0), 0.0))
+        return np.where(z_arr < 0.0, np.maximum(b * z_arr - phi, 0.0), 0.0)
 
     def beta_bound(self) -> float:
         """Growth constant: ``K_f(b(z))^2 <= BETA * (1 + B(z))`` for all z and

@@ -385,7 +385,10 @@ def run(
     times = cfg.h * np.arange(cfg.n_steps + 1)
     v = project_initial(u0).values
     values, iters, norms = [v], [], []
-    it = system.evaluate(v)  # refuses a state below the table
+    # refuses a state below the table; a state whose stencils overflow
+    # evaluates to inf or NaN, which _newton refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        it = system.evaluate(v)
     b = it.channels[0]  # b(u_old), carried over from each accepted iterate
     for k in range(1, cfg.n_steps + 1):
         if source is None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kirchflow.config import gaussian_lens
-from kirchflow.constitutive import TOL_Q
+from kirchflow.constitutive import BETA, TOL_Q
 from kirchflow.diagnostics import (
     energy_report,
     initial_condition_check,
@@ -98,14 +98,13 @@ def test_criterion_02_transform_round_trip(model, table):
 def test_criterion_03_growth_certificate_and_step_guard(table):
     rng = np.random.default_rng(202)
     z = rng.uniform(table.u_samples[0], 8.0, 10_000)
-    beta = table.beta_bound()
     certificate_defect = float(
-        np.max(table.all_channels(z)[1] ** 2 - beta * (1.0 + table.legendre_B(z)))
+        np.max(table.all_channels(z)[1] ** 2 - BETA * (1.0 + table.legendre_B(z)))
     )
-    boundary = 1.0 / beta
-    StepConfig(h=boundary, beta=beta)  # must construct
+    boundary = 1.0 / BETA
+    StepConfig(h=boundary)  # must construct
     with pytest.raises(StepConfigError):
-        StepConfig(h=np.nextafter(boundary, np.inf), beta=beta)
+        StepConfig(h=np.nextafter(boundary, np.inf))
     ok = certificate_defect <= 1.0e-12
     _report(
         3,

@@ -121,8 +121,7 @@ def reference_march():
     """The default problem's column and trajectory, marched here."""
     cfg = load_config(None)
     table, column = cfg.transform_table(), cfg.build_column()
-    traj = march(cfg.initial_state(column), cfg.build_stepping(table.beta_bound()),
-                 table)
+    traj = march(cfg.initial_state(column), cfg.build_stepping(), table)
     return column, traj
 
 
@@ -500,6 +499,16 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "convergence" in capsys.readouterr().err
+
+
+def test_initial_state_whose_stencils_overflow_exits_2(tmp_path, capsys):
+    # an accepted custom state whose biharmonic overflows at 200 cells: refused
+    # as a non-finite residual, with no RuntimeWarning (the suite makes one an
+    # error)
+    config = tmp_path / "huge.json"
+    config.write_text('{"ic": {"profile": "custom", "z": [0, 1], "u": [0, 1e308]}}')
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: residual not finite (step 1)\n"
 
 
 def test_bad_stride_flag_exits_2(tmp_path, small_config, capsys):

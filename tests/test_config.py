@@ -1,7 +1,6 @@
 """Configuration parsing: defaults, validation paths, object building."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,8 +37,7 @@ def test_partial_block_keeps_remaining_defaults():
 
 def test_builders_produce_wired_objects():
     cfg = parse_config('{"grid": {"n_cells": 60}}')
-    model = cfg.build_model()
-    assert isinstance(model, ConstitutiveModel)
+    assert cfg.transform_table().model == ConstitutiveModel()
     col = cfg.build_column()
     assert isinstance(col, Column)
     assert col.n_cells == 60
@@ -161,15 +159,6 @@ def test_model_constraint_beyond_the_ranges_names_the_key():
     doc = '{"constitutive": {"alpha_vg": 1000.0, "n_vg": 10.0, "p_reg": -100000.0}}'
     with pytest.raises(ConfigError, match=r"^constitutive\.p_reg: .*s_res"):
         parse_config(doc)
-
-
-def test_readme_config_document_is_the_default():
-    path = Path(__file__).resolve().parents[1] / "README.md"
-    readme = path.read_text(encoding="utf-8")
-    section = readme[readme.index("### Config document"):]
-    start = section.index("```json\n") + len("```json\n")
-    block = section[start:section.index("```", start)]
-    assert json.loads(block) == json.loads(parse_config("{}").canonical_json())
 
 
 def test_lens_center_bound_follows_column_length():

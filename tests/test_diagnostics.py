@@ -69,7 +69,7 @@ def test_energy_report_zero_trajectory(table):
     assert np.all(rep.lap_sq == 0.0)
     assert np.all(rep.cum_dissipation == 0.0)
     assert rep.gronwall_bound == pytest.approx(np.exp(1.0))
-    assert rep.gronwall_ok() and rep.energy_inequality_ok()
+    assert rep.gronwall().passed and rep.energy_inequality().passed
 
 
 def test_energy_report_compares_and_hashes_by_identity(table):
@@ -131,10 +131,10 @@ def test_energy_report_benchmark_bounds(table):
     assert np.all(np.diff(rep.cum_dissipation) >= 0.0)
     assert np.max(rep.b_integral) <= rep.gronwall_bound
     assert rep.cum_dissipation[-1] <= rep.gronwall_bound
-    assert rep.gronwall_ok()
+    assert rep.gronwall().passed
     slack = 10.0 * cfg.newton_tol * np.arange(1, rep.times.size)
     assert np.all(rep.inequality_defect() <= slack)
-    assert rep.energy_inequality_ok()
+    assert rep.energy_inequality().passed
 
 
 def _multi_block_trajectory(h, repeats=False):

@@ -270,7 +270,7 @@ def _reference_step(table):
     """The projected reference state and the reference stepping."""
     cfg = load_config(None)
     u_old = project_initial(cfg.initial_state(cfg.build_column()))
-    return u_old, cfg.build_stepping(beta=table.beta_bound())
+    return u_old, cfg.build_stepping()
 
 
 def test_dense_reference_stops_a_diverging_step():
@@ -286,7 +286,7 @@ def test_dense_reference_stops_a_diverging_step():
     u_old = project_initial(cfg.initial_state(cfg.build_column()))
     with pytest.raises(HarnessError,
                        match=r"^dense reference Newton diverged: residual 3\.835e-01$"):
-        dense_reference_step(u_old, cfg.build_stepping(beta=table.beta_bound()), table)
+        dense_reference_step(u_old, cfg.build_stepping(), table)
 
 
 def test_dense_reference_converging_on_its_last_allowed_iterate(table, monkeypatch):

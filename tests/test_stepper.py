@@ -263,7 +263,7 @@ def test_run_stops_a_diverging_step_at_once():
         "ic": {"center": 0.173, "width": 0.043, "depth": 0.00166},
     }))
     table = cfg.transform_table()
-    stepping = cfg.build_stepping(beta=table.beta_bound())
+    stepping = cfg.build_stepping()
     with pytest.raises(NonconvergenceError,
                        match=r"^Newton diverged: residual 3\.835e-01 > 1000 x best "
                              r"9\.900e-05 \(step 1\)$") as exc:
@@ -285,7 +285,7 @@ def test_run_reports_a_failed_banded_factorization(table, monkeypatch):
 
 def _reference_run(table):
     cfg = load_config(None)
-    stepping = cfg.build_stepping(beta=table.beta_bound())
+    stepping = cfg.build_stepping()
     return run(cfg.initial_state(cfg.build_column()), stepping, table), stepping
 
 
@@ -626,7 +626,7 @@ def test_reference_run_newton_work_count(table, monkeypatch):
     # 100 steps): the solver's total work is an exact, deterministic count
     cfg = load_config(None)
     col = cfg.build_column()
-    stepping = cfg.build_stepping(beta=table.beta_bound())
+    stepping = cfg.build_stepping()
     u0 = cfg.initial_state(col)
     fields = _counting_fields(monkeypatch)
     traj = run(u0, stepping, table)
@@ -698,7 +698,7 @@ def _assert_march_equal(traj, fresh):
 def test_carried_iterates_equal_fresh_evaluation_on_reference_run(table):
     cfg = load_config(None)
     u0 = cfg.initial_state(cfg.build_column())
-    stepping = cfg.build_stepping(beta=table.beta_bound())
+    stepping = cfg.build_stepping()
     _assert_march_equal(run(u0, stepping, table), _fresh_march(u0, stepping, table))
 
 
