@@ -27,7 +27,7 @@ import numpy as np
 
 from .constitutive import KirchhoffTable
 from .grid import Field, grad_sq_array, integrate_array, l2_norm, laplacian_array
-from .stepper import StepConfig, Trajectory, _newton, _System, project_initial, run
+from .stepper import StepConfig, Trajectory, _march, project_initial, run
 
 __all__ = [
     "Check",
@@ -211,16 +211,12 @@ def uniqueness_probe(
     base = run(u0, cfg, table)
     rng = np.random.default_rng(seed)
     col = u0.column
-    system = _System(col, cfg, table)
-    v = base.values[0]  # the projected initial state
-    b = system.evaluate(v).channels[0]  # b(u_old), carried over as in run
-    base_rows = base.rows
+    steps = _march(u0, cfg, table, guess=lambda system, it: system.start(
+        it.v + _GUESS_PERTURBATION * rng.standard_normal(col.n_cells)))
+    next(steps)  # the projected initial state, the base march's own
     gap = 0.0
-    for n in range(1, cfg.n_steps + 1):
-        noise = _GUESS_PERTURBATION * rng.standard_normal(col.n_cells)
-        it, _, _ = _newton(system, b, system.start(v + noise), None, n)
-        v, b = it.v, it.channels[0]
-        gap = max(gap, l2_norm(v - base.values[base_rows[n]], col.dz))
+    for row, (it, _, _) in zip(base.rows[1:], steps):
+        gap = max(gap, l2_norm(it.v - base.values[row], col.dz))
     return gap
 
 

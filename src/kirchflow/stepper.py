@@ -38,12 +38,13 @@ routine ``scipy.linalg.solve_banded`` calls, on the same input; an iterate
 writes only its diagonal and adds the gravity bands times ``K'``.  All of
 these bands are read off the residual's own stencils once per run
 (``grid.banded``), so every linear term of the Newton matrix is the exact
-derivative of the residual's.  ``run`` carries the record of each
-accepted iterate into the next step as its starting guess, and ``b(u_old)``
-with it; only the first step evaluates a guess, and reads ``b(u^0)`` off it.
-The accepted values are stacked once, at the end of the march.  ``run`` is
-the entry point: the residual and the Newton matrix belong to the private
-``_System`` of one march and have no ``Field`` form.
+derivative of the residual's.  The one step loop is the private generator
+``_march``: it evaluates the projected initial state, which gives ``b(u^0)``,
+and starts each step from the iterate the step before accepted, with its ``b``
+as ``b(u_old)``, or from what a ``guess`` hook makes of it (the uniqueness
+probe perturbs it).  ``run`` reads it, owns the fixed-point tail and stacks
+the accepted values once; the residual and the Newton matrix belong to the
+private ``_System`` of one march and have no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file
 through ``load_scipy_module``, the one function in kirchflow that reads
@@ -361,6 +362,26 @@ def _newton(system: _System, b_old: np.ndarray, guess: _Iterate,
     )
 
 
+def _march(u0: Field, cfg: StepConfig, table: KirchhoffTable,
+           source: Optional[Callable[[float], np.ndarray]] = None,
+           guess: Optional[Callable[[_System, _Iterate], _Iterate]] = None):
+    """The evaluated projected initial state, then ``(iterate, iterations,
+    norm)`` of each accepted step; ``guess(system, it)`` turns the iterate the
+    step before accepted into Newton's start, which is that iterate itself
+    when no ``guess`` is given.  ``source`` is read at ``h * k`` for step k."""
+    system = _System(u0.column, cfg, table)
+    # refuses a state below the table; a state whose stencils overflow
+    # evaluates to inf or NaN, which _newton refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        it = system.evaluate(project_initial(u0).values)
+    yield it
+    for k in range(1, cfg.n_steps + 1):
+        src = None if source is None else np.asarray(source(cfg.h * np.float64(k)), float)
+        start = it if guess is None else guess(system, it)
+        it, n_it, rnorm = _newton(system, it.channels[0], start, src, k)
+        yield it, n_it, rnorm
+
+
 def run(
     u0: Field,
     cfg: StepConfig,
@@ -376,34 +397,17 @@ def run(
     its input values byte for byte is a fixed point (``b`` is read off those
     same values): the march stops storing states there, and later steps
     repeat its iteration count and norm.
-
-    Each step starts from the evaluated iterate the previous step accepted;
-    the first evaluates the projected state as it is and reads ``b(u^0)`` off it.
     """
-    col = u0.column
-    system = _System(col, cfg, table)
     times = cfg.h * np.arange(cfg.n_steps + 1)
-    v = project_initial(u0).values
-    values, iters, norms = [v], [], []
-    # refuses a state below the table; a state whose stencils overflow
-    # evaluates to inf or NaN, which _newton refuses as not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        it = system.evaluate(v)
-    b = it.channels[0]  # b(u_old), carried over from each accepted iterate
-    for k in range(1, cfg.n_steps + 1):
-        if source is None:
-            src, key = None, v.tobytes()
-        else:
-            src = np.asarray(source(times[k]), dtype=float)
-        it, n_it, rnorm = _newton(system, b, it, src, k)
-        v, b = it.v, it.channels[0]
-        if source is None and v.tobytes() == key:
-            tail = cfg.n_steps + 1 - k
-            iters += [n_it] * tail
-            norms += [rnorm] * tail
+    steps = _march(u0, cfg, table, source)
+    values, iters, norms = [next(steps).v], [], []
+    for it, n_it, rnorm in steps:
+        if source is None and it.v.tobytes() == values[-1].tobytes():
+            iters += [n_it] * (times.size - len(values))
+            norms += [rnorm] * (times.size - len(values))
             break
-        values.append(v)
+        values.append(it.v)
         iters.append(n_it)
         norms.append(rnorm)
-    return Trajectory(times=times, values=np.stack(values), column=col,
+    return Trajectory(times=times, values=np.stack(values), column=u0.column,
                       newton_iters=tuple(iters), residual_norms=tuple(norms))

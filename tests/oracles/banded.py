@@ -53,7 +53,13 @@ def banded_step(u_old, cfg, table, initial_guess=None, source=None):
     started there or from ``initial_guess`` clamped onto the table.  Started
     from ``project_initial(u0)``, it gives ``run``'s first state.  The
     stepper's ``_System``, ``_newton``, ``dgbsv`` and ``_MAX_ITER`` are read
-    at call time, so patching them reaches this step too."""
+    at call time, so patching them reaches this step too.
+
+    It stays a single step of its own, not a read of ``stepper._march``: the
+    march always starts from the projected initial state, while this step
+    starts from a state as it is, one that was not projected included; the
+    dense cross-checks step from raw lenses and random states whose wall
+    values are not zero."""
     system = stepper._System(u_old.column, cfg, table)
     old = system.evaluate(u_old.values)
     guess = old if initial_guess is None else system.start(initial_guess.values)

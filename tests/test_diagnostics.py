@@ -1,12 +1,13 @@
 """Energy ledger, difference-quotient bounds, uniqueness probe, monitors."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kirchflow import diagnostics
-from kirchflow.config import gaussian_lens
+from kirchflow.config import gaussian_lens, load_config
 from kirchflow.diagnostics import (
     BLOCK_STATES,
     DiagnosticsError,
@@ -342,6 +343,35 @@ def test_uniqueness_probe_perturbed_stays_at_tolerance(table):
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.2, newton_tol=1.0e-7)
     gap = uniqueness_probe(_lens(col), cfg, table, seed=0)
     assert gap <= 10.0 * cfg.newton_tol
+
+
+def test_uniqueness_probe_seed_7_on_the_default_problem(table):
+    # pins the order of the noise draws, one vector per step in step order;
+    # seed 0 is pinned through the README's probe-uniqueness line
+    doc = load_config(None)
+    u0, cfg = doc.initial_state(doc.build_column()), doc.build_stepping()
+    assert uniqueness_probe(u0, cfg, table, seed=7) == 3.82891353372179e-11
+
+
+def test_uniqueness_probe_keeps_no_perturbed_trajectory(table):
+    # each perturbed state is folded into the gap as it arrives, so from 100
+    # to 500 steps the peak grows only by the base run's per-step scalars
+    # (times, iteration counts and norms: 32 bytes a step measured); a probe
+    # that kept its 60-node states would add at least 480 bytes a step
+    u0 = _lens(_bench_column(60))
+
+    def peak(n_steps):
+        cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01 * n_steps, newton_tol=1.0e-7)
+        assert cfg.n_steps == n_steps
+        tracemalloc.start()
+        try:
+            uniqueness_probe(u0, cfg, table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm-up
+    assert peak(500) - peak(100) <= 64 * 400
 
 
 def test_probe_scale_detects_distinct_dynamics(table):

@@ -13,6 +13,7 @@ from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 from kirchflow import stepper
 from kirchflow.config import gaussian_lens, load_config, parse_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
+from kirchflow.diagnostics import uniqueness_probe
 from kirchflow.grid import Column, Field, GridError
 from kirchflow.harness import ManufacturedSolution
 from kirchflow.stepper import (
@@ -491,6 +492,30 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
     for name in ("residual", "jacobian"):
         assert not any(counts[f"{inner} in {name}"]
                        for inner in ("_channels",) + _STENCILS)
+
+
+def test_uniqueness_probe_counts_one_base_and_one_perturbed_march(table, monkeypatch):
+    # the probe runs the reference march, then a second march through the
+    # same loop in which every step starts from a perturbed guess: 100 Newton
+    # solves, since the probe takes no fixed-point tail; each step clamps and
+    # evaluates its guess once, and each iteration evaluates once more
+    doc = load_config(None)
+    u0, cfg = doc.initial_state(doc.build_column()), doc.build_stepping()
+    counts, count = _counting(monkeypatch)
+    count(stepper._System, "start")
+    run(u0, cfg, table)
+    base = counts.copy()
+    counts.clear()
+    uniqueness_probe(u0, cfg, table)
+    perturbed = counts - base
+    iters = perturbed["dgbsv"]
+    assert (base["__init__"], perturbed["__init__"]) == (1, 1)
+    assert (base["_newton"], perturbed["_newton"]) == (7, 100)
+    assert perturbed["start"] == perturbed["evaluate in start"] == 100
+    assert perturbed["evaluate"] == 1 + 100 + iters
+    assert perturbed["_channels"] == perturbed["_channels in evaluate"] == perturbed["evaluate"]
+    assert perturbed["residual"] == perturbed["_newton"] + iters
+    assert perturbed["jacobian"] == iters
 
 
 def test_step_evaluates_each_iterate_once(table, monkeypatch):
