@@ -3,11 +3,11 @@
 The solver's correctness story is not just "residuals are small": an
 accepted run must also keep the discrete energy bookkeeping inside the
 bounds the continuous problem imposes.  This module turns those bounds
-into numbers — per-step energy ledgers, the closed-form growth bound,
-the backward time-difference energy, an operational uniqueness probe, a
-maximum-principle violation meter, and an initial-condition fidelity
-check, each verdict a ``Check(name, value, bound)`` that passes iff
-``value <= bound``.  Everything is a pure function of a finished Trajectory.
+into numbers — per-step energy ledgers, the closed-form growth bound, the
+backward time-difference energy, an operational uniqueness probe, a
+maximum-principle violation meter, and an initial-condition fidelity check,
+each verdict a ``Check(name, value, bound)`` that passes iff ``value <=
+bound``.  Each is a pure function of a finished Trajectory and its ``stepping``.
 
 Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy is the squared face seminorm (`grad_sq_array`) — the
@@ -144,25 +144,28 @@ def _blocks(values: np.ndarray, overlap: int = 0):
 def energy_report(
     traj: Trajectory, cfg: StepConfig, table: KirchhoffTable
 ) -> EnergyReport:
-    """Energy ledger of a trajectory produced under ``cfg``; a horizon whose
-    growth bound overflows a float (from t = 704 on the default problem) is
-    refused, since an infinite bound certifies nothing."""
-    col = traj.column
+    """Energy ledger of a trajectory under its own ``traj.stepping``, which ``cfg``
+    must equal field for field; a growth bound that overflows a float (from t = 704
+    on the default problem) is refused, since an infinite bound certifies nothing."""
+    step, col = traj.stepping, traj.column
+    differ = [name for name, value in vars(step).items() if getattr(cfg, name) != value]
+    if differ:
+        raise DiagnosticsError(f"cfg: differs from traj.stepping in {', '.join(differ)}")
     dz, b_int, grad_sq, lap_sq = col.dz, [], [], []
     for block in _blocks(traj.values):
         b_int.append(integrate_array(table.legendre_B(block), dz))
         grad_sq.append(grad_sq_array(block, dz))
-        lap_sq.append(cfg.gamma * integrate_array(laplacian_array(block, dz) ** 2, dz))
+        lap_sq.append(step.gamma * integrate_array(laplacian_array(block, dz) ** 2, dz))
     b_int, grad_sq, lap_sq = (np.concatenate(a)[traj.rows]
                               for a in (b_int, grad_sq, lap_sq))
     cum = np.zeros(traj.times.size)
-    cum[1:] = np.cumsum(cfg.h * (0.5 * grad_sq[1:] + lap_sq[1:]))
+    cum[1:] = np.cumsum(step.h * (0.5 * grad_sq[1:] + lap_sq[1:]))
     t_final = float(traj.times[-1])
     with np.errstate(over="ignore"):
-        bound = (b_int[0] + cfg.beta * col.length * t_final) * np.exp(cfg.beta * t_final)
+        bound = (b_int[0] + step.beta * col.length * t_final) * np.exp(step.beta * t_final)
     if not np.isfinite(bound):
         raise DiagnosticsError(f"gronwall bound overflows at t = {t_final!r}, "
-                               f"beta = {cfg.beta!r}")
+                               f"beta = {step.beta!r}")
     return EnergyReport(
         times=traj.times.copy(),
         b_integral=b_int,
@@ -170,23 +173,20 @@ def energy_report(
         lap_sq=lap_sq,
         cum_dissipation=cum,
         gronwall_bound=float(bound),
-        h=cfg.h,
-        beta=cfg.beta,
+        h=step.h,
+        beta=step.beta,
         omega=col.length,
-        newton_tol=cfg.newton_tol,
+        newton_tol=step.newton_tol,
     )
 
 
 def regularity_monitor(traj: Trajectory) -> float:
-    """Discrete time-derivative energy sum_n h * integral((du/h)^2).
+    """Discrete time-derivative energy sum_n h * integral((du/h)^2), h the march's.
 
     Uniform boundedness under h-refinement is the smoothing signature:
     blow-up here means the march is resolving a kink, not a solution.
     """
-    if traj.times.size < 2:
-        return 0.0
-    dz = traj.column.dz
-    h = float(traj.times[1] - traj.times[0])
+    dz, h = traj.column.dz, traj.stepping.h
     total = 0.0
     for block in _blocks(traj.values, overlap=1):
         quot = (block[1:] - block[:-1]) / h

@@ -43,8 +43,8 @@ derivative of the residual's.  The one step loop is the private generator
 and starts each step from the iterate the step before accepted, with its ``b``
 as ``b(u_old)``, or from what a ``guess`` hook makes of it (the uniqueness
 probe perturbs it).  ``run`` reads it, owns the fixed-point tail and stacks
-the accepted values once; the residual and the Newton matrix belong to the
-private ``_System`` of one march and have no ``Field`` form.
+the accepted values once, in a ``Trajectory`` that keeps ``cfg``; residual and
+Newton matrix live on one march's private ``_System``, with no ``Field`` form.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file
 through ``load_scipy_module``, the one function in kirchflow that reads
@@ -65,7 +65,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -182,24 +182,25 @@ class StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted states u^0..u^N on ``column`` with per-step solver bookkeeping.
+    """Accepted states u^0..u^N on ``column``, marched under ``stepping``.
 
-    ``values`` holds each distinct state once, one read-only row each, as a
-    view of the array passed in, not a copy.  A march that stops at a fixed
-    point (see ``run``) has ``m + 1 <= N + 1`` rows; state ``n`` is row
-    ``rows[n] = min(n, m)``.  ``newton_iters`` and ``residual_norms`` have one
-    entry per step, the tail's included.  Trajectories compare and hash by
-    identity.
+    N is ``stepping.n_steps``; the read-only ``times`` is ``h * arange(N + 1)``.
+    ``values`` holds each distinct state once, one read-only row each, as a view
+    of the array passed in.  A march that stops at a fixed point (see ``run``)
+    has ``m + 1 <= N + 1`` rows; state ``n`` is row ``rows[n] = min(n, m)``.
+    ``newton_iters`` and ``residual_norms`` have one entry per step, the tail's
+    included.  Trajectories compare and hash by identity.
     """
 
-    times: np.ndarray
+    stepping: StepConfig
     values: np.ndarray
     column: Column
     newton_iters: Tuple[int, ...]
     residual_norms: Tuple[float, ...]
+    times: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        t = np.array(self.times, dtype=float, copy=True)
+        t = self.stepping.h * np.arange(self.n_steps + 1)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         vals = np.asarray(self.values, dtype=float).view()
@@ -210,20 +211,20 @@ class Trajectory:
         if not np.all(np.isfinite(vals)):
             raise GridError("trajectory values must be finite")
         for name in ("newton_iters", "residual_norms"):
-            if len(getattr(self, name)) != t.size - 1:
-                raise GridError(f"{name}: needs {t.size - 1} entries, one per step "
+            if len(getattr(self, name)) != self.n_steps:
+                raise GridError(f"{name}: needs {self.n_steps} entries, one per step "
                                 f"(got {len(getattr(self, name))})")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
     def n_steps(self) -> int:
-        return self.times.size - 1
+        return self.stepping.n_steps
 
     @property
     def rows(self) -> np.ndarray:
         """The row of ``values`` that holds each state u^0..u^N."""
-        return np.minimum(np.arange(self.times.size), len(self.values) - 1)
+        return np.minimum(np.arange(self.n_steps + 1), len(self.values) - 1)
 
 
 def project_initial(u0: Field) -> Field:
@@ -398,16 +399,15 @@ def run(
     same values): the march stops storing states there, and later steps
     repeat its iteration count and norm.
     """
-    times = cfg.h * np.arange(cfg.n_steps + 1)
     steps = _march(u0, cfg, table, source)
     values, iters, norms = [next(steps).v], [], []
     for it, n_it, rnorm in steps:
         if source is None and it.v.tobytes() == values[-1].tobytes():
-            iters += [n_it] * (times.size - len(values))
-            norms += [rnorm] * (times.size - len(values))
+            iters += [n_it] * (cfg.n_steps + 1 - len(values))
+            norms += [rnorm] * (cfg.n_steps + 1 - len(values))
             break
         values.append(it.v)
         iters.append(n_it)
         norms.append(rnorm)
-    return Trajectory(times=times, values=np.stack(values), column=u0.column,
+    return Trajectory(stepping=cfg, values=np.stack(values), column=u0.column,
                       newton_iters=tuple(iters), residual_norms=tuple(norms))

@@ -41,13 +41,14 @@ def _lens(col, depth=0.2, width=0.15, center=0.5):
     return Field(gaussian_lens(col.nodes(), center, width, depth), col)
 
 
-def _manual_trajectory(states, h, tail=0):
-    """Trajectory through the Fields ``states``; the last ``tail`` of them
-    repeat the one before and are left to ``rows``, as a march past its fixed
-    point leaves them."""
+def _manual_trajectory(states, h, tail=0, **stepping):
+    """Trajectory through the Fields ``states``, one step ``h`` apart, its other
+    ``StepConfig`` fields from ``stepping``; the last ``tail`` states repeat the
+    one before and are left to ``rows``, as a march past its fixed point leaves
+    them."""
     n = len(states) - 1
     return Trajectory(
-        times=h * np.arange(n + 1),
+        stepping=StepConfig(h=h, t_end=h * n, **stepping),
         values=np.stack([s.values for s in states[:len(states) - tail]]),
         column=states[0].column,
         newton_iters=tuple([1] * n),
@@ -91,7 +92,7 @@ def test_energy_report_matches_hand_quadrature(table):
     h = 0.25
     f0 = Field(-0.1 * np.sin(np.pi * z), col)
     f1 = Field(-0.05 * z * (1.0 - z), col)
-    traj = _manual_trajectory([f0, f1], h)
+    traj = _manual_trajectory([f0, f1], h, gamma=0.3, newton_tol=1.0e-10)
     cfg = StepConfig(h=h, gamma=0.3, t_end=h, newton_tol=1.0e-10)
     rep = energy_report(traj, cfg, table)
 
@@ -121,6 +122,25 @@ def test_energy_report_matches_hand_quadrature(table):
     assert rep.cum_dissipation[1] == pytest.approx(hand_cum, abs=1.0e-12)
     hand_bound = (rep.b_integral[0] + 1.0 * 1.0 * h) * np.exp(1.0 * h)
     assert rep.gronwall_bound == pytest.approx(hand_bound, abs=1.0e-12)
+
+
+def test_energy_report_refuses_settings_the_trajectory_was_not_marched_with(table):
+    # the estimates hold for the march's own h, gamma and Newton slack; read
+    # with another, the default run's energy-inequality value of -1.195e-2
+    # would be -8.11e-3 (h = 0.02), -1.538e-2 (gamma = 0) or -2.195e-2
+    # (newton_tol = 1e-3, a slack 1e4 times wider)
+    cfg = load_config(None)
+    stepping = cfg.build_stepping()
+    traj = run(cfg.initial_state(cfg.build_column()), stepping, table)
+    value = energy_report(traj, stepping, table).energy_inequality().value
+    assert value == pytest.approx(-1.195e-2, abs=5.0e-6)
+    for changes, named in [({"h": 0.02}, "h"), ({"gamma": 0.0}, "gamma"),
+                           ({"newton_tol": 1.0e-3}, "newton_tol"),
+                           ({"newton_tol": 1.0e-3, "h": 0.02}, "h, newton_tol")]:
+        other = dataclasses.replace(stepping, **changes)
+        with pytest.raises(DiagnosticsError,
+                           match=f"^cfg: differs from traj.stepping in {named}$"):
+            energy_report(traj, other, table)
 
 
 def test_energy_report_benchmark_bounds(table):
@@ -311,7 +331,6 @@ def test_regularity_trivial_trajectories(table):
     assert regularity_monitor(_manual_trajectory([f, f, f], h=0.1)) == 0.0
     zero = Field.zeros(col)
     assert regularity_monitor(_manual_trajectory([zero, zero], h=0.1)) == 0.0
-    assert regularity_monitor(_manual_trajectory([f], h=0.1)) == 0.0
 
 
 def test_regularity_bounded_under_step_halving(table):
@@ -448,7 +467,7 @@ def test_initial_condition_check_flags_corruption(table):
     values = traj.values.copy()
     values[0] -= 0.05
     corrupted = Trajectory(
-        times=traj.times.copy(),
+        stepping=traj.stepping,
         values=values,
         column=col,
         newton_iters=traj.newton_iters,

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv as scipy_dgbsv
 
-from kirchflow import stepper
+from kirchflow import cli, harness, stepper
 from kirchflow.config import gaussian_lens, load_config, parse_config
 from kirchflow.constitutive import KirchhoffTable, OutOfRangeError
 from kirchflow.diagnostics import uniqueness_probe
@@ -591,6 +591,10 @@ def test_library_defaults_march_the_reference_problem(table):
     ref, stepping = _reference_run(table)
     assert (col, cfg) == (ref.column, stepping)
     assert traj.values.tobytes() == ref.values.tobytes()
+    # the trajectory keeps the march's own settings, and its times are
+    # h * arange(N + 1) of them, bit for bit
+    assert ref.stepping is stepping
+    assert ref.times.tobytes() == (stepping.h * np.arange(stepping.n_steps + 1)).tobytes()
 
 
 def test_run_projects_initial_condition(table):
@@ -673,6 +677,28 @@ def test_fine_step_newton_work_count(table, monkeypatch, h):
     traj = run(u0, cfg, table)
     assert sum(traj.newton_iters) == iters
     _assert_stored_once(traj, stored, fields)
+
+
+def test_newton_sourced_work_count(monkeypatch, tmp_path):
+    # the benchmark's newton-sourced problems, as the command line marches
+    # them: `mms` (four spatial, then four temporal levels) and
+    # `demo-overshoot` (gamma = 0.1, then 0).  Each count is the sum of one
+    # trajectory's newton_iters, the benchmark's stepper.newton_iters
+    counts = []
+
+    def counting(march):
+        def counted(*args, **kwargs):
+            traj = march(*args, **kwargs)
+            counts.append(sum(traj.newton_iters))
+            return traj
+        return counted
+
+    monkeypatch.setattr(harness, "run", counting(harness.run))
+    monkeypatch.setattr(cli, "march", counting(cli.march))
+    assert cli.main(["mms", "--out", str(tmp_path)]) == 0
+    assert cli.main(["demo-overshoot", "--out", str(tmp_path)]) == 0
+    assert counts == [364, 356, 369, 375, 52, 97, 159, 316, 914, 1067]
+    assert sum(counts) == 4069
 
 
 def test_run_fixed_point_tail_equals_full_march(table):
@@ -791,6 +817,6 @@ def test_trajectory_rejects_inconsistent_values(fields, match):
     consistent = {"values": np.zeros((2, 10)), "newton_iters": (0, 0),
                   "residual_norms": (0.0, 0.0)}
     with pytest.raises(GridError, match=match):
-        Trajectory(times=[0.0, 0.1, 0.2], column=Column(length=1.0, n_cells=10),
-                   **{**consistent, **fields})
+        Trajectory(stepping=StepConfig(h=0.1, t_end=0.2),
+                   column=Column(length=1.0, n_cells=10), **{**consistent, **fields})
 
