@@ -175,7 +175,7 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     print(f"wrote {path}")
 
     checks = [report.energy_inequality(), report.gronwall(), Check(
-        "initial-condition", initial_condition_check(traj, u0, table), 1.0e-12)]
+        "initial-condition", initial_condition_check(traj, u0), 1.0e-12)]
     if stepping.gamma == 0.0:
         checks.append(Check("max-principle", max_principle_check(traj),
                             _MAX_PRINCIPLE_TOL))
@@ -188,9 +188,9 @@ def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     traj = march(u0, stepping, table)
     lines = _snapshot_lines(
         traj, _snapshots(traj, stride),
-        lambda state: pressure_field(state, table),
-        lambda state: saturation_field(state, table),
-        lambda state: darcy_velocity(state, stepping.gamma, table),
+        lambda state: pressure_field(state, traj.table),
+        lambda state: saturation_field(state, traj.table),
+        lambda state: darcy_velocity(state, traj.stepping.gamma, traj.table),
     )
     path = _write_csv(
         cfg, out, "fields.csv",
@@ -233,7 +233,7 @@ def _cmd_probe_uniqueness(cfg: RunConfig, out: str, args: argparse.Namespace) ->
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0 (got {args.seed})")
     table, _, stepping, u0 = _problem(cfg)
-    gap = uniqueness_probe(u0, stepping, table, seed=args.seed)
+    gap = uniqueness_probe(march(u0, stepping, table), seed=args.seed)
     bound = 10.0 * stepping.newton_tol
     _write_csv(cfg, out, "uniqueness.csv", ("seed", "max_discrepancy", "bound"),
                _csv_lines([(args.seed, float(gap), float(bound))]))

@@ -7,7 +7,8 @@ into numbers — per-step energy ledgers, the closed-form growth bound, the
 backward time-difference energy, an operational uniqueness probe, a
 maximum-principle violation meter, and an initial-condition fidelity check,
 each verdict a ``Check(name, value, bound)`` that passes iff ``value <=
-bound``.  Each is a pure function of a finished Trajectory and its ``stepping``.
+bound``.  Each is a pure function of a finished Trajectory, which carries
+the ``stepping`` and ``table`` it was marched under; none marches it again.
 
 Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy is the squared face seminorm (`grad_sq_array`) — the
@@ -27,7 +28,7 @@ import numpy as np
 
 from .constitutive import KirchhoffTable
 from .grid import Field, grad_sq_array, integrate_array, l2_norm, laplacian_array
-from .stepper import StepConfig, Trajectory, _march, project_initial, run
+from .stepper import StepConfig, Trajectory, _march, project_initial
 
 __all__ = [
     "Check",
@@ -144,16 +145,18 @@ def _blocks(values: np.ndarray, overlap: int = 0):
 def energy_report(
     traj: Trajectory, cfg: StepConfig, table: KirchhoffTable
 ) -> EnergyReport:
-    """Energy ledger of a trajectory under its own ``traj.stepping``, which ``cfg``
-    must equal field for field; a growth bound that overflows a float (from t = 704
+    """Energy ledger under ``traj.stepping`` and ``traj.table``, which ``cfg`` and
+    ``table.model`` must equal; a growth bound that overflows a float (from t = 704
     on the default problem) is refused, since an infinite bound certifies nothing."""
     step, col = traj.stepping, traj.column
     differ = [name for name, value in vars(step).items() if getattr(cfg, name) != value]
     if differ:
         raise DiagnosticsError(f"cfg: differs from traj.stepping in {', '.join(differ)}")
+    if table.model != traj.table.model:
+        raise DiagnosticsError("table: built from another model than traj.table")
     dz, b_int, grad_sq, lap_sq = col.dz, [], [], []
     for block in _blocks(traj.values):
-        b_int.append(integrate_array(table.legendre_B(block), dz))
+        b_int.append(integrate_array(traj.table.legendre_B(block), dz))
         grad_sq.append(grad_sq_array(block, dz))
         lap_sq.append(step.gamma * integrate_array(laplacian_array(block, dz) ** 2, dz))
     b_int, grad_sq, lap_sq = (np.concatenate(a)[traj.rows]
@@ -167,7 +170,7 @@ def energy_report(
         raise DiagnosticsError(f"gronwall bound overflows at t = {t_final!r}, "
                                f"beta = {step.beta!r}")
     return EnergyReport(
-        times=traj.times.copy(),
+        times=traj.times,
         b_integral=b_int,
         grad_sq=grad_sq,
         lap_sq=lap_sq,
@@ -195,28 +198,24 @@ def regularity_monitor(traj: Trajectory) -> float:
     return total
 
 
-def uniqueness_probe(
-    u0: Field,
-    cfg: StepConfig,
-    table: KirchhoffTable,
-    seed: int = 0,
-) -> float:
-    """Max L2 gap between a warm-started march and a guess-perturbed one.
+def uniqueness_probe(traj: Trajectory, seed: int = 0) -> float:
+    """Max L2 gap between a sourceless march and a guess-perturbed copy of it.
 
-    The second march adds standard normal noise (from ``seed``) times the
+    The copy marches from ``traj.values[0]`` under ``traj.stepping`` and
+    ``traj.table``, adding standard normal noise (from ``seed``) times the
     fixed ``_GUESS_PERTURBATION`` = 1e-3 to every Newton initial guess; if the
     per-step root is unique within the basin, both land on the same states and
     the gap stays at solver tolerance.  A zero scale reproduces the march bitwise.
     """
-    base = run(u0, cfg, table)
     rng = np.random.default_rng(seed)
-    col = u0.column
-    steps = _march(u0, cfg, table, guess=lambda system, it: system.start(
-        it.v + _GUESS_PERTURBATION * rng.standard_normal(col.n_cells)))
-    next(steps)  # the projected initial state, the base march's own
+    col = traj.column
+    steps = _march(Field(traj.values[0], col), traj.stepping, traj.table,
+                   guess=lambda system, it: system.start(
+                       it.v + _GUESS_PERTURBATION * rng.standard_normal(col.n_cells)))
+    next(steps)  # the initial state, the march's own
     gap = 0.0
-    for row, (it, _, _) in zip(base.rows[1:], steps):
-        gap = max(gap, l2_norm(it.v - base.values[row], col.dz))
+    for row, (it, _, _) in zip(traj.rows[1:], steps):
+        gap = max(gap, l2_norm(it.v - traj.values[row], col.dz))
     return gap
 
 
@@ -231,10 +230,6 @@ def max_principle_check(traj: Trajectory) -> float:
     return max(0.0, float(np.max(traj.values)) - ceiling)
 
 
-def initial_condition_check(
-    traj: Trajectory, u0: Field, table: KirchhoffTable
-) -> float:
-    """L2 distance between stored initial saturation and b(projected u0)."""
-    projected = project_initial(u0)
-    db = table.all_channels(traj.values[0])[0] - table.all_channels(projected.values)[0]
-    return l2_norm(db, u0.column.dz)
+def initial_condition_check(traj: Trajectory, u0: Field) -> float:
+    """L2 distance between the stored initial state and ``project_initial(u0)``."""
+    return l2_norm(traj.values[0] - project_initial(u0).values, traj.column.dz)

@@ -43,8 +43,8 @@ derivative of the residual's.  The one step loop is the private generator
 and starts each step from the iterate the step before accepted, with its ``b``
 as ``b(u_old)``, or from what a ``guess`` hook makes of it (the uniqueness
 probe perturbs it).  ``run`` reads it, owns the fixed-point tail and stacks
-the accepted values once, in a ``Trajectory`` that keeps ``cfg``; residual and
-Newton matrix live on one march's private ``_System``, with no ``Field`` form.
+the accepted values once, in a ``Trajectory`` that keeps ``cfg`` and ``table``;
+residual and Newton matrix live on one march's private ``_System``, no ``Field``.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file
 through ``load_scipy_module``, the one function in kirchflow that reads
@@ -182,9 +182,10 @@ class StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted states u^0..u^N on ``column``, marched under ``stepping``.
+    """Accepted states u^0..u^N on ``column``, marched under ``stepping`` on ``table``.
 
     N is ``stepping.n_steps``; the read-only ``times`` is ``h * arange(N + 1)``.
+    Every certificate reads its settings and table here, not from its caller.
     ``values`` holds each distinct state once, one read-only row each, as a view
     of the array passed in.  A march that stops at a fixed point (see ``run``)
     has ``m + 1 <= N + 1`` rows; state ``n`` is row ``rows[n] = min(n, m)``.
@@ -193,6 +194,7 @@ class Trajectory:
     """
 
     stepping: StepConfig
+    table: KirchhoffTable
     values: np.ndarray
     column: Column
     newton_iters: Tuple[int, ...]
@@ -409,5 +411,6 @@ def run(
         values.append(it.v)
         iters.append(n_it)
         norms.append(rnorm)
-    return Trajectory(stepping=cfg, values=np.stack(values), column=u0.column,
-                      newton_iters=tuple(iters), residual_norms=tuple(norms))
+    return Trajectory(stepping=cfg, table=table, values=np.stack(values),
+                      column=u0.column, newton_iters=tuple(iters),
+                      residual_norms=tuple(norms))

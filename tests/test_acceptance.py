@@ -165,7 +165,7 @@ def test_criterion_05_manufactured_convergence_orders(table):
 
 def test_criterion_06_uniqueness_probe(bench, table):
     col, u0, cfg, traj, _ = bench
-    gap = uniqueness_probe(u0, cfg, table, seed=0)
+    gap = uniqueness_probe(traj, seed=0)
     bound = 10.0 * cfg.newton_tol
     ok = gap <= bound
     _report(6, "uniqueness-probe", ok, f"discrepancy {gap:.2e} <= {bound:.0e}")
@@ -208,13 +208,13 @@ def test_criterion_08_recovery_consistency(bench, table):
         errs.append(gradient_consistency(_lens(col_n, depth=0.1, width=0.2), table))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
     col, u0, cfg, traj, _ = bench
-    ic_defect = initial_condition_check(traj, u0, table)
+    ic_defect = initial_condition_check(traj, u0)
     # second run in the other regime: the initial-state identity must
     # hold regardless of the fourth-order term
     col_c = Column(length=1.0, n_cells=80, gravity_sign=-1.0)
     u0_c = project_initial(_lens(col_c, depth=0.1))
     traj_c = run(u0_c, StepConfig(h=0.01, gamma=0.0, t_end=0.05, newton_tol=1e-10), table)
-    ic_defect_c = initial_condition_check(traj_c, u0_c, table)
+    ic_defect_c = initial_condition_check(traj_c, u0_c)
     ok = min(orders) >= 1.9 and ic_defect <= 1.0e-12 and ic_defect_c <= 1.0e-12
     _report(
         8,

@@ -525,6 +525,7 @@ def test_negative_seed_exits_2_before_marching(tmp_path, small_config, monkeypat
     def no_march(*args, **kwargs):
         raise AssertionError("marched before refusing the seed")
 
+    monkeypatch.setattr(cli, "march", no_march)
     monkeypatch.setattr(cli, "uniqueness_probe", no_march)
     out = tmp_path / "artifacts"
     assert main(["probe-uniqueness", "--config", small_config, "--out", str(out),

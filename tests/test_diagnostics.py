@@ -8,6 +8,7 @@ import pytest
 
 from kirchflow import diagnostics
 from kirchflow.config import gaussian_lens, load_config
+from kirchflow.constitutive import ConstitutiveModel, build_table
 from kirchflow.diagnostics import (
     BLOCK_STATES,
     DiagnosticsError,
@@ -41,14 +42,15 @@ def _lens(col, depth=0.2, width=0.15, center=0.5):
     return Field(gaussian_lens(col.nodes(), center, width, depth), col)
 
 
-def _manual_trajectory(states, h, tail=0, **stepping):
-    """Trajectory through the Fields ``states``, one step ``h`` apart, its other
-    ``StepConfig`` fields from ``stepping``; the last ``tail`` states repeat the
-    one before and are left to ``rows``, as a march past its fixed point leaves
-    them."""
+def _manual_trajectory(table, states, h, tail=0, **stepping):
+    """Trajectory on ``table`` through the Fields ``states``, one step ``h``
+    apart, its other ``StepConfig`` fields from ``stepping``; the last ``tail``
+    states repeat the one before and are left to ``rows``, as a march past its
+    fixed point leaves them."""
     n = len(states) - 1
     return Trajectory(
         stepping=StepConfig(h=h, t_end=h * n, **stepping),
+        table=table,
         values=np.stack([s.values for s in states[:len(states) - tail]]),
         column=states[0].column,
         newton_iters=tuple([1] * n),
@@ -92,7 +94,7 @@ def test_energy_report_matches_hand_quadrature(table):
     h = 0.25
     f0 = Field(-0.1 * np.sin(np.pi * z), col)
     f1 = Field(-0.05 * z * (1.0 - z), col)
-    traj = _manual_trajectory([f0, f1], h, gamma=0.3, newton_tol=1.0e-10)
+    traj = _manual_trajectory(table, [f0, f1], h, gamma=0.3, newton_tol=1.0e-10)
     cfg = StepConfig(h=h, gamma=0.3, t_end=h, newton_tol=1.0e-10)
     rep = energy_report(traj, cfg, table)
 
@@ -143,6 +145,22 @@ def test_energy_report_refuses_settings_the_trajectory_was_not_marched_with(tabl
             energy_report(traj, other, table)
 
 
+def test_energy_report_refuses_a_table_of_another_model(table):
+    # the ledger reads B off the march's own table; read off a table built for
+    # n_vg = 3, the default run's energy-inequality value of -1.195e-2 would be
+    # -6.90e-3 and its Gronwall value 7.63e-3 would be 4.85e-3, both passing
+    cfg = load_config(None)
+    stepping = cfg.build_stepping()
+    traj = run(cfg.initial_state(cfg.build_column()), stepping, table)
+    with pytest.raises(DiagnosticsError,
+                       match="^table: built from another model than traj.table$"):
+        energy_report(traj, stepping, build_table(ConstitutiveModel(n_vg=3.0)))
+    rebuilt = cfg.transform_table()  # the same model, another table
+    assert rebuilt is not traj.table
+    value = energy_report(traj, stepping, rebuilt).energy_inequality().value
+    assert value == pytest.approx(-1.195e-2, abs=5.0e-6)
+
+
 def test_energy_report_benchmark_bounds(table):
     col = _bench_column()
     cfg = StepConfig(**BENCH)
@@ -158,7 +176,7 @@ def test_energy_report_benchmark_bounds(table):
     assert rep.energy_inequality().passed
 
 
-def _multi_block_trajectory(h, repeats=False):
+def _multi_block_trajectory(table, h, repeats=False):
     # 32 full blocks and a partial 33rd, with wet (u >= 0) and dry nodes
     col = Column(length=1.0, n_cells=23, gravity_sign=-1.0)
     rng = np.random.default_rng(11)
@@ -173,13 +191,13 @@ def _multi_block_trajectory(h, repeats=False):
         states[BLOCK_STATES - 9:BLOCK_STATES + 20] = [states[BLOCK_STATES - 9]] * 29
         states[-150:] = [states[-150]] * 150
         states[301] = Field(states[300].values, col)
-    return col, states, _manual_trajectory(states, h, tail=149 if repeats else 0)
+    return col, states, _manual_trajectory(table, states, h, tail=149 if repeats else 0)
 
 
 def test_blocked_energy_report_equals_per_state_definitions(table):
     h = 1.0e-3
     for repeats in (False, True):
-        col, states, traj = _multi_block_trajectory(h, repeats)
+        col, states, traj = _multi_block_trajectory(table, h, repeats)
         cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
         rep = energy_report(traj, cfg, table)
         b_int = [float(integrate_array(table.legendre_B(s.values), col.dz))
@@ -200,7 +218,7 @@ def test_blocked_energy_report_equals_per_state_definitions(table):
 def test_blocked_regularity_monitor_equals_per_state_definition(table):
     h = 1.0e-3
     for repeats in (False, True):
-        col, states, traj = _multi_block_trajectory(h, repeats)
+        col, states, traj = _multi_block_trajectory(table, h, repeats)
         total = 0.0
         for n in range(1, len(states)):
             quot = (states[n].values - states[n - 1].values) / h
@@ -227,7 +245,7 @@ def _check_verdicts(rep):
 def test_energy_checks_decide_as_the_written_out_definitions(table):
     h = 1.0e-3
     for repeats in (False, True):
-        _, states, traj = _multi_block_trajectory(h, repeats)
+        _, states, traj = _multi_block_trajectory(table, h, repeats)
         cfg = StepConfig(h=h, gamma=0.1, t_end=h * (len(states) - 1), newton_tol=1.0e-7)
         rep = energy_report(traj, cfg, table)
         ineq, gron = _check_verdicts(rep)
@@ -295,7 +313,7 @@ def test_energy_report_rejects_a_series_off_the_time_grid():
 def test_time_quotient_constant_trajectory_is_zero(table):
     col = _bench_column(30)
     f = _lens(col, depth=0.1)
-    traj = _manual_trajectory([f, f, f, f], h=0.1)
+    traj = _manual_trajectory(table, [f, f, f, f], h=0.1)
     states = traj.values[traj.rows]
     assert time_quotient(states, 0.1, col.dz, 1, table) == 0.0
     assert time_quotient(states, 0.1, col.dz, 3, table) == 0.0
@@ -328,9 +346,9 @@ def test_time_quotient_nonnegative_at_longer_lag(table):
 def test_regularity_trivial_trajectories(table):
     col = _bench_column(30)
     f = _lens(col, depth=0.1)
-    assert regularity_monitor(_manual_trajectory([f, f, f], h=0.1)) == 0.0
+    assert regularity_monitor(_manual_trajectory(table, [f, f, f], h=0.1)) == 0.0
     zero = Field.zeros(col)
-    assert regularity_monitor(_manual_trajectory([zero, zero], h=0.1)) == 0.0
+    assert regularity_monitor(_manual_trajectory(table, [zero, zero], h=0.1)) == 0.0
 
 
 def test_regularity_bounded_under_step_halving(table):
@@ -354,37 +372,40 @@ def test_uniqueness_probe_deterministic_is_exact(table, monkeypatch):
     col = _bench_column(60)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.1, newton_tol=1.0e-7)
     monkeypatch.setattr(diagnostics, "_GUESS_PERTURBATION", 0.0)
-    assert uniqueness_probe(_lens(col), cfg, table) == 0.0
+    assert uniqueness_probe(run(_lens(col), cfg, table)) == 0.0
 
 
 def test_uniqueness_probe_perturbed_stays_at_tolerance(table):
     col = _bench_column()
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.2, newton_tol=1.0e-7)
-    gap = uniqueness_probe(_lens(col), cfg, table, seed=0)
+    gap = uniqueness_probe(run(_lens(col), cfg, table), seed=0)
     assert gap <= 10.0 * cfg.newton_tol
 
 
 def test_uniqueness_probe_seed_7_on_the_default_problem(table):
     # pins the order of the noise draws, one vector per step in step order;
-    # seed 0 is pinned through the README's probe-uniqueness line
+    # seed 0, also quoted in the README's probe-uniqueness line, is pinned on
+    # the same march, which the probe reads and does not march again
     doc = load_config(None)
-    u0, cfg = doc.initial_state(doc.build_column()), doc.build_stepping()
-    assert uniqueness_probe(u0, cfg, table, seed=7) == 3.82891353372179e-11
+    traj = run(doc.initial_state(doc.build_column()), doc.build_stepping(), table)
+    assert uniqueness_probe(traj, seed=7) == 3.82891353372179e-11
+    assert uniqueness_probe(traj, seed=0) == 2.6697482576689763e-11
 
 
 def test_uniqueness_probe_keeps_no_perturbed_trajectory(table):
-    # each perturbed state is folded into the gap as it arrives, so from 100
-    # to 500 steps the peak grows only by the base run's per-step scalars
-    # (times, iteration counts and norms: 32 bytes a step measured); a probe
+    # the probe alone is traced, on a march made before it; each perturbed
+    # state is folded into the gap as it arrives, so from 100 to 500 steps
+    # the peak grows only by per-step scalars (the march's row map); a probe
     # that kept its 60-node states would add at least 480 bytes a step
     u0 = _lens(_bench_column(60))
 
     def peak(n_steps):
         cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.01 * n_steps, newton_tol=1.0e-7)
         assert cfg.n_steps == n_steps
+        traj = run(u0, cfg, table)
         tracemalloc.start()
         try:
-            uniqueness_probe(u0, cfg, table)
+            uniqueness_probe(traj)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -443,7 +464,7 @@ def test_max_principle_reports_synthetic_overshoot(table):
     col = _bench_column(30)
     base = _lens(col, depth=0.1)
     bumped = Field(base.values + 0.02, col)
-    traj = _manual_trajectory([base, bumped], h=0.1)
+    traj = _manual_trajectory(table, [base, bumped], h=0.1)
     expected = float(np.max(bumped.values)) - max(float(np.max(base.values)), 0.0)
     assert max_principle_check(traj) == pytest.approx(expected, abs=1.0e-15)
 
@@ -453,10 +474,10 @@ def test_initial_condition_check_on_runs(table):
     u0 = _lens(col)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05, newton_tol=1.0e-7)
     traj = run(project_initial(u0), cfg, table)
-    assert initial_condition_check(traj, u0, table) <= 1.0e-12
+    assert initial_condition_check(traj, u0) <= 1.0e-12
     zero = Field.zeros(col)
     ztraj = run(zero, cfg, table)
-    assert initial_condition_check(ztraj, zero, table) == 0.0
+    assert initial_condition_check(ztraj, zero) == 0.0
 
 
 def test_initial_condition_check_flags_corruption(table):
@@ -468,9 +489,24 @@ def test_initial_condition_check_flags_corruption(table):
     values[0] -= 0.05
     corrupted = Trajectory(
         stepping=traj.stepping,
+        table=table,
         values=values,
         column=col,
         newton_iters=traj.newton_iters,
         residual_norms=traj.residual_norms,
     )
-    assert initial_condition_check(corrupted, u0, table) > 1.0e-3
+    assert initial_condition_check(corrupted, u0) > 1.0e-3
+
+
+def test_initial_condition_check_sees_a_defect_on_the_saturated_plateau(table):
+    # b is flat on u >= 0: a check that compared b of the two states read 0.0
+    # for a stored first state whose wall node 0 is 0.5 instead of 0.0
+    doc = load_config(None)
+    u0 = doc.initial_state(doc.build_column())
+    traj = run(u0, doc.build_stepping(), table)
+    values = traj.values.copy()
+    assert values[0, 0] == 0.0
+    values[0, 0] = 0.5
+    corrupted = dataclasses.replace(traj, values=values)
+    assert initial_condition_check(traj, u0) == 0.0
+    assert initial_condition_check(corrupted, u0) == pytest.approx(4.32e-2, abs=5.0e-5)

@@ -1,10 +1,12 @@
-"""The one march loop stays the only one.
+"""The one march loop stays the only one, and certificates march no base run.
 
 ``stepper._march`` is the only loop that calls ``_newton`` step by step;
 ``run`` and ``diagnostics.uniqueness_probe`` read it.  A module that names
 ``_System`` or ``_newton`` could march a second copy of that loop, and one
 that reads ``_march`` without being listed here is a new caller of the
-private loop: either is added on purpose, not by accident.
+private loop: either is added on purpose, not by accident.  ``run`` is read
+by the front ends that march (``harness`` and ``cli``) and by no
+certificate: each takes the finished trajectory it certifies.
 """
 
 import ast
@@ -17,6 +19,7 @@ USERS = {
     "_System": {"stepper"},
     "_newton": {"stepper"},
     "_march": {"stepper", "diagnostics"},
+    "run": {"stepper", "harness", "cli"},
 }
 
 

@@ -495,27 +495,26 @@ def test_sourced_mms_level_evaluates_each_iterate_once(table, monkeypatch):
 
 
 def test_uniqueness_probe_counts_one_base_and_one_perturbed_march(table, monkeypatch):
-    # the probe runs the reference march, then a second march through the
-    # same loop in which every step starts from a perturbed guess: 100 Newton
-    # solves, since the probe takes no fixed-point tail; each step clamps and
-    # evaluates its guess once, and each iteration evaluates once more
+    # the reference march is run once, before the probe; the probe reads it
+    # and marches only the perturbed copy, through the same loop, in which
+    # every step starts from a perturbed guess: 100 Newton solves, since the
+    # probe takes no fixed-point tail; each step clamps and evaluates its
+    # guess once, and each iteration evaluates once more
     doc = load_config(None)
     u0, cfg = doc.initial_state(doc.build_column()), doc.build_stepping()
     counts, count = _counting(monkeypatch)
     count(stepper._System, "start")
-    run(u0, cfg, table)
-    base = counts.copy()
+    traj = run(u0, cfg, table)
+    assert (counts["__init__"], counts["_newton"]) == (1, 7)
     counts.clear()
-    uniqueness_probe(u0, cfg, table)
-    perturbed = counts - base
-    iters = perturbed["dgbsv"]
-    assert (base["__init__"], perturbed["__init__"]) == (1, 1)
-    assert (base["_newton"], perturbed["_newton"]) == (7, 100)
-    assert perturbed["start"] == perturbed["evaluate in start"] == 100
-    assert perturbed["evaluate"] == 1 + 100 + iters
-    assert perturbed["_channels"] == perturbed["_channels in evaluate"] == perturbed["evaluate"]
-    assert perturbed["residual"] == perturbed["_newton"] + iters
-    assert perturbed["jacobian"] == iters
+    uniqueness_probe(traj)
+    iters = counts["dgbsv"]
+    assert (counts["__init__"], counts["_newton"]) == (1, 100)
+    assert counts["start"] == counts["evaluate in start"] == 100
+    assert counts["evaluate"] == 1 + 100 + iters
+    assert counts["_channels"] == counts["_channels in evaluate"] == counts["evaluate"]
+    assert counts["residual"] == counts["_newton"] + iters
+    assert counts["jacobian"] == iters
 
 
 def test_step_evaluates_each_iterate_once(table, monkeypatch):
@@ -811,12 +810,12 @@ def test_trajectory_compares_and_hashes_by_identity(table):
      r"^residual_norms: needs 2 entries, one per step \(got 3\)"),
 ], ids=["short-rows", "one-dimensional", "too-many-rows", "no-rows", "non-finite",
         "short-iters", "no-iters", "long-norms"])
-def test_trajectory_rejects_inconsistent_values(fields, match):
+def test_trajectory_rejects_inconsistent_values(table, fields, match):
     # the checks Field makes per state, made once for the whole array, and
     # one per-step record entry per step
     consistent = {"values": np.zeros((2, 10)), "newton_iters": (0, 0),
                   "residual_norms": (0.0, 0.0)}
     with pytest.raises(GridError, match=match):
-        Trajectory(stepping=StepConfig(h=0.1, t_end=0.2),
+        Trajectory(stepping=StepConfig(h=0.1, t_end=0.2), table=table,
                    column=Column(length=1.0, n_cells=10), **{**consistent, **fields})
 
