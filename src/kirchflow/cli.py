@@ -138,9 +138,10 @@ def _print_checks(checks: Sequence[Check]) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _problem(cfg: RunConfig):
+def _trajectory(cfg: RunConfig) -> Trajectory:
+    """The configured problem, marched through the module-level name ``march``."""
     table, column = cfg.transform_table(), cfg.build_column()
-    return table, column, cfg.build_stepping(), cfg.initial_state(column)
+    return march(cfg.initial_state(column), cfg.build_stepping(), table)
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +151,17 @@ def _problem(cfg: RunConfig):
 
 def _cmd_run(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     stride = _stride(args)
-    table, column, stepping, u0 = _problem(cfg)
-    traj = march(u0, stepping, table)
+    traj = _trajectory(cfg)
     snapshots = _snapshots(traj, stride)
     path = _write_csv(cfg, out, "states.csv", ("t", "z", "u"),
                       _snapshot_lines(traj, snapshots), stride=stride)
-    print(f"wrote {path}: {len(snapshots)} snapshots "
-          f"of {column.n_cells} nodes")
+    print(f"wrote {path}: {len(snapshots)} snapshots of {traj.column.n_cells} nodes")
     return 0
 
 
 def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
-    table, column, stepping, u0 = _problem(cfg)
-    traj = march(u0, stepping, table)
-    report = energy_report(traj, stepping, table)
+    traj = _trajectory(cfg)
+    report = energy_report(traj, traj.stepping, traj.table)
     bound = np.full(report.times.shape, report.gronwall_bound)
     ledger = (report.times, report.b_integral, report.grad_sq, report.lap_sq,
               report.cum_dissipation, bound)
@@ -175,8 +173,8 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     print(f"wrote {path}")
 
     checks = [report.energy_inequality(), report.gronwall(), Check(
-        "initial-condition", initial_condition_check(traj, u0), 1.0e-12)]
-    if stepping.gamma == 0.0:
+        "initial-condition", initial_condition_check(traj), 1.0e-12)]
+    if traj.stepping.gamma == 0.0:
         checks.append(Check("max-principle", max_principle_check(traj),
                             _MAX_PRINCIPLE_TOL))
     return _print_checks(checks)
@@ -184,8 +182,7 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
 
 def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     stride = _stride(args)
-    table, _, stepping, u0 = _problem(cfg)
-    traj = march(u0, stepping, table)
+    traj = _trajectory(cfg)
     lines = _snapshot_lines(
         traj, _snapshots(traj, stride),
         lambda state: pressure_field(state, traj.table),
@@ -232,9 +229,9 @@ def _cmd_mms(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
 def _cmd_probe_uniqueness(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0 (got {args.seed})")
-    table, _, stepping, u0 = _problem(cfg)
-    gap = uniqueness_probe(march(u0, stepping, table), seed=args.seed)
-    bound = 10.0 * stepping.newton_tol
+    traj = _trajectory(cfg)
+    gap = uniqueness_probe(traj, seed=args.seed)
+    bound = 10.0 * traj.stepping.newton_tol
     _write_csv(cfg, out, "uniqueness.csv", ("seed", "max_discrepancy", "bound"),
                _csv_lines([(args.seed, float(gap), float(bound))]))
     return _print_checks([Check("uniqueness", gap, bound)])

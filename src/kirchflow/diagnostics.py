@@ -7,8 +7,8 @@ into numbers — per-step energy ledgers, the closed-form growth bound, the
 backward time-difference energy, an operational uniqueness probe, a
 maximum-principle violation meter, and an initial-condition fidelity check,
 each verdict a ``Check(name, value, bound)`` that passes iff ``value <=
-bound``.  Each is a pure function of a finished Trajectory, which carries
-the ``stepping`` and ``table`` it was marched under; none marches it again.
+bound``.  Each is a pure function of a finished Trajectory, the whole record
+of its march (initial state, stepping, table and source); none marches it again.
 
 Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy is the squared face seminorm (`grad_sq_array`) — the
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import KirchhoffTable
-from .grid import Field, grad_sq_array, integrate_array, l2_norm, laplacian_array
+from .grid import grad_sq_array, integrate_array, l2_norm, laplacian_array
 from .stepper import StepConfig, Trajectory, _march, project_initial
 
 __all__ = [
@@ -199,20 +199,20 @@ def regularity_monitor(traj: Trajectory) -> float:
 
 
 def uniqueness_probe(traj: Trajectory, seed: int = 0) -> float:
-    """Max L2 gap between a sourceless march and a guess-perturbed copy of it.
+    """Max L2 gap between a march and a guess-perturbed copy of it.
 
-    The copy marches from ``traj.values[0]`` under ``traj.stepping`` and
-    ``traj.table``, adding standard normal noise (from ``seed``) times the
+    The copy marches ``traj.initial`` under ``traj.stepping``, ``traj.table``
+    and ``traj.source``, adding standard normal noise (from ``seed``) times the
     fixed ``_GUESS_PERTURBATION`` = 1e-3 to every Newton initial guess; if the
     per-step root is unique within the basin, both land on the same states and
     the gap stays at solver tolerance.  A zero scale reproduces the march bitwise.
     """
     rng = np.random.default_rng(seed)
     col = traj.column
-    steps = _march(Field(traj.values[0], col), traj.stepping, traj.table,
+    steps = _march(traj.initial, traj.stepping, traj.table, traj.source,
                    guess=lambda system, it: system.start(
                        it.v + _GUESS_PERTURBATION * rng.standard_normal(col.n_cells)))
-    next(steps)  # the initial state, the march's own
+    next(steps)  # the projected initial state, the march's own
     gap = 0.0
     for row, (it, _, _) in zip(traj.rows[1:], steps):
         gap = max(gap, l2_norm(it.v - traj.values[row], col.dz))
@@ -230,6 +230,6 @@ def max_principle_check(traj: Trajectory) -> float:
     return max(0.0, float(np.max(traj.values)) - ceiling)
 
 
-def initial_condition_check(traj: Trajectory, u0: Field) -> float:
-    """L2 distance between the stored initial state and ``project_initial(u0)``."""
-    return l2_norm(traj.values[0] - project_initial(u0).values, traj.column.dz)
+def initial_condition_check(traj: Trajectory) -> float:
+    """L2 distance of the stored initial state from ``project_initial(traj.initial)``."""
+    return l2_norm(traj.values[0] - project_initial(traj.initial).values, traj.column.dz)

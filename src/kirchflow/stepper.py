@@ -43,7 +43,7 @@ derivative of the residual's.  The one step loop is the private generator
 and starts each step from the iterate the step before accepted, with its ``b``
 as ``b(u_old)``, or from what a ``guess`` hook makes of it (the uniqueness
 probe perturbs it).  ``run`` reads it, owns the fixed-point tail and stacks
-the accepted values once, in a ``Trajectory`` that keeps ``cfg`` and ``table``;
+the accepted values once, in a ``Trajectory`` that keeps every input of the march;
 residual and Newton matrix live on one march's private ``_System``, no ``Field``.
 
 ``dgbsv`` is bound from scipy's compiled LAPACK module, loaded by file
@@ -182,10 +182,11 @@ class StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted states u^0..u^N on ``column``, marched under ``stepping`` on ``table``.
+    """Accepted states u^0..u^N, with every input of the march that made them.
 
+    ``initial`` is the ``Field`` given to ``run``, not projected, ``column`` its
+    column; ``stepping``, ``table`` and ``source`` (or ``None``) are the rest.
     N is ``stepping.n_steps``; the read-only ``times`` is ``h * arange(N + 1)``.
-    Every certificate reads its settings and table here, not from its caller.
     ``values`` holds each distinct state once, one read-only row each, as a view
     of the array passed in.  A march that stops at a fixed point (see ``run``)
     has ``m + 1 <= N + 1`` rows; state ``n`` is row ``rows[n] = min(n, m)``.
@@ -196,15 +197,18 @@ class Trajectory:
     stepping: StepConfig
     table: KirchhoffTable
     values: np.ndarray
-    column: Column
+    initial: Field
+    source: Optional[Callable[[float], np.ndarray]]
     newton_iters: Tuple[int, ...]
     residual_norms: Tuple[float, ...]
+    column: Column = field(init=False)
     times: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         t = self.stepping.h * np.arange(self.n_steps + 1)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "column", self.initial.column)
         vals = np.asarray(self.values, dtype=float).view()
         n = self.column.n_cells
         if vals.ndim != 2 or vals.shape[1] != n or not 1 <= len(vals) <= t.size:
@@ -411,6 +415,5 @@ def run(
         values.append(it.v)
         iters.append(n_it)
         norms.append(rnorm)
-    return Trajectory(stepping=cfg, table=table, values=np.stack(values),
-                      column=u0.column, newton_iters=tuple(iters),
-                      residual_norms=tuple(norms))
+    return Trajectory(stepping=cfg, table=table, values=np.stack(values), initial=u0,
+                      source=source, newton_iters=tuple(iters), residual_norms=tuple(norms))

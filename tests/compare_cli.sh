@@ -4,10 +4,10 @@
 #   tests/compare_cli.sh CMD_A CMD_B
 #   tests/compare_cli.sh kirchflow "env PYTHONPATH=src python -m kirchflow"
 #
-# Runs 16 invocations under each command prefix: run, run --stride 1,
-# diagnose, recover, mms, probe-uniqueness, demo-overshoot and
-# dump-constitutive, each with the default config and with
-# {"stepping": {"gamma": 0.0}}.  For each it compares the exit code, stdout
+# Runs 18 invocations under each command prefix: run, run --stride 1,
+# diagnose, recover, mms, probe-uniqueness, probe-uniqueness --seed 7,
+# demo-overshoot and dump-constitutive, each with the default config and
+# with {"stepping": {"gamma": 0.0}}.  For each it compares the exit code, stdout
 # and stderr (with the --out directory replaced by OUT) and the output trees
 # (diff -r), and prints "same: <invocation>" or "DIFF: <invocation>" followed
 # by the differences.  Exits 1 on any difference.  Each prefix is split on
@@ -42,7 +42,7 @@ for config in default gamma0; do
     args=(--config "$work/gamma0.json")
   fi
   for invocation in run "run --stride 1" diagnose recover mms probe-uniqueness \
-      demo-overshoot dump-constitutive; do
+      "probe-uniqueness --seed 7" demo-overshoot dump-constitutive; do
     n=$((n + 1))
     a="$work/a$n" b="$work/b$n"
     record "$1" "$invocation" "$a"

@@ -208,13 +208,13 @@ def test_criterion_08_recovery_consistency(bench, table):
         errs.append(gradient_consistency(_lens(col_n, depth=0.1, width=0.2), table))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
     col, u0, cfg, traj, _ = bench
-    ic_defect = initial_condition_check(traj, u0)
+    ic_defect = initial_condition_check(traj)
     # second run in the other regime: the initial-state identity must
     # hold regardless of the fourth-order term
     col_c = Column(length=1.0, n_cells=80, gravity_sign=-1.0)
     u0_c = project_initial(_lens(col_c, depth=0.1))
     traj_c = run(u0_c, StepConfig(h=0.01, gamma=0.0, t_end=0.05, newton_tol=1e-10), table)
-    ic_defect_c = initial_condition_check(traj_c, u0_c)
+    ic_defect_c = initial_condition_check(traj_c)
     ok = min(orders) >= 1.9 and ic_defect <= 1.0e-12 and ic_defect_c <= 1.0e-12
     _report(
         8,

@@ -27,6 +27,7 @@ from kirchflow.grid import (
     l2_norm,
     laplacian_array,
 )
+from kirchflow.harness import ManufacturedSolution
 from kirchflow.stepper import StepConfig, Trajectory, project_initial, run
 from oracles.compactness import time_quotient
 
@@ -52,7 +53,8 @@ def _manual_trajectory(table, states, h, tail=0, **stepping):
         stepping=StepConfig(h=h, t_end=h * n, **stepping),
         table=table,
         values=np.stack([s.values for s in states[:len(states) - tail]]),
-        column=states[0].column,
+        initial=states[0],
+        source=None,
         newton_iters=tuple([1] * n),
         residual_norms=tuple([0.0] * n),
     )
@@ -392,6 +394,16 @@ def test_uniqueness_probe_seed_7_on_the_default_problem(table):
     assert uniqueness_probe(traj, seed=0) == 2.6697482576689763e-11
 
 
+def test_uniqueness_probe_marches_the_source_of_a_sourced_run(table):
+    # the first spatial level of the manufactured-solution study: the copy
+    # marches with the trajectory's own source, so both solve the same
+    # equations; a copy that marched with no source read 9.59e-2
+    ms = ManufacturedSolution(column=Column(length=1.0, n_cells=25, gravity_sign=-1.0))
+    cfg = StepConfig(h=1.0e-4, gamma=0.1, t_end=0.02, newton_tol=3.0e-7)
+    traj = run(ms.field(0.0), cfg, table, source=ms.source_callable(cfg, table))
+    assert uniqueness_probe(traj) <= 10.0 * cfg.newton_tol
+
+
 def test_uniqueness_probe_keeps_no_perturbed_trajectory(table):
     # the probe alone is traced, on a march made before it; each perturbed
     # state is folded into the gap as it arrives, so from 100 to 500 steps
@@ -474,10 +486,9 @@ def test_initial_condition_check_on_runs(table):
     u0 = _lens(col)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05, newton_tol=1.0e-7)
     traj = run(project_initial(u0), cfg, table)
-    assert initial_condition_check(traj, u0) <= 1.0e-12
-    zero = Field.zeros(col)
-    ztraj = run(zero, cfg, table)
-    assert initial_condition_check(ztraj, zero) == 0.0
+    assert initial_condition_check(traj) <= 1.0e-12
+    ztraj = run(Field.zeros(col), cfg, table)
+    assert initial_condition_check(ztraj) == 0.0
 
 
 def test_initial_condition_check_flags_corruption(table):
@@ -491,11 +502,12 @@ def test_initial_condition_check_flags_corruption(table):
         stepping=traj.stepping,
         table=table,
         values=values,
-        column=col,
+        initial=u0,
+        source=None,
         newton_iters=traj.newton_iters,
         residual_norms=traj.residual_norms,
     )
-    assert initial_condition_check(corrupted, u0) > 1.0e-3
+    assert initial_condition_check(corrupted) > 1.0e-3
 
 
 def test_initial_condition_check_sees_a_defect_on_the_saturated_plateau(table):
@@ -508,5 +520,5 @@ def test_initial_condition_check_sees_a_defect_on_the_saturated_plateau(table):
     assert values[0, 0] == 0.0
     values[0, 0] = 0.5
     corrupted = dataclasses.replace(traj, values=values)
-    assert initial_condition_check(traj, u0) == 0.0
-    assert initial_condition_check(corrupted, u0) == pytest.approx(4.32e-2, abs=5.0e-5)
+    assert initial_condition_check(traj) == 0.0
+    assert initial_condition_check(corrupted) == pytest.approx(4.32e-2, abs=5.0e-5)

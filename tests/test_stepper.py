@@ -584,7 +584,10 @@ def test_library_defaults_march_the_reference_problem(table):
     # Column() and StepConfig() are the config's reference run, and the
     # default Newton tolerance sits above the residual's round-off floor
     col, cfg = Column(), StepConfig()
-    traj = run(_wet_lens(col), cfg, table)
+    u0 = _wet_lens(col)
+    traj = run(u0, cfg, table)
+    # the trajectory keeps the Field it was given, unprojected, and no source
+    assert traj.initial is u0 and traj.source is None and traj.column is u0.column
     assert traj.n_steps == 100
     assert traj.times[-1] == pytest.approx(cfg.t_end)
     ref, stepping = _reference_run(table)
@@ -708,7 +711,9 @@ def test_run_fixed_point_tail_equals_full_march(table):
     cfg = StepConfig(h=2.5e-4, gamma=0.1, t_end=0.05, newton_tol=1e-7)
     u0 = project_initial(_wet_lens(col))
     tail = run(u0, cfg, table)
-    full = run(u0, cfg, table, source=lambda t: np.zeros(col.n_cells))
+    source = lambda t: np.zeros(col.n_cells)
+    full = run(u0, cfg, table, source=source)
+    assert full.source is source
     assert tail.n_steps == full.n_steps == 200
     assert tail.values[tail.rows].tobytes() == full.values.tobytes()
     assert tail.newton_iters == full.newton_iters
@@ -817,5 +822,6 @@ def test_trajectory_rejects_inconsistent_values(table, fields, match):
                   "residual_norms": (0.0, 0.0)}
     with pytest.raises(GridError, match=match):
         Trajectory(stepping=StepConfig(h=0.1, t_end=0.2), table=table,
-                   column=Column(length=1.0, n_cells=10), **{**consistent, **fields})
+                   initial=Field.zeros(Column(length=1.0, n_cells=10)), source=None,
+                   **{**consistent, **fields})
 
