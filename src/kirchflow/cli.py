@@ -24,19 +24,17 @@ from . import __version__
 from .config import ConfigError, RunConfig, gaussian_lens, load_config
 from .constitutive import ConstitutiveError
 from .diagnostics import (
-    Check, DiagnosticsError, energy_report, initial_condition_check, max_principle_check,
-    uniqueness_probe,
+    MAX_PRINCIPLE_TOL, Check, DiagnosticsError, certify, energy_report,
+    max_principle_check, uniqueness_probe,
 )
 from .grid import Column, Field
-from .harness import HarnessError, convergence_study, fitted_order
+from .harness import MMS_ORDER_MIN, HarnessError, convergence_study, fitted_order
 from .recovery import darcy_velocity, pressure_field, saturation_field
 from .stepper import (
     NonconvergenceError, StepConfig, Trajectory, load_scipy_module, run as march,
 )
 
 __all__ = ["main"]
-
-_MAX_PRINCIPLE_TOL = 1.0e-8
 
 # Fixed fourth-order-overshoot demonstration: a narrow wetting lens,
 # stepped finely enough that the fast gamma-driven transient is visible
@@ -171,13 +169,7 @@ def _cmd_diagnose(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
         _csv_lines(zip(*(series.tolist() for series in ledger))),
     )
     print(f"wrote {path}")
-
-    checks = [report.energy_inequality(), report.gronwall(), Check(
-        "initial-condition", initial_condition_check(traj), 1.0e-12)]
-    if traj.stepping.gamma == 0.0:
-        checks.append(Check("max-principle", max_principle_check(traj),
-                            _MAX_PRINCIPLE_TOL))
-    return _print_checks(checks)
+    return _print_checks(certify(traj))
 
 
 def _cmd_recover(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
@@ -210,7 +202,7 @@ def _cmd_mms(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     gamma = cfg.stepping["gamma"]
     schema = ("level", "dz", "h", "l2_error", "observed_order")
     ok = True
-    for mode, threshold in (("spatial", 1.9), ("temporal", 0.9)):
+    for mode, threshold in MMS_ORDER_MIN.items():
         study = convergence_study(mode, table, gamma=gamma)
         fitted = fitted_order(study)
         lines = list(_csv_lines(_study_rows(study)))
@@ -229,12 +221,10 @@ def _cmd_mms(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
 def _cmd_probe_uniqueness(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0 (got {args.seed})")
-    traj = _trajectory(cfg)
-    gap = uniqueness_probe(traj, seed=args.seed)
-    bound = 10.0 * traj.stepping.newton_tol
+    check = uniqueness_probe(_trajectory(cfg), seed=args.seed)
     _write_csv(cfg, out, "uniqueness.csv", ("seed", "max_discrepancy", "bound"),
-               _csv_lines([(args.seed, float(gap), float(bound))]))
-    return _print_checks([Check("uniqueness", gap, bound)])
+               _csv_lines([(args.seed, float(check.value), float(check.bound))]))
+    return _print_checks([check])
 
 
 def _cmd_demo_overshoot(cfg: RunConfig, out: str, args: argparse.Namespace) -> int:
@@ -258,14 +248,14 @@ def _cmd_demo_overshoot(cfg: RunConfig, out: str, args: argparse.Namespace) -> i
         **_OVERSHOOT,
     )
     fourth_ok = amp_fourth > 0.0
-    classic_ok = amp_classic <= _MAX_PRINCIPLE_TOL
+    classic_ok = amp_classic <= MAX_PRINCIPLE_TOL
     print(
         f"gamma={_OVERSHOOT['gamma']}: overshoot amplitude {amp_fourth:.6e} "
         f"(strictly positive: {'PASS' if fourth_ok else 'FAIL'})"
     )
     print(
         f"gamma=0.0: overshoot amplitude {amp_classic:.6e} "
-        f"(<= {_MAX_PRINCIPLE_TOL:.0e}: {'PASS' if classic_ok else 'FAIL'})"
+        f"(<= {MAX_PRINCIPLE_TOL:.0e}: {'PASS' if classic_ok else 'FAIL'})"
     )
     return 0 if fourth_ok and classic_ok else 1
 

@@ -5,10 +5,12 @@ accepted run must also keep the discrete energy bookkeeping inside the
 bounds the continuous problem imposes.  This module turns those bounds
 into numbers — per-step energy ledgers, the closed-form growth bound, the
 backward time-difference energy, an operational uniqueness probe, a
-maximum-principle violation meter, and an initial-condition fidelity check,
-each verdict a ``Check(name, value, bound)`` that passes iff ``value <=
-bound``.  Each is a pure function of a finished Trajectory, the whole record
-of its march (initial state, stepping, table and source); none marches it again.
+maximum-principle violation meter, an initial-condition fidelity check and a
+per-step water balance, each verdict a ``Check(name, value, bound)`` that
+passes iff ``value <= bound``.  Every verdict is built here, with its bound:
+``certify`` lists those of one run and ``uniqueness_probe`` returns its own.
+Each is a pure function of a finished Trajectory, the whole record of its
+march (initial state, stepping, table and source); only the probe marches again.
 
 Convention: integrals use the column quadrature (`integrate_array`), the
 gradient energy is the squared face seminorm (`grad_sq_array`) — the
@@ -21,8 +23,9 @@ last row, add exactly 0.0 to the time-derivative energy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .grid import grad_sq_array, integrate_array, l2_norm, laplacian_array
 from .stepper import StepConfig, Trajectory, _march, project_initial
 
 __all__ = [
+    "MAX_PRINCIPLE_TOL",
     "Check",
     "DiagnosticsError",
     "EnergyReport",
@@ -39,6 +43,8 @@ __all__ = [
     "uniqueness_probe",
     "max_principle_check",
     "initial_condition_check",
+    "water_balance",
+    "certify",
 ]
 
 # Rows of Trajectory.values per block in energy_report and regularity_monitor.
@@ -47,6 +53,8 @@ __all__ = [
 # trajectory, since a sourced march can hold tens of thousands of states.
 BLOCK_STATES = 128
 _GUESS_PERTURBATION = 1.0e-3  # noise scale of uniqueness_probe's Newton guesses
+# largest overshoot of the second-order model (gamma = 0) that passes
+MAX_PRINCIPLE_TOL = 1.0e-8
 
 
 class DiagnosticsError(ValueError):
@@ -198,8 +206,9 @@ def regularity_monitor(traj: Trajectory) -> float:
     return total
 
 
-def uniqueness_probe(traj: Trajectory, seed: int = 0) -> float:
-    """Max L2 gap between a march and a guess-perturbed copy of it.
+def uniqueness_probe(traj: Trajectory, seed: int = 0) -> Check:
+    """Max L2 gap between a march and a guess-perturbed copy of it, against
+    ``10 * newton_tol``.
 
     The copy marches ``traj.initial`` under ``traj.stepping``, ``traj.table``
     and ``traj.source``, adding standard normal noise (from ``seed``) times the
@@ -216,7 +225,7 @@ def uniqueness_probe(traj: Trajectory, seed: int = 0) -> float:
     gap = 0.0
     for row, (it, _, _) in zip(traj.rows[1:], steps):
         gap = max(gap, l2_norm(it.v - traj.values[row], col.dz))
-    return gap
+    return Check("uniqueness", gap, 10.0 * traj.stepping.newton_tol)
 
 
 def max_principle_check(traj: Trajectory) -> float:
@@ -233,3 +242,62 @@ def max_principle_check(traj: Trajectory) -> float:
 def initial_condition_check(traj: Trajectory) -> float:
     """L2 distance of the stored initial state from ``project_initial(traj.initial)``."""
     return l2_norm(traj.values[0] - project_initial(traj.initial).values, traj.column.dz)
+
+
+def water_balance(traj: Trajectory) -> Check:
+    """Largest per-step water-balance defect, against ``length * newton_tol``
+    plus the round-off of its own evaluation.
+
+    Step n's defect is ``M_n = dz*sum(b(u^n) - b(u^(n-1)))/h + F_last - F_first
+    - dz*sum(source(t_n))``, with F the flux through a wall face of ``u^n``:
+    gravity (the face takes the adjacent node's K), the one-sided gradient
+    against the wall value 0, and ``gamma`` times the gradient of ``lap`` with
+    the mirror closure.  The interior fluxes telescope, so ``M_n = dz*sum(r^n)``
+    for the step's residual r^n, at most ``length * newton_tol`` when Newton
+    accepted it (``newton_tol`` sits above the residual's own round-off);
+    steps past a fixed point repeat the last row and add one balance, at
+    rate 0.  Evaluating M_n rounds by at most eps times
+    ``(n_cells + 2)*dz*sum(|b^n| + |b^(n-1)| + h*|source|)/h`` for the sums
+    and ``8*(|K| + |u|/dz + gamma*(4|u| + |u'|)/dz**3)`` over the two wall
+    nodes (u) and their neighbours (u'); the bound adds the largest such
+    term.  It tests against phi = 1 only: a defect that conserves water passes,
+    for example one these wall fluxes share with the scheme.
+    """
+    col, step = traj.column, traj.stepping
+    dz, gamma, eps = col.dz, step.gamma, np.finfo(float).eps
+    tail = [traj.values[[-1, -1]]] if len(traj.values) <= traj.n_steps else []
+    defects, roundoff, n = [], [], 1  # n: the step of a block's second row
+    for block in itertools.chain(_blocks(traj.values, overlap=1), tail):
+        b, k = traj.table.all_channels(block)[:2]
+        u, k, lap = block[1:], k[1:], laplacian_array(block[1:], dz)
+        rate = dz * np.sum(b[1:] - b[:-1], axis=-1) / step.h
+        size = dz * np.sum(np.abs(b[1:]) + np.abs(b[:-1]), axis=-1) / step.h
+        if traj.source is not None:
+            src = np.array([traj.source(t) for t in traj.times[n:n + len(u)]])
+            rate -= dz * np.sum(src, axis=-1)
+            size += dz * np.sum(np.abs(src), axis=-1)
+        ends = u[:, 0] + u[:, -1]
+        flux = (col.gravity_sign * (k[:, -1] - k[:, 0]) + ends / dz
+                + gamma * (2.0 * ends / dz**2 - lap[:, 0] - lap[:, -1]) / dz)
+        defects.append(np.abs(rate + flux))
+        ends, near = np.abs(u[:, [0, -1]]), np.abs(u[:, [1, -2]])
+        roundoff.append(eps * ((col.n_cells + 2) * size + 8.0 * np.sum(
+            np.abs(k[:, [0, -1]]) + ends / dz + gamma * (4.0 * ends + near) / dz**3,
+            axis=-1)))
+        n += len(u)
+    bound = col.length * step.newton_tol + float(np.max(np.concatenate(roundoff)))
+    return Check("water-balance", float(np.max(np.concatenate(defects))), bound)
+
+
+def certify(traj: Trajectory) -> Tuple[Check, ...]:
+    """Every per-run verdict on ``traj``, each with its bound, in the order
+    ``diagnose`` prints them: the energy inequality, the growth bound, the
+    initial state (against 1e-12), the water balance and, at ``gamma = 0``,
+    the maximum principle (against ``MAX_PRINCIPLE_TOL``)."""
+    report = energy_report(traj, traj.stepping, traj.table)
+    checks = (report.energy_inequality(), report.gronwall(),
+              Check("initial-condition", initial_condition_check(traj), 1.0e-12),
+              water_balance(traj))
+    if traj.stepping.gamma == 0.0:
+        checks += (Check("max-principle", max_principle_check(traj), MAX_PRINCIPLE_TOL),)
+    return checks

@@ -22,12 +22,17 @@ from .grid import Column, Field, l2_norm
 from .stepper import StepConfig, run
 
 __all__ = [
+    "MMS_ORDER_MIN",
     "HarnessError",
     "ManufacturedSolution",
     "StudyRow",
     "convergence_study",
     "fitted_order",
 ]
+
+
+# the fitted order each study must reach: second order in dz, first in h
+MMS_ORDER_MIN = {"spatial": 1.9, "temporal": 0.9}
 
 
 class HarnessError(RuntimeError):

@@ -6,18 +6,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kirchflow import diagnostics
+from kirchflow import diagnostics, stepper
 from kirchflow.config import gaussian_lens, load_config
 from kirchflow.constitutive import ConstitutiveModel, build_table
 from kirchflow.diagnostics import (
     BLOCK_STATES,
+    MAX_PRINCIPLE_TOL,
     DiagnosticsError,
     EnergyReport,
+    certify,
     energy_report,
     initial_condition_check,
     max_principle_check,
     regularity_monitor,
     uniqueness_probe,
+    water_balance,
 )
 from kirchflow.grid import (
     Column,
@@ -27,9 +30,12 @@ from kirchflow.grid import (
     l2_norm,
     laplacian_array,
 )
-from kirchflow.harness import ManufacturedSolution
-from kirchflow.stepper import StepConfig, Trajectory, project_initial, run
+from kirchflow.harness import MMS_ORDER_MIN, ManufacturedSolution
+from kirchflow.stepper import (
+    NonconvergenceError, StepConfig, Trajectory, project_initial, run,
+)
 from oracles.compactness import time_quotient
+from oracles.recovery import mass_balance_residual
 
 
 BENCH = dict(h=0.01, gamma=0.1, t_end=1.0, newton_tol=1.0e-7)
@@ -173,8 +179,6 @@ def test_energy_report_benchmark_bounds(table):
     assert np.max(rep.b_integral) <= rep.gronwall_bound
     assert rep.cum_dissipation[-1] <= rep.gronwall_bound
     assert rep.gronwall().passed
-    slack = 10.0 * cfg.newton_tol * np.arange(1, rep.times.size)
-    assert np.all(rep.inequality_defect() <= slack)
     assert rep.energy_inequality().passed
 
 
@@ -228,10 +232,14 @@ def test_blocked_regularity_monitor_equals_per_state_definition(table):
         assert regularity_monitor(traj) == total
 
 
+def _slack(rep):
+    """The energy inequality's Newton slack, ``10 * newton_tol * n`` at step n."""
+    return 10.0 * rep.newton_tol * np.arange(1, rep.times.size)
+
+
 def _written_out_verdicts(rep):
     """The energy-inequality and Gronwall decisions, as first defined."""
-    slack = 10.0 * rep.newton_tol * np.arange(1, rep.times.size)
-    return (bool(np.all(rep.inequality_defect() <= slack)),
+    return (bool(np.all(rep.inequality_defect() <= _slack(rep))),
             bool(np.max(rep.b_integral) <= rep.gronwall_bound
                  and rep.cum_dissipation[-1] <= rep.gronwall_bound))
 
@@ -252,8 +260,7 @@ def test_energy_checks_decide_as_the_written_out_definitions(table):
         rep = energy_report(traj, cfg, table)
         ineq, gron = _check_verdicts(rep)
         assert (ineq.passed, gron.passed) == _written_out_verdicts(rep)
-        slack = 10.0 * cfg.newton_tol * np.arange(1, rep.times.size)
-        assert ineq.value == np.max(rep.inequality_defect() - slack)
+        assert ineq.value == np.max(rep.inequality_defect() - _slack(rep))
         assert gron.value == max(np.max(rep.b_integral), rep.cum_dissipation[-1])
 
 
@@ -374,14 +381,13 @@ def test_uniqueness_probe_deterministic_is_exact(table, monkeypatch):
     col = _bench_column(60)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.1, newton_tol=1.0e-7)
     monkeypatch.setattr(diagnostics, "_GUESS_PERTURBATION", 0.0)
-    assert uniqueness_probe(run(_lens(col), cfg, table)) == 0.0
+    assert uniqueness_probe(run(_lens(col), cfg, table)).value == 0.0
 
 
 def test_uniqueness_probe_perturbed_stays_at_tolerance(table):
     col = _bench_column()
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.2, newton_tol=1.0e-7)
-    gap = uniqueness_probe(run(_lens(col), cfg, table), seed=0)
-    assert gap <= 10.0 * cfg.newton_tol
+    assert uniqueness_probe(run(_lens(col), cfg, table), seed=0).passed
 
 
 def test_uniqueness_probe_seed_7_on_the_default_problem(table):
@@ -390,8 +396,8 @@ def test_uniqueness_probe_seed_7_on_the_default_problem(table):
     # the same march, which the probe reads and does not march again
     doc = load_config(None)
     traj = run(doc.initial_state(doc.build_column()), doc.build_stepping(), table)
-    assert uniqueness_probe(traj, seed=7) == 3.82891353372179e-11
-    assert uniqueness_probe(traj, seed=0) == 2.6697482576689763e-11
+    assert uniqueness_probe(traj, seed=7).value == 3.82891353372179e-11
+    assert uniqueness_probe(traj, seed=0).value == 2.6697482576689763e-11
 
 
 def test_uniqueness_probe_marches_the_source_of_a_sourced_run(table):
@@ -401,7 +407,7 @@ def test_uniqueness_probe_marches_the_source_of_a_sourced_run(table):
     ms = ManufacturedSolution(column=Column(length=1.0, n_cells=25, gravity_sign=-1.0))
     cfg = StepConfig(h=1.0e-4, gamma=0.1, t_end=0.02, newton_tol=3.0e-7)
     traj = run(ms.field(0.0), cfg, table, source=ms.source_callable(cfg, table))
-    assert uniqueness_probe(traj) <= 10.0 * cfg.newton_tol
+    assert uniqueness_probe(traj).passed
 
 
 def test_uniqueness_probe_keeps_no_perturbed_trajectory(table):
@@ -455,7 +461,7 @@ def test_max_principle_gamma_zero_benchmark(table):
     col = _bench_column()
     cfg = StepConfig(h=0.01, gamma=0.0, t_end=1.0, newton_tol=1.0e-11)
     traj = run(project_initial(_lens(col)), cfg, table)
-    assert max_principle_check(traj) <= 1.0e-8
+    assert max_principle_check(traj) <= MAX_PRINCIPLE_TOL
 
 
 def test_max_principle_gamma_zero_random_smooth_ics(table):
@@ -469,7 +475,7 @@ def test_max_principle_gamma_zero_random_smooth_ics(table):
             c * np.sin((k + 1) * np.pi * z) for k, c in enumerate(coeff)
         ) - 0.05
         traj = run(project_initial(Field(vals, col)), cfg, table)
-        assert max_principle_check(traj) <= 1.0e-8
+        assert max_principle_check(traj) <= MAX_PRINCIPLE_TOL
 
 
 def test_max_principle_reports_synthetic_overshoot(table):
@@ -486,7 +492,8 @@ def test_initial_condition_check_on_runs(table):
     u0 = _lens(col)
     cfg = StepConfig(h=0.01, gamma=0.1, t_end=0.05, newton_tol=1.0e-7)
     traj = run(project_initial(u0), cfg, table)
-    assert initial_condition_check(traj) <= 1.0e-12
+    (check,) = [c for c in certify(traj) if c.name == "initial-condition"]
+    assert check.passed and check.value == initial_condition_check(traj)
     ztraj = run(Field.zeros(col), cfg, table)
     assert initial_condition_check(ztraj) == 0.0
 
@@ -522,3 +529,132 @@ def test_initial_condition_check_sees_a_defect_on_the_saturated_plateau(table):
     corrupted = dataclasses.replace(traj, values=values)
     assert initial_condition_check(traj) == 0.0
     assert initial_condition_check(corrupted) == pytest.approx(4.32e-2, abs=5.0e-5)
+
+
+# ---------------------------------------------------------------------------
+# water balance and the verdict list
+# ---------------------------------------------------------------------------
+
+
+def _default_march(table, gamma=0.1, n_cells=200):
+    """The default problem on ``n_cells`` cells at ``gamma``."""
+    doc = load_config(None)
+    col = Column(length=1.0, n_cells=n_cells, gravity_sign=-1.0)
+    cfg = dataclasses.replace(doc.build_stepping(), gamma=gamma)
+    return run(doc.initial_state(col), cfg, table)
+
+
+def _water_balance_roundoff(traj):
+    """The round-off term of the water-balance bound, step by step: eps times
+    (n_cells + 2) dz-sums of |b| over h and 8 times the wall terms."""
+    col, step, dz = traj.column, traj.stepping, traj.column.dz
+    states = traj.values[traj.rows]
+    terms = []
+    for new, old in zip(states[1:], states[:-1]):
+        b_new, k = traj.table.all_channels(new)[:2]
+        b_old = traj.table.all_channels(old)[0]
+        long_sums = (col.n_cells + 2) * dz * np.sum(np.abs(b_new) + np.abs(b_old)) / step.h
+        walls = sum(abs(k[i]) + abs(new[i]) / dz
+                    + step.gamma * (4.0 * abs(new[i]) + abs(new[j])) / dz**3
+                    for i, j in ((0, 1), (-1, -2)))
+        terms.append(np.finfo(float).eps * (long_sums + 8.0 * walls))
+    return max(terms)
+
+
+def test_each_bound_is_written_out_here_once(table):
+    # every verdict's bound as a literal, in one place: the other tests read
+    # the Check, MAX_PRINCIPLE_TOL or harness.MMS_ORDER_MIN
+    assert MAX_PRINCIPLE_TOL == 1.0e-8
+    assert MMS_ORDER_MIN == {"spatial": 1.9, "temporal": 0.9}
+    for gamma in (0.1, 0.0):
+        traj = _default_march(table, gamma=gamma)
+        tol, rep = traj.stepping.newton_tol, energy_report(traj, traj.stepping, table)
+        checks = certify(traj)
+        assert checks[:4] == (
+            ("energy-inequality", np.max(rep.inequality_defect() - _slack(rep)), 0.0),
+            ("gronwall-bound", max(np.max(rep.b_integral), rep.cum_dissipation[-1]),
+             rep.gronwall_bound),
+            ("initial-condition", initial_condition_check(traj), 1.0e-12),
+            ("water-balance", checks[3].value,
+             pytest.approx(1.0 * tol + _water_balance_roundoff(traj), rel=1.0e-12)),
+        )
+        assert checks[4:] == ((("max-principle", max_principle_check(traj), 1.0e-8),)
+                              if gamma == 0.0 else ())
+        probe = uniqueness_probe(traj)
+        assert (probe.name, probe.bound) == ("uniqueness", 10.0 * tol)
+
+
+@pytest.mark.parametrize("gamma, n_cells, share", [
+    (0.1, 50, 0.0482), (0.1, 100, 0.0477), (0.1, 200, 0.0472),
+    (0.0, 50, 0.1862), (0.0, 100, 0.1805), (0.0, 200, 0.1790),
+])
+def test_water_balance_headroom_on_the_default_problem(table, gamma, n_cells, share):
+    # the largest defect as a share of length * newton_tol; the round-off
+    # term adds 2.4e-12 to 9.5e-12 to that 1e-7
+    traj = _default_march(table, gamma=gamma, n_cells=n_cells)
+    check = water_balance(traj)
+    assert check.passed
+    assert check.value / (traj.column.length * traj.stepping.newton_tol) == \
+        pytest.approx(share, abs=5.0e-4)
+    assert 0.0 < check.bound - 1.0e-7 <= 1.0e-11
+
+
+_DEFECTS = {
+    "flipped gravity": lambda r, it: r - 2.0 * it.grav,
+    "half lap": lambda r, it: r + 0.5 * it.lap,
+    "source 1e-2": lambda r, it: r - 1.0e-2,
+}
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.0])
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_water_balance_fails_every_planted_defect_that_marches(table, monkeypatch,
+                                                               defect, gamma):
+    # item 4's mutation matrix: each defect, planted in the residual Newton
+    # drives to zero, fails the check by orders of magnitude at every size
+    residual = stepper._System.residual
+    monkeypatch.setattr(stepper._System, "residual", lambda self, it, b_old, source:
+                        _DEFECTS[defect](residual(self, it, b_old, source), it))
+    for n_cells in (50, 100, 200):
+        try:
+            traj = _default_march(table, gamma=gamma, n_cells=n_cells)
+        except NonconvergenceError:
+            assert (defect, gamma) == ("flipped gravity", 0.0)
+            continue
+        check = water_balance(traj)
+        assert check.value > 100.0 * check.bound, (n_cells, check)
+
+
+def test_water_balance_equals_the_oracle_on_the_default_march(table):
+    # the largest per-step mass_balance_residual, the fixed-point tail's one
+    # balance at rate 0 included
+    traj = _default_march(table)
+    col, cfg = traj.column, traj.stepping
+    assert len(traj.values) < len(traj.times)
+    states = [Field(v, col) for v in traj.values[traj.rows]]
+    oracle = max(mass_balance_residual(new, old, cfg.h, cfg.gamma, table)
+                 for new, old in zip(states[1:], states[:-1]))
+    assert water_balance(traj).value == pytest.approx(oracle, rel=1.0e-6)
+
+
+def test_blocked_water_balance_equals_the_oracle_per_step(table):
+    # across block boundaries, equal rows and a stored-once tail
+    h = 1.0e-3
+    col, states, traj = _multi_block_trajectory(table, h, repeats=True)
+    oracle = max(mass_balance_residual(new, old, h, traj.stepping.gamma, table)
+                 for new, old in zip(states[1:], states[:-1]))
+    check = water_balance(traj)
+    assert check.value == pytest.approx(oracle, rel=1.0e-9)
+    assert check.bound == pytest.approx(1.0e-7 + _water_balance_roundoff(traj),
+                                        rel=1.0e-12)
+
+
+def test_water_balance_subtracts_the_source_of_a_sourced_march(table):
+    # the first spatial level of the manufactured-solution study: its source
+    # puts about 1e-3 of water a step into the column, which the balance
+    # takes out again
+    ms = ManufacturedSolution(column=Column(length=1.0, n_cells=25, gravity_sign=-1.0))
+    cfg = StepConfig(h=1.0e-4, gamma=0.1, t_end=0.02, newton_tol=3.0e-7)
+    traj = run(ms.field(0.0), cfg, table, source=ms.source_callable(cfg, table))
+    assert water_balance(traj).passed
+    assert not water_balance(dataclasses.replace(traj, source=None)).passed

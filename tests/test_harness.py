@@ -10,6 +10,7 @@ from kirchflow.config import gaussian_lens, load_config, parse_config
 from kirchflow.constitutive import ConstitutiveModel, KirchhoffTable, build_table
 from kirchflow.grid import Column, Field
 from kirchflow.harness import (
+    MMS_ORDER_MIN,
     HarnessError,
     ManufacturedSolution,
     convergence_study,
@@ -173,15 +174,15 @@ def test_spatial_study_second_order(table):
     assert errs[0] == pytest.approx(7.112943e-04, rel=1e-3)
     assert errs[-1] == pytest.approx(9.707233e-06, rel=1e-3)
     for r in rows[1:]:
-        assert r.observed_order >= 1.9
-    assert 1.9 <= fitted_order(rows) <= 2.5
+        assert r.observed_order >= MMS_ORDER_MIN["spatial"]
+    assert MMS_ORDER_MIN["spatial"] <= fitted_order(rows) <= 2.5
 
 
 def test_spatial_study_second_order_without_fourth_term(table):
     rows = convergence_study("spatial", table, levels=4, gamma=0.0)
     for r in rows[1:]:
-        assert r.observed_order >= 1.9
-    assert 1.9 <= fitted_order(rows) <= 2.5
+        assert r.observed_order >= MMS_ORDER_MIN["spatial"]
+    assert MMS_ORDER_MIN["spatial"] <= fitted_order(rows) <= 2.5
 
 
 def test_temporal_study_first_order(table):
@@ -194,7 +195,7 @@ def test_temporal_study_first_order(table):
     # the study's single observed order and must clear the contract
     for r in rows[1:]:
         assert r.observed_order >= 0.85
-    assert 0.9 <= fitted_order(rows) <= 1.2
+    assert MMS_ORDER_MIN["temporal"] <= fitted_order(rows) <= 1.2
 
 
 def test_study_rejects_too_few_levels(table):
