@@ -608,9 +608,9 @@ class KirchhoffTable:
     saturated branch from ``u = 0`` on, where ``b = K_f = 1`` and the slopes
     are 0.  ``_b_anti`` holds the antiderivative of ``b`` at every knot, 0 at
     the lowest; its last entry, the integral up to ``u = 0``, is the constant
-    of the saturated piece.  Every read goes through ``_evaluate`` in one
-    fixed order (interval search, then the power sum from the constant term
-    up), so a value depends only on the table and its argument, never on
+    of the saturated piece.  Every read, the inverse included, is one range
+    check and one interval search, then power sums from the constant term
+    up, so a value depends only on the table and its argument, never on
     which channel or how many points were asked for together.
 
     Tables compare and hash by identity.
@@ -682,13 +682,13 @@ class KirchhoffTable:
         return out
 
     def _invert_negative(self, u: np.ndarray) -> np.ndarray:
-        """Pressures of ``us[0] <= u < 0``: a linear seed between the bracketing
-        knots, which strictly increase up to ``us[-1] = 0``, then Newton
-        iterates that each read the map and its slope from one lookup."""
+        """Pressures of ``us[0] <= u < 0``, the knots strictly increasing to
+        ``us[-1] = 0``: a linear seed on the bracketing piece, then Newton on its
+        cubic rows, gathered once; the bisection safeguard keeps each iterate on it."""
         us, ps = self.u_samples, self.p_samples
         idx = np.maximum(np.searchsorted(us, u), 1)  # u = us[0]: the lowest piece
-        lo, hi = ps[idx - 1], ps[idx]
-        ulo, uhi = us[idx - 1], us[idx]
+        lo, hi, ulo, uhi = ps[idx - 1], ps[idx], us[idx - 1], us[idx]
+        rows, left = self._psi.take(idx - 1, axis=-1), lo
         p = lo + (u - ulo) * (hi - lo) / (uhi - ulo)
         # the residual tolerance has to be far below TOL_Q: a slack of t
         # here surfaces as b'(u) * t in every recovered-saturation value,
@@ -697,8 +697,8 @@ class KirchhoffTable:
         # evaluation noise scales with it.
         tol = np.maximum(3.0e-15, 4.0e-15 * np.abs(u))
         for _ in range(80):
-            f, d = _evaluate(ps, p, lambda c, s: (_cubic(c, s) - u, _slope(c, s)),
-                             self._psi)
+            s = p - left
+            f, d = _cubic(rows, s) - u, _slope(rows, s)
             done = np.abs(f) <= tol
             if np.all(done):
                 break

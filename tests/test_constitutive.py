@@ -205,6 +205,50 @@ def test_inverse_out_of_range(table):
     assert table.kirchhoff_inverse(u_bot) == table.p_samples[0]
 
 
+def _reference_inverse(table, u):
+    # reference: the inverse's seed, tolerance and safeguard, with a new
+    # _evaluate search of the whole table on every Newton iterate
+    us, ps = table.u_samples, table.p_samples
+    idx = np.maximum(np.searchsorted(us, u), 1)
+    lo, hi = ps[idx - 1], ps[idx]
+    ulo, uhi = us[idx - 1], us[idx]
+    p = lo + (u - ulo) * (hi - lo) / (uhi - ulo)
+    tol = np.maximum(3.0e-15, 4.0e-15 * np.abs(u))
+    read = lambda c, s: (constitutive._cubic(c, s) - u, constitutive._slope(c, s))
+    for _ in range(80):
+        f, d = constitutive._evaluate(ps, p, read, table._psi)
+        done = np.abs(f) <= tol
+        if np.all(done):
+            break
+        hi = np.where(f > 0.0, p, hi)
+        lo = np.where(f <= 0.0, p, lo)
+        p_new = p - f / np.maximum(d, table.model.a_min * 1.0e-3)
+        bad = (p_new <= lo) | (p_new >= hi)
+        p_new = np.where(bad, 0.5 * (lo + hi), p_new)
+        p = np.where(done, p, p_new)
+    return p
+
+
+def test_inverse_equals_a_search_per_iterate_bit_for_bit(table):
+    # every iterate stays on the piece the opening search names, so reading
+    # that piece's gathered rows gives what a new search per iterate gave:
+    # at every knot, every knot midpoint, both float neighbours of every knot
+    # and a seeded uniform draw over the whole negative range
+    us = table.u_samples
+    knots = us[:-1]  # the last knot is u = 0, the identity branch
+    u = np.concatenate([
+        knots,
+        0.5 * (us[:-1] + us[1:]),
+        np.nextafter(knots[1:], -np.inf),
+        np.nextafter(knots, np.inf),
+        np.random.default_rng(43).uniform(us[0], 0.0, 100_000),
+    ])
+    u = u[(u >= us[0]) & (u < 0.0)]
+    assert u.size > 4 * knots.size
+    ours = table.kirchhoff_inverse(u)
+    assert ours.tobytes() == _reference_inverse(table, u).tobytes()
+
+
 def _u_readers(table):
     return (table.all_channels, table.legendre_B, table.kirchhoff_inverse)
 
@@ -828,6 +872,31 @@ def test_legendre_B_searches_the_table_once(table, monkeypatch):
             calls.clear()
             read(z)
             assert calls == {"_channels": 1, "_evaluate": 1}, read.__name__
+
+
+def test_kirchhoff_inverse_searches_the_table_once(table, monkeypatch):
+    # one np.searchsorted brackets every point; the Newton iterates read the
+    # gathered piece and never search again through _evaluate
+    calls = Counter()
+    search = np.searchsorted
+
+    evaluate = constitutive._evaluate
+
+    def counted_search(*args, **kwargs):
+        calls["searchsorted"] += 1
+        return search(*args, **kwargs)
+
+    def counted_evaluate(*args, **kwargs):
+        calls["_evaluate"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted_search)
+    monkeypatch.setattr(constitutive, "_evaluate", counted_evaluate)
+    for u in (np.float64(-0.1), np.linspace(-0.3, 0.1, 200), np.full((128, 201), -0.05)):
+        calls.clear()
+        p = table.kirchhoff_inverse(u)
+        assert p.shape == np.shape(u)
+        assert calls == {"searchsorted": 1}, np.shape(u)
 
 
 def test_table_is_frozen(table):
